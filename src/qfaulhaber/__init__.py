@@ -5,114 +5,28 @@ coefficients, computable by three independent routes (Hankel-style
 determinants, triangular matrix inversion with interpolation, and weighted
 non-intersecting lattice path enumeration), plus machine verification of the
 summation identities they satisfy.
+
+The package root exports the entry points the demos use; everything else is
+imported from its submodule (`coeffs`, `homog`, `identities`, `laurent`,
+`lgv`, `cli`).
 """
-from .coeffs import (
-    BadIndexError,
-    PolyMatrix,
-    SingularSampleError,
-    build_forward_matrix,
-    det_route,
-    detsum_expansion,
-    faulhaber_P,
-    faulhaber_Q,
-    forward_entry,
-    interpolate_poly,
-    invert_route,
-    invert_route_row,
-    salie_G,
-    salie_H,
-    sample_points,
-    verify_detinv_consistency,
-    verify_dstr_vanishing,
-    verify_inverse_pair,
-)
-from .homog import c_poly, d_poly, g_poly, h_spec
+from .coeffs import det_route, verify_inverse_pair
 from .identities import (
     classical_check,
-    s_sum,
-    t_sum,
     verify_lemma1,
     verify_lemma2,
     verify_theorem1,
-    x_poly,
 )
-from .laurent import (
-    CoeffRecord,
-    FAMILIES,
-    LaurentPoly,
-    NotDivisibleError,
-    ONE,
-    Q,
-    ROUTES,
-    ZERO,
-    q_fact,
-    q_int,
-    shape_report,
-)
-from .lgv import (
-    brute_route,
-    enumerate_nonintersecting,
-    gh_config,
-    lgv_det_route,
-    lgv_determinant,
-    paths_between,
-    pq_config,
-    single_path_weight_sum,
-    subset_weight,
-    subset_weight_total,
-)
+from .laurent import shape_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadIndexError",
-    "CoeffRecord",
-    "FAMILIES",
-    "LaurentPoly",
-    "NotDivisibleError",
-    "ONE",
-    "PolyMatrix",
-    "Q",
-    "ROUTES",
-    "SingularSampleError",
-    "ZERO",
-    "brute_route",
-    "build_forward_matrix",
-    "c_poly",
     "classical_check",
-    "d_poly",
     "det_route",
-    "detsum_expansion",
-    "enumerate_nonintersecting",
-    "faulhaber_P",
-    "faulhaber_Q",
-    "forward_entry",
-    "g_poly",
-    "gh_config",
-    "h_spec",
-    "interpolate_poly",
-    "invert_route",
-    "invert_route_row",
-    "lgv_det_route",
-    "lgv_determinant",
-    "paths_between",
-    "pq_config",
-    "q_fact",
-    "q_int",
-    "s_sum",
-    "salie_G",
-    "salie_H",
-    "sample_points",
     "shape_report",
-    "single_path_weight_sum",
-    "subset_weight",
-    "subset_weight_total",
-    "t_sum",
-    "verify_detinv_consistency",
-    "verify_dstr_vanishing",
     "verify_inverse_pair",
     "verify_lemma1",
     "verify_lemma2",
     "verify_theorem1",
-    "x_poly",
 ]

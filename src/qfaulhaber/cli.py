@@ -1,17 +1,15 @@
 """Command-line front end: compute coefficients, print tables, run suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-index error.  The environment variable QFAUL_THREADS caps the worker pool
-used to fan out verification cases; output ordering is deterministic (sorted
-by case key) regardless of scheduling.
+index error.  A size flag below 1, or a `verify --max-m` above the cap of a
+suite it selects (theorem1: 5, classical: 4), is refused with exit 2.
+Verification output is sorted by case key.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import coeffs, identities, lgv
@@ -22,6 +20,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
+
+_SUITES = ("theorem1", "lemma1", "lemma2", "inverse", "lgv", "symmetry", "classical")
+
+# Largest `verify --max-m` a suite accepts; larger values cost too much.
+_VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
 
 
 def compute_record(family: str, m: int, k: int, method: str = "det") -> CoeffRecord:
@@ -74,24 +77,11 @@ def _emit_record(record: CoeffRecord, fmt: str, out) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QFAUL_THREADS", "")
-    if raw.strip():
-        n = int(raw)
-        if n < 1:
-            raise ValueError("QFAUL_THREADS must be a positive integer")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def _run_cases(cases: list[tuple[str, object]], out) -> bool:
-    """Run (key, thunk) verification cases, print sorted pass/fail lines."""
-    workers = _thread_count()
-    keys = [key for key, _ in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda case: bool(case[1]()), cases))
+    """Run (key, thunk) verification cases in order, print sorted pass/fail lines."""
+    results = [(key, bool(thunk())) for key, thunk in cases]
     all_ok = True
-    for key, ok in sorted(zip(keys, results)):
+    for key, ok in sorted(results):
         print(f"{'PASS' if ok else 'FAIL'} {key}", file=out)
         all_ok = all_ok and ok
     return all_ok
@@ -231,22 +221,24 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    names = _SUITES if args.suite == "all" else (args.suite,)
+    for name in names:
+        cap = _VERIFY_MAX_M_CAP.get(name)
+        if cap is not None and args.max_m is not None and args.max_m > cap:
+            print(f"error: --max-m {args.max_m} exceeds the {name} suite's cap of {cap}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
     suites = {
-        "theorem1": lambda: _suite_theorem1(min(args.max_m or 5, 5), args.max_n or 6),
+        "theorem1": lambda: _suite_theorem1(args.max_m or 5, args.max_n or 6),
         "lemma1": lambda: _suite_lemma1(args.max_l or 5),
         "lemma2": lambda: _suite_lemma2(args.max_m or 8, args.max_l or 8),
         "inverse": lambda: _suite_inverse(args.n or 6),
         "lgv": lambda: _suite_lgv(args.max_m or 6),
         "symmetry": lambda: _suite_symmetry(args.max_m or 8),
-        "classical": lambda: _suite_classical(min(args.max_m or 4, 4), args.max_n or 20),
+        "classical": lambda: _suite_classical(args.max_m or 4, args.max_n or 20),
     }
-    if args.suite == "all":
-        cases = []
-        for name in ("theorem1", "lemma1", "lemma2", "inverse", "lgv", "symmetry",
-                     "classical"):
-            cases += suites[name]()
-    else:
-        cases = suites[args.suite]()
+    cases = [case for name in names for case in suites[name]()]
     return EXIT_OK if _run_cases(cases, out) else EXIT_FAIL
 
 
@@ -262,6 +254,13 @@ def cmd_shape(args, out) -> int:
                 file=out,
             )
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,24 +281,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a triangular family table")
     p_table.add_argument("--family", required=True, choices=("P", "Q", "G", "H"))
-    p_table.add_argument("--max-m", dest="max_m", type=int, default=None)
+    p_table.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
     p_table.add_argument("--format", default="pretty", choices=("pretty", "json", "csv"))
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
         "--suite",
         required=True,
-        choices=("theorem1", "lemma1", "lemma2", "inverse", "lgv", "symmetry",
-                 "classical", "all"),
+        choices=_SUITES + ("all",),
     )
-    p_verify.add_argument("--max-m", dest="max_m", type=int, default=None)
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_verify.add_argument("--max-l", dest="max_l", type=int, default=None)
-    p_verify.add_argument("--n", dest="n", type=int, default=None)
+    p_verify.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
+    p_verify.add_argument("--max-n", dest="max_n", type=positive_int, default=None)
+    p_verify.add_argument("--max-l", dest="max_l", type=positive_int, default=None)
+    p_verify.add_argument("--n", dest="n", type=positive_int, default=None)
 
     p_shape = sub.add_parser("shape", help="report unimodality and log-concavity")
     p_shape.add_argument("--family", required=True, choices=("P", "Q", "G", "H"))
-    p_shape.add_argument("--max-m", dest="max_m", type=int, default=None)
+    p_shape.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
     return parser
 
 

@@ -107,43 +107,11 @@ def _check_index(m: int, k: int):
         raise BadIndexError(f"k must satisfy 0 <= k < m (got m={m}, k={k})")
 
 
-def _det_P(m: int, k: int) -> LaurentPoly:
-    rows = [
-        [h_spec(m - k - i + 2 * j - 1, i - j + 2, i - j + 2, 1) for j in range(k)]
-        for i in range(k)
-    ]
-    return PolyMatrix.from_rows(rows).det()
-
-
-def _det_Q(m: int, k: int) -> LaurentPoly:
-    rows = [
-        [c_poly(m - k + i + 1, m - k + j) for j in range(k)] for i in range(k)
-    ]
-    return PolyMatrix.from_rows(rows).det()
-
-
-def _det_G(m: int, k: int) -> LaurentPoly:
-    rows = [
-        [g_poly(m - k + i + 1, m - k + j) for j in range(k)] for i in range(k)
-    ]
-    return PolyMatrix.from_rows(rows).det()
-
-
-def _det_H(m: int, k: int) -> LaurentPoly:
-    rows = [
-        [d_poly(m - k + i + 1, m - k + j) for j in range(k)] for i in range(k)
-    ]
-    return PolyMatrix.from_rows(rows).det()
-
-
-_DETS = {"P": _det_P, "Q": _det_Q, "G": _det_G, "H": _det_H}
-
-
 @lru_cache(maxsize=None)
 def _family_det(family: str, m: int, k: int) -> LaurentPoly:
     # internal: also defined at k == m, where the first determinant column
     # vanishes identically for P and Q (needed by the summation identities)
-    return _DETS[family](m, k)
+    return family_matrix(family, m, k).det()
 
 
 def faulhaber_P(m: int, k: int) -> LaurentPoly:
@@ -189,6 +157,19 @@ def forward_entry(family: str, k: int, m: int) -> LaurentPoly:
     if family == "H":
         return d_poly(k, m)
     raise ValueError(f"unknown family {family!r}")
+
+
+def family_matrix(family: str, m: int, k: int) -> PolyMatrix:
+    """The k x k submatrix of the forward matrix whose determinant is the
+    family polynomial (m, k): entry (i, j) is forward entry (m-k+i+1, m-k+j).
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    base = m - k
+    return PolyMatrix.from_rows(
+        [forward_entry(family, base + i + 1, base + j) for j in range(k)]
+        for i in range(k)
+    )
 
 
 def _index_range(family: str, n: int) -> range:
@@ -435,16 +416,7 @@ def _newton_interpolate(points, values) -> list[Fraction]:
 
 def _invert_degree_bound(family: str, m: int, k: int) -> int:
     """Degree bound for the family polynomial from its defining submatrix."""
-    if k == 0:
-        return 0
-    if family == "P":
-        rows = [
-            [h_spec(m - k - i + 2 * j - 1, i - j + 2, i - j + 2, 1) for j in range(k)]
-            for i in range(k)
-        ]
-    else:
-        gen = {"Q": c_poly, "G": g_poly, "H": d_poly}[family]
-        rows = [[gen(m - k + i + 1, m - k + j) for j in range(k)] for i in range(k)]
+    rows = family_matrix(family, m, k).entries
     return sum(max(_max_deg(e) for e in row) for row in rows)
 
 

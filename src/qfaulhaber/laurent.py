@@ -80,6 +80,9 @@ class LaurentPoly:
         return self.coeffs == other.coeffs and self.min_exp == other.min_exp
 
     def __hash__(self) -> int:
+        # A constant equals its int (see __eq__), so it must hash like it.
+        if self.min_exp == 0 and len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.min_exp, self.coeffs))
 
     def __add__(self, other) -> "LaurentPoly":

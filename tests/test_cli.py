@@ -116,30 +116,38 @@ class TestTable:
 
 
 class TestVerify:
-    def test_suite_passes_and_is_sorted(self, monkeypatch):
-        monkeypatch.setenv("QFAUL_THREADS", "2")
+    def test_suite_passes_and_is_sorted(self):
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", "3")
         assert code == 0
         lines = out.splitlines()
         assert lines == sorted(lines)
         assert all(line.startswith("PASS ") for line in lines)
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
-        monkeypatch.setenv("QFAUL_THREADS", "1")
-        _, one = run_cli("verify", "--suite", "symmetry", "--max-m", "4")
-        monkeypatch.setenv("QFAUL_THREADS", "5")
-        _, five = run_cli("verify", "--suite", "symmetry", "--max-m", "4")
-        assert one == five
-
     def test_classical_suite(self):
         code, out = run_cli("verify", "--suite", "classical", "--max-n", "10")
         assert code == 0
         assert "PASS" in out
 
-    def test_bad_threads_value(self, monkeypatch):
-        monkeypatch.setenv("QFAUL_THREADS", "0")
-        with pytest.raises(ValueError):
-            run_cli("verify", "--suite", "classical", "--max-n", "5")
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "theorem1", "--max-m", "9"),
+        ("--suite", "classical", "--max-m", "5"),
+        ("--suite", "all", "--max-m", "5"),
+        ("--suite", "lgv", "--max-m", "0"),
+        ("--suite", "lgv", "--max-m", "-1"),
+        ("--suite", "lemma1", "--max-l", "0"),
+        ("--suite", "inverse", "--n", "0"),
+    ])
+    def test_out_of_range_size_exits_2(self, argv, capsys):
+        code, out = run_cli("verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
+
+    def test_size_at_cap_runs(self):
+        code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "5",
+                            "--max-n", "1")
+        assert code == 0
+        assert "PASS theorem1 which=p m=5 n=1" in out.splitlines()
 
     def test_failure_exits_1(self, monkeypatch):
         monkeypatch.setattr(

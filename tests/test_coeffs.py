@@ -8,6 +8,7 @@ import pytest
 from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
+    _invert_degree_bound,
     build_forward_matrix,
     det_route,
     detsum_expansion,
@@ -267,6 +268,18 @@ class TestInvertRoute:
             row = invert_route_row(family, m)
             for k in range(m):
                 assert row[k] == det_route(family, m, k), (family, m, k)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_degree_bound_covers_polynomial(self, family):
+        # The route interpolates on bound + 1 points, so the recovered
+        # polynomial is proven only while the bound covers the true degree.
+        for m in range(1, 13):
+            for k in range(m):
+                bound = _invert_degree_bound(family, m, k)
+                degree = det_route(family, m, k).max_exp
+                assert bound >= degree, (family, m, k)
+                if k == 1:
+                    assert bound == degree, (family, m, k)
 
     def test_single_entry(self):
         assert invert_route("G", 4, 2) == C(10, 24, 24, 10)

@@ -56,6 +56,11 @@ class TestConstruction:
 
     def test_hash_consistent_with_eq(self):
         assert hash(LaurentPoly([2, 1], 1)) == hash(LaurentPoly([0, 2, 1], 0))
+        for poly, value in ((LaurentPoly([5]), 5), (ZERO, 0), (ONE, 1),
+                            (LaurentPoly([-3]), -3)):
+            assert poly == value
+            assert hash(poly) == hash(value)
+            assert len({poly, value}) == 1
 
 
 class TestRingAxioms:

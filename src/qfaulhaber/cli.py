@@ -1,8 +1,9 @@
 """Command-line front end: compute coefficients, print tables, run suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-index error.  A size flag below 1, or a `verify --max-m` above the cap of a
-suite it selects (theorem1: 5, classical: 4), is refused with exit 2.
+index error.  A size flag below 1, a `verify` size flag that no selected suite
+reads, or a `verify --max-m` above the cap of a suite it selects (theorem1: 5,
+classical: 4), is refused with exit 2.
 Verification output is sorted by case key.
 """
 from __future__ import annotations
@@ -21,7 +22,19 @@ EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
-_SUITES = ("theorem1", "lemma1", "lemma2", "inverse", "lgv", "symmetry", "classical")
+# The size flags (argparse dests) each suite reads, in the order its builder
+# takes them, with their defaults.
+_SUITE_SIZES = {
+    "theorem1": {"max_m": 5, "max_n": 6},
+    "lemma1": {"max_l": 5},
+    "lemma2": {"max_m": 8, "max_l": 8},
+    "inverse": {"n": 6},
+    "lgv": {"max_m": 6},
+    "symmetry": {"max_m": 8},
+    "classical": {"max_m": 4, "max_n": 20},
+}
+
+_SUITES = tuple(_SUITE_SIZES)
 
 # Largest `verify --max-m` a suite accepts; larger values cost too much.
 _VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
@@ -222,23 +235,35 @@ def cmd_table(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     names = _SUITES if args.suite == "all" else (args.suite,)
+    for flag in ("max_m", "max_n", "max_l", "n"):
+        if getattr(args, flag) is not None and not any(
+            flag in _SUITE_SIZES[name] for name in names
+        ):
+            option = "--" + flag.replace("_", "-")
+            print(f"error: {option} is not read by the {args.suite} suite",
+                  file=sys.stderr)
+            return EXIT_USAGE
     for name in names:
         cap = _VERIFY_MAX_M_CAP.get(name)
         if cap is not None and args.max_m is not None and args.max_m > cap:
             print(f"error: --max-m {args.max_m} exceeds the {name} suite's cap of {cap}",
                   file=sys.stderr)
             return EXIT_USAGE
-    # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
-    suites = {
-        "theorem1": lambda: _suite_theorem1(args.max_m or 5, args.max_n or 6),
-        "lemma1": lambda: _suite_lemma1(args.max_l or 5),
-        "lemma2": lambda: _suite_lemma2(args.max_m or 8, args.max_l or 8),
-        "inverse": lambda: _suite_inverse(args.n or 6),
-        "lgv": lambda: _suite_lgv(args.max_m or 6),
-        "symmetry": lambda: _suite_symmetry(args.max_m or 8),
-        "classical": lambda: _suite_classical(args.max_m or 4, args.max_n or 20),
+    builders = {
+        "theorem1": _suite_theorem1,
+        "lemma1": _suite_lemma1,
+        "lemma2": _suite_lemma2,
+        "inverse": _suite_inverse,
+        "lgv": _suite_lgv,
+        "symmetry": _suite_symmetry,
+        "classical": _suite_classical,
     }
-    cases = [case for name in names for case in suites[name]()]
+    cases = []
+    for name in names:
+        # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
+        sizes = [getattr(args, flag) or default
+                 for flag, default in _SUITE_SIZES[name].items()]
+        cases += builders[name](*sizes)
     return EXIT_OK if _run_cases(cases, out) else EXIT_FAIL
 
 

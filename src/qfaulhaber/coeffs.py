@@ -109,9 +109,32 @@ def _check_index(m: int, k: int):
 
 @lru_cache(maxsize=None)
 def _family_det(family: str, m: int, k: int) -> LaurentPoly:
-    # internal: also defined at k == m, where the first determinant column
-    # vanishes identically for P and Q (needed by the summation identities)
-    return family_matrix(family, m, k).det()
+    """det of family_matrix(family, m, k), i.e. of A[r+1..m, r..m-1] with
+    r = m - k and A[i][j] = forward_entry(family, i, j).
+
+    Internal: also defined at k == m, where the first determinant column
+    vanishes identically for P and Q (needed by the summation identities).
+
+    A is lower triangular, so expanding along the first column, the rows
+    r+1..i-1 above row i meet the columns r+1..i-1 in a lower-triangular
+    block and vanish to its right.  The cofactor of A[i][r] is therefore
+    A[r+1][r+1] ... A[i-1][i-1] times det A[i+1..m, i..m-1] = D(m, m-i):
+
+        D(m, k) = sum over i = r+1..m of
+                  (-1)^(i-r-1) A[i][r] A[r+1][r+1]...A[i-1][i-1] D(m, m-i),
+
+    with D(m, 0) = 1, evaluated below in Horner form.  The smaller D(m, .) of the same row come
+    from this cache and are requested smallest first, so the recursion stays
+    at most two calls deep.
+    """
+    if k <= 1:
+        return family_matrix(family, m, k).det()
+    r = m - k
+    acc = forward_entry(family, m, r)
+    for i in range(m - 1, r, -1):
+        acc = (forward_entry(family, i, r) * _family_det(family, m, m - i)
+               - forward_entry(family, i, i) * acc)
+    return acc
 
 
 def faulhaber_P(m: int, k: int) -> LaurentPoly:
@@ -215,16 +238,6 @@ def _inverse_denominator_at(family: str, k: int, m: int, q0: Fraction) -> Fracti
     return d
 
 
-def _inverse_entry_at(family: str, k: int, m: int, q0: Fraction) -> Fraction:
-    if m > k:
-        return Fraction(0)
-    den = _inverse_denominator_at(family, k, m, q0)
-    if den == 0:
-        raise SingularSampleError(f"denominator vanishes at q0={q0}")
-    sign = -1 if (k - m) % 2 else 1
-    return sign * _inverse_numerator(family, k, m)(q0) / den
-
-
 def sample_points(count: int) -> list[Fraction]:
     """Deterministic distinct positive rationals, none equal to 0 or 1."""
     pts: list[Fraction] = []
@@ -292,12 +305,20 @@ def verify_inverse_pair(
         points = sample_points(_pair_degree_bound(family, n) + 1)
     fwd = [[forward_entry(family, k, m) for m in idx] for k in idx]
     size = len(idx)
+    # signed numerators of the claimed inverse entries (k, m), m <= k
+    num = [
+        [(-1) ** (k - m) * _inverse_numerator(family, k, m) for m in idx[: i + 1]]
+        for i, k in enumerate(idx)
+    ]
     for q0 in points:
         a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
-        b = [
-            [_inverse_entry_at(family, idx[i], idx[j], q0) for j in range(size)]
-            for i in range(size)
-        ]
+        b = [[Fraction(0)] * size for _ in range(size)]
+        for i, k in enumerate(idx):
+            for j, m in enumerate(idx[: i + 1]):
+                den = _inverse_denominator_at(family, k, m, q0)
+                if den == 0:
+                    raise SingularSampleError(f"denominator vanishes at q0={q0}")
+                b[i][j] = num[i][j](q0) / den
         for i in range(size):
             for j in range(size):
                 val = sum(a[i][t] * b[t][j] for t in range(j, i + 1)) if j <= i else 0

@@ -174,15 +174,28 @@ class LaurentPoly:
         return quot
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point.
+
+        For x = a/b with d = len(coeffs) - 1, Horner's rule over the integers
+        gives sum c_i a^i b^(d-i); one division by b^d and the factor
+        x^min_exp then make a single Fraction.
+        """
         x = Fraction(x)
         if x == 0 and self.min_exp < 0:
             raise ZeroDivisionError("evaluating negative exponents at zero")
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * x ** (self.min_exp + i)
-        return total
+        coeffs = self.coeffs
+        if not coeffs:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        num = coeffs[-1]
+        den = 1
+        for c in coeffs[-2::-1]:
+            den *= b
+            num = num * a + c * den if c else num * a
+        e = self.min_exp
+        if e >= 0:
+            return Fraction(num * a**e, den * b**e)
+        return Fraction(num * b**-e, den * a**-e)
 
     def stretch(self, s: int) -> "LaurentPoly":
         """Substitute the variable t by t**s (s >= 1)."""

@@ -143,6 +143,28 @@ class TestVerify:
         assert out == ""
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "classical", "--max-l", "3"),
+        ("--suite", "classical", "--n", "99"),
+        ("--suite", "lemma1", "--max-m", "2"),
+        ("--suite", "lemma2", "--max-n", "2"),
+        ("--suite", "inverse", "--max-m", "2"),
+        ("--suite", "lgv", "--max-l", "2"),
+        ("--suite", "symmetry", "--n", "2"),
+        ("--suite", "theorem1", "--max-m", "1", "--max-l", "2"),
+    ])
+    def test_unread_size_flag_exits_2(self, argv, capsys):
+        code, out = run_cli("verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "is not read by" in capsys.readouterr().err
+
+    def test_all_reads_every_size_flag(self):
+        code, out = run_cli("verify", "--suite", "all", "--max-m", "2",
+                            "--max-n", "1", "--max-l", "1", "--n", "1")
+        assert code == 0
+        assert all(line.startswith("PASS ") for line in out.splitlines())
+
     def test_size_at_cap_runs(self):
         code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "5",
                             "--max-n", "1")

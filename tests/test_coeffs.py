@@ -8,10 +8,12 @@ import pytest
 from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
+    _family_det,
     _invert_degree_bound,
     build_forward_matrix,
     det_route,
     detsum_expansion,
+    family_matrix,
     faulhaber_P,
     faulhaber_Q,
     forward_entry,
@@ -113,6 +115,17 @@ class TestReferenceTables:
         for family in "PQGH":
             for m in range(1, 9):
                 assert det_route(family, m, 0) == ONE
+
+    def test_row_recurrence_matches_matrix_determinant(self):
+        # _family_det expands along the first column and reuses the smaller
+        # determinants of its row; compare with the plain matrix determinant.
+        _family_det.cache_clear()
+        for family in "PQGH":
+            for m in range(0, 13):
+                for k in range(0, m + 1):
+                    assert _family_det(family, m, k) == family_matrix(
+                        family, m, k
+                    ).det(), (family, m, k)
 
 
 class TestPolyMatrix:

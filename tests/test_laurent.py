@@ -141,6 +141,29 @@ class TestDivisionEvaluationShift:
         with pytest.raises(ZeroDivisionError):
             LaurentPoly([1], -1)(Fraction(0))
 
+    @given(polys, st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                               max_denominator=7))
+    def test_evaluation_matches_term_sum(self, a, x):
+        # x may be 0 or negative; a may be zero or start at a negative exponent
+        if x == 0 and a.min_exp < 0:
+            with pytest.raises(ZeroDivisionError):
+                a(x)
+            return
+        expected = sum(
+            (c * x ** (a.min_exp + i) for i, c in enumerate(a.coeffs)), Fraction(0)
+        )
+        value = a(x)
+        assert isinstance(value, Fraction)
+        assert value == expected
+
+    def test_evaluation_examples(self):
+        p = LaurentPoly([3, 0, -1, 2], -2)  # 3t^-2 - 1 + 2t
+        assert p(Fraction(-1, 2)) == Fraction(12) - 1 - 1
+        assert p(2) == Fraction(3, 4) - 1 + 4
+        assert ZERO(Fraction(0)) == 0 and isinstance(ZERO(3), Fraction)
+        assert LaurentPoly([5], 2)(Fraction(0)) == 0
+        assert LaurentPoly([4, 1])(Fraction(0)) == 4
+
     @given(polys, st.integers(min_value=1, max_value=4), points)
     def test_stretch_matches_power_substitution(self, a, s, x):
         assert a.stretch(s)(x) == a(x ** s)

@@ -3,7 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 index error.  A size flag below 1, a `verify` size flag that no selected suite
 reads, or a `verify --max-m` above the cap of a suite it selects (theorem1: 5,
-classical: 4), is refused with exit 2.
+classical: 4), is refused with exit 2, and so is a `compute --method lgv`
+that would enumerate more than 1,000,000 path families.
 Verification output is sorted by case key.
 """
 from __future__ import annotations
@@ -38,6 +39,10 @@ _SUITES = tuple(_SUITE_SIZES)
 
 # Largest `verify --max-m` a suite accepts; larger values cost too much.
 _VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
+
+# Most path families `compute --method lgv` enumerates; P(8,4) has 1,531,152
+# and takes about a minute.
+_LGV_FAMILY_LIMIT = 1_000_000
 
 
 def compute_record(family: str, m: int, k: int, method: str = "det") -> CoeffRecord:
@@ -210,6 +215,14 @@ def _suite_classical(max_m: int, max_n: int) -> list:
 
 def cmd_compute(args, out) -> int:
     try:
+        if args.method == "lgv":
+            # With unit weights the LGV determinant counts the disjoint families.
+            count = lgv.lgv_determinant(*lgv._config(args.family, args.m, args.k), {})[0]
+            if count > _LGV_FAMILY_LIMIT:
+                print(f"error: --method lgv would enumerate {count} path families "
+                      f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",
+                      file=sys.stderr)
+                return EXIT_USAGE
         record = compute_record(args.family, args.m, args.k, args.method)
     except (coeffs.BadIndexError,) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 
 The forward lower-triangular matrices are built from the h/c/g/d generators;
 their inverses encode the families up to explicit sign and denominator
-factors.  Polynomial identity between routes is established by exact rational
-evaluation at more sample points than the degree bound (interpolation
-completeness), so pointwise agreement is a proof, not a heuristic.
+factors.  Each family's prefactor and denominator of the claimed inverse
+entry live in `_inverse_factors` alone; the prefactor times the forward
+diagonal product is the denominator.  Polynomial identity between routes is
+established by exact rational evaluation at more sample points than the
+degree bound (interpolation completeness), so pointwise agreement is a proof,
+not a heuristic.
 """
 from __future__ import annotations
 
@@ -12,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .laurent import FAMILIES, LaurentPoly, ONE, ZERO, q_fact
+from .laurent import FAMILIES, LaurentPoly, ONE, Q, ZERO, q_fact
 
 
 class BadIndexError(ValueError):
@@ -208,34 +212,31 @@ def build_forward_matrix(family: str, n: int) -> PolyMatrix:
     )
 
 
-def _inverse_numerator(family: str, k: int, m: int) -> LaurentPoly:
-    """Numerator polynomial of the claimed inverse entry (k, m), m <= k."""
-    poly = _family_det(family, k, k - m)
-    if family == "P":
-        return q_fact(m) * poly
-    if family == "Q":
-        return (ONE - LaurentPoly.term(1, 1)) ** (k - m + 1) * poly
-    return poly
+def _inverse_factors(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Prefactor and denominator of the claimed inverse entry (k, m), m <= k:
 
+        B[k][m] = (-1)^(k-m) * prefactor * D(k, k-m) / denominator.
 
-def _inverse_denominator_at(family: str, k: int, m: int, q0: Fraction) -> Fraction:
-    """Denominator of the claimed inverse entry (k, m) evaluated at q0."""
+    prefactor * forward_entry(family, j, j) over j = m..k is the denominator.
+    """
+    n = k - m + 1
     if family == "P":
-        return q_fact(k + 1)(q0)
+        return q_fact(m), q_fact(k + 1)
     if family == "Q":
-        d = Fraction(1)
-        for i in range(k - m + 1):
-            d *= 1 - q0 ** (2 * k - 2 * i + 1)
-        return d
+        den = [ONE - LaurentPoly.term(1, 2 * k - 2 * i + 1) for i in range(n)]
+        return (ONE - Q) ** n, prod(den, start=ONE)
     if family == "G":
-        d = Fraction(1)
-        for i in range(k - m + 1):
-            d *= 1 + q0 ** (k - i)
-        return d
-    d = (1 + q0) ** (k - m + 1)
-    for i in range(k - m + 1):
-        d *= 1 + q0 ** (2 * k - 2 * i - 1)
-    return d
+        return ONE, prod([ONE + LaurentPoly.term(1, k - i) for i in range(n)], start=ONE)
+    if family == "H":
+        den = [ONE + LaurentPoly.term(1, 2 * k - 2 * i - 1) for i in range(n)]
+        return ONE, prod(den, start=(ONE + Q) ** n)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _inverse_entry(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Unsigned numerator and denominator of the claimed inverse entry (k, m)."""
+    prefactor, denominator = _inverse_factors(family, k, m)
+    return prefactor * _family_det(family, k, k - m), denominator
 
 
 def sample_points(count: int) -> list[Fraction]:
@@ -265,31 +266,15 @@ def _pair_degree_bound(family: str, n: int) -> int:
     fwd_deg = max(
         _max_deg(forward_entry(family, k, m)) for k in idx for m in idx if m <= k
     )
+    # The cleared identity at (k, l) involves rows l..k of column l; the max
+    # and the sum over them only grow with k, so row k = n bounds column l.
     bound = 0
-    for k in idx:
-        for l in idx:
-            if l > k:
-                continue
-            num = max(
-                _max_deg(_inverse_numerator(family, mid, l))
-                for mid in idx
-                if l <= mid <= k
-            )
-            den = sum(
-                _den_degree(family, mid, l) for mid in idx if l <= mid <= k
-            )
-            bound = max(bound, fwd_deg + num + den)
+    for l in idx:
+        entries = [_inverse_entry(family, k, l) for k in idx if k >= l]
+        num = max(_max_deg(numerator) for numerator, _ in entries)
+        den = sum(denominator.max_exp for _, denominator in entries)
+        bound = max(bound, fwd_deg + num + den)
     return bound
-
-
-def _den_degree(family: str, k: int, m: int) -> int:
-    if family == "P":
-        return sum(i for i in range(1, k + 2))  # deg of the q-factorial [k+1]!
-    if family == "Q":
-        return sum(2 * k - 2 * i + 1 for i in range(k - m + 1))
-    if family == "G":
-        return sum(k - i for i in range(k - m + 1))
-    return (k - m + 1) + sum(2 * k - 2 * i - 1 for i in range(k - m + 1))
 
 
 def verify_inverse_pair(
@@ -305,20 +290,19 @@ def verify_inverse_pair(
         points = sample_points(_pair_degree_bound(family, n) + 1)
     fwd = [[forward_entry(family, k, m) for m in idx] for k in idx]
     size = len(idx)
-    # signed numerators of the claimed inverse entries (k, m), m <= k
-    num = [
-        [(-1) ** (k - m) * _inverse_numerator(family, k, m) for m in idx[: i + 1]]
-        for i, k in enumerate(idx)
+    # numerators and denominators of the claimed inverse entries (k, m), m <= k
+    entries = [
+        [_inverse_entry(family, k, m) for m in idx[: i + 1]] for i, k in enumerate(idx)
     ]
     for q0 in points:
         a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
         b = [[Fraction(0)] * size for _ in range(size)]
-        for i, k in enumerate(idx):
-            for j, m in enumerate(idx[: i + 1]):
-                den = _inverse_denominator_at(family, k, m, q0)
-                if den == 0:
+        for i, row in enumerate(entries):
+            for j, (num, den) in enumerate(row):
+                den_val = den(q0)
+                if den_val == 0:
                     raise SingularSampleError(f"denominator vanishes at q0={q0}")
-                b[i][j] = num[i][j](q0) / den
+                b[i][j] = (-1) ** (i - j) * num(q0) / den_val
         for i in range(size):
             for j in range(size):
                 val = sum(a[i][t] * b[t][j] for t in range(j, i + 1)) if j <= i else 0
@@ -422,16 +406,14 @@ def _newton_interpolate(points, values) -> list[Fraction]:
             divided[i] = (divided[i] - divided[i - 1]) / (
                 points[i] - points[i - level]
             )
-    # Horner expansion of the Newton form
+    # Horner expansion of the Newton form, in place:
+    # coeffs <- coeffs * (x - points[i]) + divided[i], whose degree is n-1-i
     coeffs = [Fraction(0)] * n
     for i in reversed(range(n)):
-        # coeffs <- coeffs * (x - points[i]) + divided[i]
-        new_coeffs = [Fraction(0)] * n
-        for j in range(n - 1):
-            new_coeffs[j + 1] += coeffs[j]
-            new_coeffs[j] -= points[i] * coeffs[j]
-        new_coeffs[0] += divided[i]
-        coeffs = new_coeffs
+        p = points[i]
+        for j in range(n - 1 - i, 0, -1):
+            coeffs[j] = coeffs[j - 1] - p * coeffs[j]
+        coeffs[0] = divided[i] - p * coeffs[0]
     return coeffs
 
 
@@ -439,28 +421,6 @@ def _invert_degree_bound(family: str, m: int, k: int) -> int:
     """Degree bound for the family polynomial from its defining submatrix."""
     rows = family_matrix(family, m, k).entries
     return sum(max(_max_deg(e) for e in row) for row in rows)
-
-
-def _invert_clearing_at(family: str, m: int, k: int, q0: Fraction) -> Fraction:
-    """Sign and denominator clearing mapping an inverse entry back to the
-    family polynomial value at q0."""
-    sign = -1 if k % 2 else 1
-    if family == "P":
-        return sign * q_fact(m + 1)(q0) / q_fact(m - k)(q0)
-    if family == "Q":
-        c = Fraction(1)
-        for i in range(k + 1):
-            c *= 1 - q0 ** (2 * m - 2 * i + 1)
-        return sign * c / (1 - q0) ** (k + 1)
-    if family == "G":
-        c = Fraction(1)
-        for i in range(k + 1):
-            c *= 1 + q0 ** (m - i)
-        return sign * c
-    c = (1 + q0) ** (k + 1)
-    for i in range(k + 1):
-        c *= 1 + q0 ** (2 * m - 2 * i - 1)
-    return sign * c
 
 
 def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
@@ -474,13 +434,15 @@ def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     idx = list(_index_range(family, m))
     size = len(idx)
     fwd = [[forward_entry(family, r, c) for c in idx] for r in idx]
+    # D(m, k) = (-1)^k B[m][m-k] * denominator / prefactor, factors at (m, m-k)
+    factors = {k: _inverse_factors(family, m, m - k) for k in ks}
     values: dict[int, list[Fraction]] = {k: [] for k in ks}
     for q0 in points:
         a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
         b = invert_lower_triangular(a)
-        for k in ks:
+        for k, (prefactor, denominator) in factors.items():
             entry = b[size - 1][size - 1 - k]
-            values[k].append(entry * _invert_clearing_at(family, m, k, q0))
+            values[k].append((-1) ** k * entry * denominator(q0) / prefactor(q0))
     return {k: interpolate_poly(points, values[k]) for k in ks}
 
 
@@ -507,9 +469,7 @@ def verify_dstr_vanishing(m: int, t0: Fraction) -> bool:
             h_val = Fraction(1)
         else:
             h_val = _family_det("H", j, j - 1)(t0)
-        den = (1 + t0) ** j
-        for i in range(j):
-            den *= 1 + t0 ** (2 * (j - i) - 1)
+        den = _inverse_factors("H", j, 1)[1](t0)
         sign = -1 if j % 2 else 1
         total += sign * d_val * h_val / den
     return total == 0

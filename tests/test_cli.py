@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -89,6 +90,31 @@ class TestCompute:
     def test_bad_flag_exits_2(self):
         code, _ = run_cli("compute", "--family", "X", "--m", "2", "--k", "1")
         assert code == 2
+
+    def test_lgv_refuses_runaway_enumeration(self, capsys):
+        # P(8,5) has 12,468,960 disjoint path families; brute force would run
+        # for minutes, so the count is taken first and the request refused.
+        start = time.perf_counter()
+        code, out = run_cli(
+            "compute", "--family", "P", "--m", "8", "--k", "5", "--method", "lgv"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.strip() == (
+            "error: --method lgv would enumerate 12468960 path families "
+            "(limit 1000000); use --method lgv-det"
+        )
+
+    def test_lgv_below_limit_runs(self):
+        code, out = run_cli(
+            "compute", "--family", "P", "--m", "6", "--k", "3", "--method", "lgv"
+        )
+        assert code == 0
+        assert out.strip() == (
+            "28 + 145q + 407q^2 + 760q^3 + 1020q^4 + 1020q^5 + 760q^6 + 407q^7"
+            " + 145q^8 + 28q^9"
+        )
 
 
 class TestTable:

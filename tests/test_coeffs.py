@@ -9,7 +9,11 @@ from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
     _family_det,
+    _index_range,
+    _inverse_entry,
+    _inverse_factors,
     _invert_degree_bound,
+    _pair_degree_bound,
     build_forward_matrix,
     det_route,
     detsum_expansion,
@@ -207,6 +211,38 @@ class TestInversePairs:
             for k in range(1, m):
                 assert verify_detinv_consistency(family, m, k)
 
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_factors_match_forward_diagonal(self, family):
+        # prefactor * A[m][m] ... A[k][k] == denominator, exactly
+        for k in _index_range(family, 9):
+            for m in _index_range(family, k):
+                prefactor, denominator = _inverse_factors(family, k, m)
+                diagonal = ONE
+                for j in range(m, k + 1):
+                    diagonal = diagonal * forward_entry(family, j, j)
+                assert prefactor * diagonal == denominator, (family, k, m)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_pair_degree_bound_covers_cleared_terms(self, family):
+        # Clearing sum_t A[i][t] B[t][j] = delta_ij by the product of den(t, j)
+        # over t = j..i gives summands A[i][t] num(t, j) prod_{mid != t} den(mid, j);
+        # verify_inverse_pair is a proof only while the bound covers them all.
+        for n in range(1, 5):
+            bound = _pair_degree_bound(family, n)
+            idx = list(_index_range(family, n))
+            entries = {(k, m): _inverse_entry(family, k, m)
+                       for k in idx for m in idx if m <= k}
+            for i in idx:
+                for j in idx:
+                    for t in idx:
+                        if not j <= t <= i:
+                            continue
+                        term = forward_entry(family, i, t) * entries[t, j][0]
+                        for mid in range(j, i + 1):
+                            if mid != t:
+                                term = term * entries[mid, j][1]
+                        assert term.is_zero or term.max_exp <= bound, (n, i, j, t)
+
     def test_dstr_vanishing(self):
         for m in range(2, 7):
             for t0 in (Fraction(2), Fraction(1, 2), Fraction(3)):
@@ -261,8 +297,8 @@ class TestRationalLinearAlgebra:
 
     def test_interpolation_roundtrip(self):
         rng = random.Random(17)
-        for _ in range(10):
-            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        for length in (1, 2, 3, 6, 11, 17, 25, 32, 39, 40):
+            coeffs = [rng.randint(-99, 99) for _ in range(length)]
             p = LaurentPoly(coeffs)
             pts = sample_points(len(coeffs))
             vals = [p(x) for x in pts]

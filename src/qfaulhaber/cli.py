@@ -41,7 +41,8 @@ _SUITES = tuple(_SUITE_SIZES)
 _VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
 
 # Most path families `compute --method lgv` enumerates; P(8,4) has 1,531,152
-# and takes about a minute.
+# and takes 20-36 s with a 145 MB peak RSS (one core of a 2-vCPU host,
+# Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 
 
@@ -217,7 +218,7 @@ def cmd_compute(args, out) -> int:
     try:
         if args.method == "lgv":
             # With unit weights the LGV determinant counts the disjoint families.
-            count = lgv.lgv_determinant(*lgv._config(args.family, args.m, args.k), {})[0]
+            count = lgv.lgv_determinant(*lgv.family_config(args.family, args.m, args.k), {})[0]
             if count > _LGV_FAMILY_LIMIT:
                 print(f"error: --method lgv would enumerate {count} path families "
                       f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",

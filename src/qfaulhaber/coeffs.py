@@ -261,19 +261,27 @@ def _max_deg(p: LaurentPoly) -> int:
 
 
 def _pair_degree_bound(family: str, n: int) -> int:
-    """Degree bound for the denominator-cleared inverse-pair identity."""
+    """Degree bound for the denominator-cleared inverse-pair identity.
+
+    Clearing sum_t A[i][t] B[t][j] = delta_ij by the product of den(t, j) over
+    t = j..i leaves the summands A[i][t] num(t, j) prod_{mid != t} den(mid, j).
+    Over the integers the degree of a product is the sum of the degrees, so
+    the bound is the largest such sum over the nonzero summands.
+    """
     idx = list(_index_range(family, n))
-    fwd_deg = max(
-        _max_deg(forward_entry(family, k, m)) for k in idx for m in idx if m <= k
-    )
-    # The cleared identity at (k, l) involves rows l..k of column l; the max
-    # and the sum over them only grow with k, so row k = n bounds column l.
+    fwd = {(i, t): forward_entry(family, i, t) for i in idx for t in idx if t <= i}
+    entries = {(k, m): _inverse_entry(family, k, m) for k in idx for m in idx if m <= k}
+    den = {key: denominator.max_exp for key, (_, denominator) in entries.items()}
     bound = 0
-    for l in idx:
-        entries = [_inverse_entry(family, k, l) for k in idx if k >= l]
-        num = max(_max_deg(numerator) for numerator, _ in entries)
-        den = sum(denominator.max_exp for _, denominator in entries)
-        bound = max(bound, fwd_deg + num + den)
+    for j in idx:
+        for i in idx[idx.index(j):]:
+            den_sum = sum(den[mid, j] for mid in range(j, i + 1))
+            for t in range(j, i + 1):
+                a, numerator = fwd[i, t], entries[t, j][0]
+                if a and numerator:
+                    bound = max(
+                        bound, a.max_exp + numerator.max_exp + den_sum - den[t, j]
+                    )
     return bound
 
 

@@ -1,10 +1,13 @@
 """Weighted non-intersecting lattice paths and the determinant shortcut.
 
 Paths take unit steps east or north.  "Non-intersecting" means vertex
-disjoint: two paths of a family never share a lattice point.  Families are
-enumerated by depth-first placement with on-the-fly disjointness pruning;
-the determinant of single-pair weighted sums gives the same totals and is
-used as the fast route.
+disjoint: two paths of a family never share a lattice point.  Each pair's
+paths are listed once; families are enumerated by depth-first placement
+from those lists with on-the-fly disjointness pruning.  Every family weight
+is (1+q)^a times a sum of powers q^b, so the brute route tallies families by
+their (a, b) exponents and builds one polynomial at the end.  The
+determinant of single-pair weighted sums gives the same totals and is used
+as the fast route.
 """
 from __future__ import annotations
 
@@ -57,14 +60,15 @@ def enumerate_nonintersecting(
     n = len(starts)
     if n != len(ends):
         raise ValueError("starts and ends differ in length")
+    choices = [list(paths_between(a, b)) for a, b in zip(starts, ends)]
     families: list[PathFamily] = []
 
     def place(i: int, used: set[LatticePoint], chosen: list[LatticePath]):
         if i == n:
             families.append(tuple(chosen))
             return
-        for path in paths_between(starts[i], ends[i]):
-            if any(p in used for p in path):
+        for path in choices[i]:
+            if not used.isdisjoint(path):
                 continue
             used.update(path)
             chosen.append(path)
@@ -173,51 +177,84 @@ def family_steps(family: PathFamily) -> str:
 # ---------------------------------------------------------------------------
 # family weights
 # ---------------------------------------------------------------------------
+# A family's weight is (1+q)^a * sum_b count_b q^b; the term functions return
+# a and the exponent -> count map, and the weight_* functions build the
+# polynomial from them.
 
-def weight_P(family: PathFamily) -> LaurentPoly:
+WeightTerms = tuple[int, dict[int, int]]
+
+
+def _expand_pairs(base: int, pairs: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """Exponent -> count map of q^base * prod (q^u + q^v) over (u, v) in
+    pairs, merging equal exponents after each factor."""
+    exps = {base: 1}
+    for u, v in pairs:
+        nxt: dict[int, int] = {}
+        for e, c in exps.items():
+            nxt[e + u] = nxt.get(e + u, 0) + c
+            nxt[e + v] = nxt.get(e + v, 0) + c
+        exps = nxt
+    return exps
+
+
+def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
+    return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
+
+
+def _terms_P(family: PathFamily) -> WeightTerms:
     """q per vertical step in an even column."""
     sigma = vertical_columns(family)
-    e = sum(c for x, c in sigma.items() if x % 2 == 0)
-    return LaurentPoly.term(1, e)
+    return 0, {sum(c for x, c in sigma.items() if x % 2 == 0): 1}
 
 
-def weight_Q(family: PathFamily) -> LaurentPoly:
+def _terms_Q(family: PathFamily) -> WeightTerms:
     """q^2 per vertical step in an even column, with the path-opening
-    vertical step weighing q^2 + q instead."""
-    total = ONE
-    for path in family:
-        for i, (p, nxt) in enumerate(zip(path, path[1:])):
-            if nxt.x != p.x:
-                continue
-            if p.x % 2 == 0:
-                total = total * (_Q_PLUS_Q2 if i == 0 else _Q2)
-    return total
+    vertical step weighing q^2 + q = q(1+q) instead."""
+    sigma = vertical_columns(family)
+    e = sum(c for x, c in sigma.items() if x % 2 == 0)
+    f = sum(
+        1 for path, opens in zip(family, starts_vertically(family))
+        if opens and path[0].x % 2 == 0
+    )
+    return f, {2 * e - f: 1}
 
 
-def weight_G(family: PathFamily) -> LaurentPoly:
+def _terms_G(family: PathFamily) -> WeightTerms:
     """Closed product form of the subset-summed weights for the G family."""
     k = len(family)
     sigma = vertical_columns(family)
-    total = LaurentPoly.term(1, sigma[2 * k])
-    for i in range(k):
-        total = total * (
-            LaurentPoly.term(1, sigma[2 * i - 1]) + LaurentPoly.term(1, sigma[2 * i])
-        )
-    return total
+    pairs = [(sigma[2 * i - 1], sigma[2 * i]) for i in range(k)]
+    return 0, _expand_pairs(sigma[2 * k], pairs)
 
 
-def weight_H(family: PathFamily) -> LaurentPoly:
+def _terms_H(family: PathFamily) -> WeightTerms:
     """Closed product form of the subset-summed weights for the H family."""
     k = len(family)
     sigma = vertical_columns(family)
     f_flags = starts_vertically(family)
-    total = _ONE_PLUS_Q ** sum(f_flags) * LaurentPoly.term(1, 2 * sigma[2 * k])
-    for i in range(k):
-        total = total * (
-            LaurentPoly.term(1, 2 * sigma[2 * i - 1])
-            + LaurentPoly.term(1, 2 * sigma[2 * i] - int(f_flags[i]))
-        )
-    return total
+    pairs = [
+        (2 * sigma[2 * i - 1], 2 * sigma[2 * i] - int(f_flags[i])) for i in range(k)
+    ]
+    return sum(f_flags), _expand_pairs(2 * sigma[2 * k], pairs)
+
+
+_FAMILY_TERMS = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
+
+
+def weight_P(family: PathFamily) -> LaurentPoly:
+    return _poly_from_terms(*_terms_P(family))
+
+
+def weight_Q(family: PathFamily) -> LaurentPoly:
+    return _poly_from_terms(*_terms_Q(family))
+
+
+def weight_G(family: PathFamily) -> LaurentPoly:
+    return _poly_from_terms(*_terms_G(family))
+
+
+def weight_H(family: PathFamily) -> LaurentPoly:
+    return _poly_from_terms(*_terms_H(family))
 
 
 def weight_alt(family: PathFamily, scheme: str) -> LaurentPoly:
@@ -225,22 +262,14 @@ def weight_alt(family: PathFamily, scheme: str) -> LaurentPoly:
     k = len(family)
     sigma = vertical_columns(family)
     if scheme == "G_alt":
-        total = LaurentPoly.term(1, sigma[0])
-        for i in range(k):
-            total = total * (
-                LaurentPoly.term(1, sigma[2 * i + 2])
-                + LaurentPoly.term(1, sigma[2 * i + 3])
-            )
-        return total
+        pairs = [(sigma[2 * i + 2], sigma[2 * i + 3]) for i in range(k)]
+        return _poly_from_terms(0, _expand_pairs(sigma[0], pairs))
     if scheme == "H_alt":
         fbar = ends_vertically(family)
-        total = _ONE_PLUS_Q ** sum(fbar) * LaurentPoly.term(1, 2 * sigma[0])
-        for i in range(k):
-            total = total * (
-                LaurentPoly.term(1, 2 * sigma[2 * i + 2] - int(fbar[i]))
-                + LaurentPoly.term(1, 2 * sigma[2 * i + 3])
-            )
-        return total
+        pairs = [
+            (2 * sigma[2 * i + 2] - int(fbar[i]), 2 * sigma[2 * i + 3]) for i in range(k)
+        ]
+        return _poly_from_terms(sum(fbar), _expand_pairs(2 * sigma[0], pairs))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -309,23 +338,27 @@ def subset_weight_total(family: PathFamily, scheme: str) -> LaurentPoly:
 # brute-force and determinant routes per family
 # ---------------------------------------------------------------------------
 
-_FAMILY_WEIGHTS = {"P": weight_P, "Q": weight_Q, "G": weight_G, "H": weight_H}
-
-
-def _config(family: str, m: int, k: int):
+def family_config(
+    family: str, m: int, k: int
+) -> tuple[list[LatticePoint], list[LatticePoint]]:
+    """Start/end points whose weighted families give the family's (m, k)."""
     return pq_config(m, k) if family in ("P", "Q") else gh_config(m, k)
 
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
-    """Family polynomial as the weighted count of non-intersecting families."""
+    """Family polynomial as the weighted count of non-intersecting families.
+
+    Each family's weight terms are tallied by their (1+q) and q exponents,
+    and one polynomial per distinct (1+q) exponent is built at the end."""
     if k == 0:
         return ONE
-    starts, ends = _config(family, m, k)
-    weigh = _FAMILY_WEIGHTS[family]
-    total = ZERO
+    starts, ends = family_config(family, m, k)
+    terms = _FAMILY_TERMS[family]
+    tally: dict[int, Counter] = {}
     for fam in enumerate_nonintersecting(starts, ends):
-        total = total + weigh(fam)
-    return total
+        a, exps = terms(fam)
+        tally.setdefault(a, Counter()).update(exps)
+    return sum((_poly_from_terms(a, exps) for a, exps in tally.items()), ZERO)
 
 
 def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, step_weight) -> LaurentPoly:
@@ -345,7 +378,7 @@ def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial via the determinant of single-pair weighted sums."""
     if k == 0:
         return ONE
-    starts, ends = _config(family, m, k)
+    starts, ends = family_config(family, m, k)
     if family == "P":
         weights = {x: _Q for x in range(0, 2 * k + 4, 2)}
         return lgv_determinant(starts, ends, weights)

@@ -243,6 +243,25 @@ class TestInversePairs:
                                 term = term * entries[mid, j][1]
                         assert term.is_zero or term.max_exp <= bound, (n, i, j, t)
 
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_pair_degree_bound_is_largest_cleared_term(self, family):
+        # Over Z a product's degree is the sum of its factors' degrees, so the
+        # bound can be exact: it equals the largest cleared-summand degree,
+        # and any loosening of it fails here.
+        for n in range(1, 5):
+            idx = list(_index_range(family, n))
+            largest = 0
+            for j in idx:
+                for i in idx:
+                    for t in range(j, i + 1):
+                        term = forward_entry(family, i, t) * _inverse_entry(family, t, j)[0]
+                        for mid in range(j, i + 1):
+                            if mid != t:
+                                term = term * _inverse_entry(family, mid, j)[1]
+                        if not term.is_zero:
+                            largest = max(largest, term.max_exp)
+            assert _pair_degree_bound(family, n) == largest, (family, n)
+
     def test_dstr_vanishing(self):
         for m in range(2, 7):
             for t0 in (Fraction(2), Fraction(1, 2), Fraction(3)):

@@ -8,9 +8,12 @@ from qfaulhaber.coeffs import BadIndexError, det_route, salie_G, salie_H
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     LatticePoint,
+    _terms_G,
+    _terms_H,
     brute_route,
     ends_vertically,
     enumerate_nonintersecting,
+    family_config,
     family_steps,
     gh_config,
     lgv_det_route,
@@ -50,6 +53,31 @@ def make_path(start, steps):
 # Reference four-path family used throughout: gh_config(7, 4) with the step
 # words NENE / NNENE / NENENN / ENNENNN.
 REFERENCE_STEPS = ("NENE", "NNENE", "NENENN", "ENNENNN")
+
+
+# A family of gh_config(9, 8): eight paths, so 2^8 subset terms per weight.
+WIDE_STEPS = ("EE", "ENE", "NEEN", "NENNE", "NNNNEE", "ENNNNNE", "NNNENNEN", "NNENNENNN")
+
+
+def reference_enumeration(starts, ends):
+    """Depth-first placement that re-lists each pair's paths per partial family."""
+    families = []
+
+    def place(i, used, chosen):
+        if i == len(starts):
+            families.append(tuple(chosen))
+            return
+        for path in paths_between(starts[i], ends[i]):
+            if any(p in used for p in path):
+                continue
+            used.update(path)
+            chosen.append(path)
+            place(i + 1, used, chosen)
+            chosen.pop()
+            used.difference_update(path)
+
+    place(0, set(), [])
+    return families
 
 
 @pytest.fixture
@@ -103,6 +131,15 @@ class TestEnumeration:
         starts, ends = gh_config(3, 1)
         fams = enumerate_nonintersecting(starts, ends)
         assert len(fams) == len(list(paths_between(starts[0], ends[0])))
+
+    @pytest.mark.parametrize("config", [pq_config, gh_config])
+    def test_same_families_in_same_order_as_reference(self, config):
+        for m in range(2, 6):
+            for k in range(1, m):
+                starts, ends = config(m, k)
+                assert enumerate_nonintersecting(starts, ends) == reference_enumeration(
+                    starts, ends
+                ), (config.__name__, m, k)
 
     def test_lgv_determinant_counts_families(self):
         # with unit weights the determinant counts non-intersecting families
@@ -255,6 +292,42 @@ class TestRouteAgreement:
                 expected = det_route(family, m, k)
                 assert brute_route(family, m, k) == expected, (family, m, k)
                 assert lgv_det_route(family, m, k) == expected, (family, m, k)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_brute_route_is_sum_of_family_weights(self, family):
+        weigh = {"P": weight_P, "Q": weight_Q, "G": weight_G, "H": weight_H}[family]
+        for m in range(2, 6):
+            for k in range(1, m):
+                fams = enumerate_nonintersecting(*family_config(family, m, k))
+                expected = sum((weigh(fam) for fam in fams), ZERO)
+                assert brute_route(family, m, k) == expected, (family, m, k)
+
+    def test_wide_family_terms_merge(self):
+        # With k = 8 paths the G/H products have 2^8 terms; the expansion
+        # merges equal exponents factor by factor, and still matches both the
+        # factor-by-factor polynomial product and the literal subset sum.
+        starts, ends = gh_config(9, 8)
+        fam = tuple(make_path(s, w) for s, w in zip(starts, WIDE_STEPS))
+        assert [path[-1] for path in fam] == ends
+        k = len(fam)
+        sigma = vertical_columns(fam)
+        flags = starts_vertically(fam)
+        product_g = LaurentPoly.term(1, sigma[2 * k])
+        product_h = (ONE + Q) ** sum(flags) * LaurentPoly.term(1, 2 * sigma[2 * k])
+        for i in range(k):
+            product_g = product_g * (
+                LaurentPoly.term(1, sigma[2 * i - 1]) + LaurentPoly.term(1, sigma[2 * i])
+            )
+            product_h = product_h * (
+                LaurentPoly.term(1, 2 * sigma[2 * i - 1])
+                + LaurentPoly.term(1, 2 * sigma[2 * i] - int(flags[i]))
+            )
+        assert weight_G(fam) == product_g == subset_weight_total(fam, "G")
+        assert weight_H(fam) == product_h == subset_weight_total(fam, "H")
+        for terms in (_terms_G, _terms_H):
+            _, exps = terms(fam)
+            assert sum(exps.values()) == 2 ** k
+            assert len(exps) < 2 ** k
 
     def test_alt_weight_totals_agree(self):
         for m in range(2, 6):

@@ -41,7 +41,7 @@ _SUITES = tuple(_SUITE_SIZES)
 _VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
 
 # Most path families `compute --method lgv` enumerates; P(8,4) has 1,531,152
-# and takes 20-36 s with a 145 MB peak RSS (one core of a 2-vCPU host,
+# and takes 6.3-7.0 s with a 146 MB peak RSS (one core of a 2-vCPU host,
 # Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 

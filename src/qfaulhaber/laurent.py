@@ -145,8 +145,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return result
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -4,8 +4,10 @@ Paths take unit steps east or north.  "Non-intersecting" means vertex
 disjoint: two paths of a family never share a lattice point.  Each pair's
 paths are listed once; families are enumerated by depth-first placement
 from those lists with on-the-fly disjointness pruning.  Every family weight
-is (1+q)^a times a sum of powers q^b, so the brute route tallies families by
-their (a, b) exponents and builds one polynomial at the end.  The
+is (1+q)^a times a sum of powers q^b, read from step statistics summed over
+the family's paths.  The brute route computes each path's statistics once
+per call, tallies all families in one (a, b) counter and builds one
+polynomial per distinct a at the end.  The
 determinant of single-pair weighted sums gives the same totals and is used
 as the fast route.
 """
@@ -174,6 +176,52 @@ def family_steps(family: PathFamily) -> str:
     return " ".join(path_steps(p) for p in family)
 
 
+class PathStats(NamedTuple):
+    """What the family weights read of one path."""
+    columns: tuple[tuple[int, int], ...]  # (x, vertical steps in column x)
+    even: int  # vertical steps in even columns
+    opens: bool  # the first step is vertical
+    opens_even: bool  # ... and lies in an even column
+
+
+def path_stats(path: LatticePath) -> PathStats:
+    sigma = vertical_columns((path,))
+    opens = starts_vertically((path,))[0]
+    return PathStats(
+        tuple(sigma.items()),
+        sum(c for x, c in sigma.items() if x % 2 == 0),
+        opens,
+        opens and path[0].x % 2 == 0,
+    )
+
+
+class PathStatsCache(dict):
+    """path -> PathStats, each path's statistics computed on first lookup."""
+
+    def __missing__(self, path: LatticePath) -> PathStats:
+        stats = self[path] = path_stats(path)
+        return stats
+
+
+_StatsCache = Mapping[LatticePath, PathStats] | None
+
+
+def _family_stats(family: PathFamily, cache: _StatsCache) -> list[PathStats]:
+    if cache is None:
+        return [path_stats(path) for path in family]
+    return [cache[path] for path in family]
+
+
+def _column_sums(stats: Sequence[PathStats]) -> dict[int, int]:
+    """Vertical steps per column of a family, summed over its paths.  A column
+    without vertical steps is absent, so read columns with .get(x, 0)."""
+    sigma: dict[int, int] = {}
+    for path in stats:
+        for x, c in path.columns:
+            sigma[x] = sigma.get(x, 0) + c
+    return sigma
+
+
 # ---------------------------------------------------------------------------
 # family weights
 # ---------------------------------------------------------------------------
@@ -201,41 +249,39 @@ def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
     return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
 
 
-def _terms_P(family: PathFamily) -> WeightTerms:
+def _terms_P(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
     """q per vertical step in an even column."""
-    sigma = vertical_columns(family)
-    return 0, {sum(c for x, c in sigma.items() if x % 2 == 0): 1}
+    return 0, {sum(path.even for path in _family_stats(family, cache)): 1}
 
 
-def _terms_Q(family: PathFamily) -> WeightTerms:
+def _terms_Q(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
     """q^2 per vertical step in an even column, with the path-opening
     vertical step weighing q^2 + q = q(1+q) instead."""
-    sigma = vertical_columns(family)
-    e = sum(c for x, c in sigma.items() if x % 2 == 0)
-    f = sum(
-        1 for path, opens in zip(family, starts_vertically(family))
-        if opens and path[0].x % 2 == 0
-    )
+    stats = _family_stats(family, cache)
+    e = sum(path.even for path in stats)
+    f = sum(path.opens_even for path in stats)
     return f, {2 * e - f: 1}
 
 
-def _terms_G(family: PathFamily) -> WeightTerms:
+def _terms_G(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
     """Closed product form of the subset-summed weights for the G family."""
     k = len(family)
-    sigma = vertical_columns(family)
-    pairs = [(sigma[2 * i - 1], sigma[2 * i]) for i in range(k)]
-    return 0, _expand_pairs(sigma[2 * k], pairs)
+    sigma = _column_sums(_family_stats(family, cache))
+    pairs = [(sigma.get(2 * i - 1, 0), sigma.get(2 * i, 0)) for i in range(k)]
+    return 0, _expand_pairs(sigma.get(2 * k, 0), pairs)
 
 
-def _terms_H(family: PathFamily) -> WeightTerms:
+def _terms_H(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
     """Closed product form of the subset-summed weights for the H family."""
     k = len(family)
-    sigma = vertical_columns(family)
-    f_flags = starts_vertically(family)
+    stats = _family_stats(family, cache)
+    sigma = _column_sums(stats)
     pairs = [
-        (2 * sigma[2 * i - 1], 2 * sigma[2 * i] - int(f_flags[i])) for i in range(k)
+        (2 * sigma.get(2 * i - 1, 0), 2 * sigma.get(2 * i, 0) - stats[i].opens)
+        for i in range(k)
     ]
-    return sum(f_flags), _expand_pairs(2 * sigma[2 * k], pairs)
+    f = sum(path.opens for path in stats)
+    return f, _expand_pairs(2 * sigma.get(2 * k, 0), pairs)
 
 
 _FAMILY_TERMS = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
@@ -348,17 +394,23 @@ def family_config(
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial as the weighted count of non-intersecting families.
 
-    Each family's weight terms are tallied by their (1+q) and q exponents,
-    and one polynomial per distinct (1+q) exponent is built at the end."""
+    Each path's statistics are computed once per call, and every family's
+    weight terms (1+q)^a q^b are tallied in one (a, b) counter; one
+    polynomial per distinct a is built at the end."""
     if k == 0:
         return ONE
     starts, ends = family_config(family, m, k)
     terms = _FAMILY_TERMS[family]
-    tally: dict[int, Counter] = {}
+    cache = PathStatsCache()
+    tally: Counter = Counter()
     for fam in enumerate_nonintersecting(starts, ends):
-        a, exps = terms(fam)
-        tally.setdefault(a, Counter()).update(exps)
-    return sum((_poly_from_terms(a, exps) for a, exps in tally.items()), ZERO)
+        a, exps = terms(fam, cache)
+        for b, c in exps.items():
+            tally[a, b] += c
+    by_a: dict[int, dict[int, int]] = {}
+    for (a, b), c in tally.items():
+        by_a.setdefault(a, {})[b] = c
+    return sum((_poly_from_terms(a, exps) for a, exps in by_a.items()), ZERO)
 
 
 def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, step_weight) -> LaurentPoly:

@@ -115,6 +115,53 @@ class TestRingAxioms:
         assert a ** n == expected
 
 
+# Small polynomials for high powers: the zero polynomial, constants and
+# polynomials with negative lowest exponent are all drawn.
+small_polys = st.one_of(
+    st.just(ZERO),
+    st.builds(LaurentPoly.term, st.integers(min_value=-3, max_value=3)),
+    st.builds(
+        LaurentPoly,
+        st.lists(st.integers(min_value=-3, max_value=3), max_size=4),
+        st.integers(min_value=-4, max_value=2),
+    ),
+)
+
+
+class TestPower:
+    @given(small_polys, st.integers(min_value=0, max_value=40))
+    def test_high_power_is_repeated_product(self, a, n):
+        expected = ONE
+        for _ in range(n):
+            expected = expected * a
+        assert a ** n == expected
+
+    def test_zero_exponent_and_negative_exponent(self):
+        for a in (ZERO, ONE, LaurentPoly.term(-2), LaurentPoly([1, -1, 2], -3)):
+            assert a ** 0 == ONE
+            with pytest.raises(ValueError):
+                a ** -1
+
+    @pytest.mark.parametrize("base", [LaurentPoly([1, 1, 1]), LaurentPoly([2, 0, -1], -2)])
+    def test_no_product_wider_than_the_result(self, monkeypatch, base):
+        # Squaring once more after the exponent's last bit would build a
+        # product of about 2^bitlen(n) * deg(base), wider than base ** n.
+        widths = []
+        mul = LaurentPoly.__mul__
+
+        def counting_mul(self, other):
+            product = mul(self, other)
+            widths.append(len(product.coeffs))
+            return product
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        for n in range(1, 41):
+            widths.clear()
+            result = base ** n
+            assert widths, n
+            assert max(widths) <= len(result.coeffs), n
+
+
 class TestDivisionEvaluationShift:
     @given(nonzero_polys, polys)
     def test_divexact_inverts_multiplication(self, d, q):

@@ -5,11 +5,17 @@ from collections import Counter
 import pytest
 
 from qfaulhaber.coeffs import BadIndexError, det_route, salie_G, salie_H
+from qfaulhaber import lgv
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     LatticePoint,
+    PathStatsCache,
+    _column_sums,
+    _expand_pairs,
     _terms_G,
     _terms_H,
+    _terms_P,
+    _terms_Q,
     brute_route,
     ends_vertically,
     enumerate_nonintersecting,
@@ -78,6 +84,23 @@ def reference_enumeration(starts, ends):
 
     place(0, set(), [])
     return families
+
+
+def literal_terms(family):
+    """Weight terms of P, Q, G and H read off a walk of the whole family."""
+    k = len(family)
+    sigma = vertical_columns(family)  # a Counter: column -1 reads 0
+    flags = starts_vertically(family)
+    e = sum(c for x, c in sigma.items() if x % 2 == 0)
+    f = sum(1 for path, opens in zip(family, flags) if opens and path[0].x % 2 == 0)
+    g_pairs = [(sigma[2 * i - 1], sigma[2 * i]) for i in range(k)]
+    h_pairs = [(2 * sigma[2 * i - 1], 2 * sigma[2 * i] - int(flags[i])) for i in range(k)]
+    return {
+        "P": (0, {e: 1}),
+        "Q": (f, {2 * e - f: 1}),
+        "G": (0, _expand_pairs(sigma[2 * k], g_pairs)),
+        "H": (sum(flags), _expand_pairs(2 * sigma[2 * k], h_pairs)),
+    }
 
 
 @pytest.fixture
@@ -216,6 +239,59 @@ class TestReferenceFamily:
         assert weight_H(reference_family) == C(
             1, 6, 16, 26, 30, 26, 16, 6, 1
         ) * LaurentPoly.term(1, 11)
+
+
+class TestPathStatistics:
+    def test_per_path_sums_match_literal_walk(self):
+        terms = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
+        last_column_used = False
+        for config in (pq_config, gh_config):
+            for m in range(2, 6):
+                for k in range(1, m):
+                    cache = PathStatsCache()
+                    for fam in enumerate_nonintersecting(*config(m, k)):
+                        stats = [cache[path] for path in fam]
+                        assert _column_sums(stats) == dict(vertical_columns(fam))
+                        assert [s.opens for s in stats] == starts_vertically(fam)
+                        expected = literal_terms(fam)
+                        for name, term in terms.items():
+                            assert term(fam, cache) == expected[name], (name, fam)
+                            assert term(fam) == expected[name], (name, fam)
+                        if config is gh_config and vertical_columns(fam)[2 * k]:
+                            last_column_used = True
+        # A G/H family with a vertical step in column 2k tells column -1
+        # (no steps) apart from a wrapped-around read of column 2k.
+        assert last_column_used
+
+    def test_reference_family_statistics(self, reference_family):
+        stats = [lgv.path_stats(path) for path in reference_family]
+        assert [s.columns for s in stats] == [
+            ((0, 1), (1, 1)),
+            ((2, 2), (3, 1)),
+            ((4, 1), (5, 1), (6, 2)),
+            ((7, 2), (8, 3)),
+        ]
+        assert [s.even for s in stats] == [1, 2, 3, 3]
+        assert [s.opens for s in stats] == [True, True, True, False]
+        assert [s.opens_even for s in stats] == [True, True, True, False]
+        odd_start = lgv.path_stats(make_path((1, 0), "NEN"))
+        assert odd_start == (((1, 1), (2, 1)), 1, True, False)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_brute_route_reads_each_path_once(self, family, monkeypatch):
+        m, k = 6, 3
+        fams = enumerate_nonintersecting(*family_config(family, m, k))
+        distinct = {path for fam in fams for path in fam}
+        calls = []
+        path_stats = lgv.path_stats
+
+        def counting_path_stats(path):
+            calls.append(path)
+            return path_stats(path)
+
+        monkeypatch.setattr(lgv, "path_stats", counting_path_stats)
+        assert brute_route(family, m, k) == det_route(family, m, k)
+        assert len(calls) == len(distinct) < len(fams) * k
 
 
 class TestPanelMultisets:

@@ -7,7 +7,10 @@ entry live in `_inverse_factors` alone; the prefactor times the forward
 diagonal product is the denominator.  Polynomial identity between routes is
 established by exact rational evaluation at more sample points than the
 degree bound (interpolation completeness), so pointwise agreement is a proof,
-not a heuristic.
+not a heuristic.  The invert route bounds each degree by the first-column
+recurrence that `_family_det` evaluates, read on forward-entry degrees; it
+interpolates polynomial (m, k) on bound_k + 1 points and solves only the last
+row of the inverse at each point.
 """
 from __future__ import annotations
 
@@ -256,10 +259,6 @@ def sample_points(count: int) -> list[Fraction]:
     return pts
 
 
-def _max_deg(p: LaurentPoly) -> int:
-    return 0 if p.is_zero else p.max_exp
-
-
 def _pair_degree_bound(family: str, n: int) -> int:
     """Degree bound for the denominator-cleared inverse-pair identity.
 
@@ -323,21 +322,20 @@ def verify_inverse_pair(
 # rational triangular inversion and the submatrix-determinant identity
 # ---------------------------------------------------------------------------
 
-def invert_lower_triangular(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a lower-triangular rational matrix by forward substitution."""
+def inverse_last_row(a: list[list[Fraction]]) -> list[Fraction]:
+    """Last row x of the inverse of a lower-triangular rational matrix, i.e.
+    the solution of x A = e_last, by back substitution in O(n^2).
+
+    Row i of `a` may stop at the diagonal; entries right of it are not read.
+    """
     n = len(a)
-    b = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            if i == j:
-                rhs = Fraction(1)
-            else:
-                rhs = Fraction(0)
-            rhs -= sum(a[i][t] * b[t][j] for t in range(j, i))
-            if a[i][i] == 0:
-                raise ZeroDivisionError("singular triangular matrix")
-            b[i][j] = rhs / a[i][i]
-    return b
+    x = [Fraction(0)] * n
+    for j in range(n - 1, -1, -1):
+        if a[j][j] == 0:
+            raise ZeroDivisionError("singular triangular matrix")
+        rhs = Fraction(j == n - 1) - sum(x[t] * a[t][j] for t in range(j + 1, n))
+        x[j] = rhs / a[j][j]
+    return x
 
 
 def fraction_det(a: list[list[Fraction]]) -> Fraction:
@@ -377,7 +375,7 @@ def verify_detinv_consistency(
         a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
         if any(a[i][i] == 0 for i in range(size)):
             raise SingularSampleError(f"singular diagonal at q0={q0}")
-        b = invert_lower_triangular(a)
+        last = inverse_last_row(a)
         sub = [
             [a[col + i + 1][col + j] for j in range(row - col)]
             for i in range(row - col)
@@ -386,7 +384,7 @@ def verify_detinv_consistency(
         for j in range(col, row + 1):
             diag *= a[j][j]
         sign = -1 if (row - col) % 2 else 1
-        if b[row][col] != sign * fraction_det(sub) / diag:
+        if last[col] != sign * fraction_det(sub) / diag:
             return False
     return True
 
@@ -425,33 +423,58 @@ def _newton_interpolate(points, values) -> list[Fraction]:
     return coeffs
 
 
+@lru_cache(maxsize=None)
 def _invert_degree_bound(family: str, m: int, k: int) -> int:
-    """Degree bound for the family polynomial from its defining submatrix."""
-    rows = family_matrix(family, m, k).entries
-    return sum(max(_max_deg(e) for e in row) for row in rows)
+    """Degree bound for the family polynomial (m, k), 0 <= k < m, from the
+    first-column recurrence of `_family_det` read on forward-entry degrees (a
+    sum of products has degree at most the largest sum of factor degrees):
+
+        bound(m, 0) = 0,
+        bound(m, k) = max over i = r+1..m with A[i][r] != 0 of
+                      deg A[i][r] + deg A[r+1][r+1] + ... + deg A[i-1][i-1]
+                      + bound(m, m-i),
+
+    with r = m - k.  No determinant is formed, so the invert route stays
+    independent of the det route.
+    """
+    if k == 0:
+        return 0
+    r = m - k
+    best = diag = 0
+    for i in range(r + 1, m + 1):
+        entry = forward_entry(family, i, r)
+        if entry:
+            best = max(best, entry.max_exp + diag + _invert_degree_bound(family, m, m - i))
+        diag += forward_entry(family, i, i).max_exp
+    return best
 
 
 def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     """All family polynomials with first index m, recovered from the exact
-    rational inverse of the forward matrix by interpolation."""
+    rational inverse of the forward matrix by interpolation.
+
+    D(m, k) is interpolated on exactly the first bound_k + 1 sample points,
+    bound_k from the first-column recurrence (`_invert_degree_bound`), and at
+    each point only the last row of the inverse is solved.
+    """
     if m < 1:
         raise BadIndexError("m must be at least 1")
     ks = range(0, m)
-    bound = max(_invert_degree_bound(family, m, k) for k in ks)
-    points = sample_points(bound + 1)
+    bounds = [_invert_degree_bound(family, m, k) for k in ks]
+    points = sample_points(max(bounds) + 1)
     idx = list(_index_range(family, m))
     size = len(idx)
-    fwd = [[forward_entry(family, r, c) for c in idx] for r in idx]
+    fwd = [[forward_entry(family, r, c) for c in idx[: i + 1]] for i, r in enumerate(idx)]
     # D(m, k) = (-1)^k B[m][m-k] * denominator / prefactor, factors at (m, m-k)
     factors = {k: _inverse_factors(family, m, m - k) for k in ks}
     values: dict[int, list[Fraction]] = {k: [] for k in ks}
-    for q0 in points:
-        a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
-        b = invert_lower_triangular(a)
+    for p, q0 in enumerate(points):
+        last = inverse_last_row([[e(q0) for e in row] for row in fwd])
         for k, (prefactor, denominator) in factors.items():
-            entry = b[size - 1][size - 1 - k]
-            values[k].append((-1) ** k * entry * denominator(q0) / prefactor(q0))
-    return {k: interpolate_poly(points, values[k]) for k in ks}
+            if p <= bounds[k]:
+                entry = last[size - 1 - k]
+                values[k].append((-1) ** k * entry * denominator(q0) / prefactor(q0))
+    return {k: interpolate_poly(points[: bounds[k] + 1], values[k]) for k in ks}
 
 
 def invert_route(family: str, m: int, k: int) -> LaurentPoly:

@@ -9,6 +9,7 @@ equation, so both sides are compared in the Laurent polynomial ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .coeffs import SingularSampleError, _family_det, det_route, salie_G
@@ -46,8 +47,10 @@ def t_sum(m: int, n: int) -> LaurentPoly:
     return total
 
 
+@lru_cache(maxsize=None)
 def x_poly(n: int, power: int) -> LaurentPoly:
-    """([n][n+1]/q^n)^power as a Laurent polynomial in t."""
+    """([n][n+1]/q^n)^power as a Laurent polynomial in t, memoised: the
+    lemma2 cases ask for the same few (n, power) pairs many times."""
     if power < 0:
         raise ValueError("power must be nonnegative")
     if power == 0:
@@ -164,12 +167,25 @@ def verify_theorem1(which: str, m: int, n: int) -> bool:
     return lhs == rhs
 
 
+def _qint_powers(l: int, m: int, shift: int) -> list:
+    """[l]^(2j - shift) in t for j = 0..m, shift 0 or 1, each power from the
+    previous by one multiply by [l]^2.  [l]^(-1) is no polynomial; its slot
+    holds None, so a term that would need it fails instead of passing."""
+    base = q_int(l, 2)
+    square = base * base
+    powers = [ONE, square] if shift == 0 else [None, base]
+    while len(powers) <= m:
+        powers.append(powers[-1] * square)
+    return powers
+
+
 def verify_lemma2(which: str, m: int, l: int) -> bool:
     """Check one of the four h/c/g/d difference identities exactly in the
     Laurent ring (negative powers of t are retained, no clearing needed)."""
     if m < 1 or l < 1:
         raise ValueError("need m >= 1 and l >= 1")
     if which == "diff1":
+        powers = _qint_powers(l, m, 0)
         lhs = x_poly(l, m + 1) - x_poly(l - 1, m + 1)
         rhs = ZERO
         for k in range(m + 1):
@@ -179,10 +195,11 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
             rhs = rhs + (
                 h.stretch(2)
                 * q_int(2 * l, 2)
-                * q_int(l, 2) ** (2 * (m - k))
+                * powers[m - k]
                 * LaurentPoly.term(1, -2 * l * (m - k + 1))
             )
     elif which == "inverseq":
+        powers = _qint_powers(l, m, 1)
         lhs = (
             q_int(2 * l + 1, 1) * LaurentPoly.term(1, -l) * x_poly(l, m)
             - q_int(2 * l - 1, 1) * LaurentPoly.term(1, -(l - 1)) * x_poly(l - 1, m)
@@ -195,10 +212,11 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
             rhs = rhs + (
                 c
                 * q_int(2 * l, 2)
-                * q_int(l, 2) ** (2 * (m - k) - 1)
+                * powers[m - k]
                 * LaurentPoly.term(1, -l * (2 * (m - k) + 1))
             )
     elif which == "diff":
+        powers = _qint_powers(l, m, 0)
         lhs = x_poly(l, m) + x_poly(l - 1, m)
         rhs = ZERO
         for k in range(m + 1):
@@ -207,10 +225,11 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
                 continue
             rhs = rhs + (
                 g.stretch(2)
-                * q_int(l, 2) ** (2 * (m - k))
+                * powers[m - k]
                 * LaurentPoly.term(1, -2 * l * (m - k))
             )
     elif which == "sumd":
+        powers = _qint_powers(l, m, 1)
         lhs = (
             q_int(2 * l + 1, 1) * LaurentPoly.term(1, -l) * x_poly(l, m - 1)
             + q_int(2 * l - 1, 1) * LaurentPoly.term(1, -(l - 1)) * x_poly(l - 1, m - 1)
@@ -222,7 +241,7 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
                 continue
             rhs = rhs + (
                 d
-                * q_int(l, 2) ** (2 * (m - k) - 1)
+                * powers[m - k]
                 * LaurentPoly.term(1, -l * (2 * (m - k) - 1))
             )
     else:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfaulhaber import coeffs
 from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
@@ -23,7 +24,7 @@ from qfaulhaber.coeffs import (
     forward_entry,
     fraction_det,
     interpolate_poly,
-    invert_lower_triangular,
+    inverse_last_row,
     invert_route,
     invert_route_row,
     salie_G,
@@ -283,7 +284,7 @@ class TestSamplePoints:
 
 
 class TestRationalLinearAlgebra:
-    def test_invert_lower_triangular(self):
+    def test_inverse_last_row(self):
         rng = random.Random(3)
         for n in range(1, 6):
             a = [
@@ -295,15 +296,13 @@ class TestRationalLinearAlgebra:
                 ]
                 for i in range(n)
             ]
-            b = invert_lower_triangular(a)
-            for i in range(n):
-                for j in range(n):
-                    prod = sum(a[i][t] * b[t][j] for t in range(n))
-                    assert prod == (1 if i == j else 0)
+            x = inverse_last_row(a)
+            for j in range(n):
+                assert sum(x[t] * a[t][j] for t in range(n)) == (j == n - 1)
 
     def test_singular_raises(self):
         with pytest.raises(ZeroDivisionError):
-            invert_lower_triangular([[Fraction(0)]])
+            inverse_last_row([[Fraction(0)]])
 
     def test_fraction_det_values(self):
         assert fraction_det([[Fraction(2)]]) == 2
@@ -346,8 +345,23 @@ class TestInvertRoute:
                 bound = _invert_degree_bound(family, m, k)
                 degree = det_route(family, m, k).max_exp
                 assert bound >= degree, (family, m, k)
-                if k == 1:
-                    assert bound == degree, (family, m, k)
+                # tight: a looser bound would only add sample points
+                assert bound == degree, (family, m, k)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_each_k_interpolates_on_its_bound(self, family, monkeypatch):
+        calls = []
+
+        def spy(points, values):
+            calls.append(list(points))
+            return interpolate_poly(points, values)
+
+        monkeypatch.setattr(coeffs, "interpolate_poly", spy)
+        invert_route_row(family, 8)
+        assert len(calls) == 8
+        for k, points in enumerate(calls):
+            assert len(points) == _invert_degree_bound(family, 8, k) + 1, (family, k)
+            assert points == sample_points(len(points))
 
     def test_single_entry(self):
         assert invert_route("G", 4, 2) == C(10, 24, 24, 10)

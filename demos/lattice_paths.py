@@ -8,13 +8,12 @@ the determinant route produces.
 from qfaulhaber import det_route
 from qfaulhaber.lgv import (
     enumerate_nonintersecting,
+    family_config,
     family_steps,
-    gh_config,
-    weight_G,
-    weight_H,
+    family_weight,
 )
 
-starts, ends = gh_config(4, 2)
+starts, ends = family_config("G", 4, 2)
 print(f"starts: {starts}")
 print(f"ends:   {ends}\n")
 
@@ -23,8 +22,8 @@ print(f"{len(families)} non-intersecting path families\n")
 
 g_total = h_total = None
 for fam in families:
-    wg = weight_G(fam)
-    wh = weight_H(fam)
+    wg = family_weight("G", fam)
+    wh = family_weight("H", fam)
     g_total = wg if g_total is None else g_total + wg
     h_total = wh if h_total is None else h_total + wh
     print(f"{family_steps(fam):16}  G-weight: {wg.to_string('q'):24}"

@@ -3,8 +3,9 @@
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 index error.  A size flag below 1, a `verify` size flag that no selected suite
 reads, or a `verify --max-m` above the cap of a suite it selects (theorem1: 5,
-classical: 4), is refused with exit 2, and so is a `compute --method lgv`
-that would enumerate more than 1,000,000 path families.
+classical: 4), is refused with exit 2, and so is a `compute --method lgv` or
+`verify --suite lgv --max-m` that would enumerate more than 1,000,000 path
+families in one case.
 Verification output is sorted by case key.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import coeffs, identities, lgv
-from .laurent import CoeffRecord, shape_report
+from .laurent import FAMILIES, CoeffRecord, shape_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,9 +41,9 @@ _SUITES = tuple(_SUITE_SIZES)
 # Largest `verify --max-m` a suite accepts; larger values cost too much.
 _VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
 
-# Most path families `compute --method lgv` enumerates; P(8,4) has 1,531,152
-# and takes 6.3-7.0 s with a 146 MB peak RSS (one core of a 2-vCPU host,
-# Python 3.11).
+# Most path families one `compute --method lgv` or `verify --suite lgv` case
+# enumerates; P(8,4) has 1,531,152 and takes 6.3-7.0 s with a 146 MB peak RSS
+# (one core of a 2-vCPU host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 
 
@@ -66,7 +67,7 @@ def record_to_json_dict(record: CoeffRecord) -> dict:
         "family": record.family,
         "m": record.m,
         "k": record.k,
-        "variable": record.variable,
+        "variable": "q",
         "route": record.route,
         "min_exp": 0,
         "coefficients": [str(c) for c in record.coefficients()],
@@ -214,11 +215,16 @@ def _suite_classical(max_m: int, max_n: int) -> list:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _family_count(family: str, m: int, k: int) -> int:
+    """Path families `lgv.brute_route(family, m, k)` would enumerate: with
+    unit weights the LGV determinant counts the disjoint families."""
+    return lgv.lgv_determinant(*lgv.family_config(family, m, k), {})[0]
+
+
 def cmd_compute(args, out) -> int:
     try:
         if args.method == "lgv":
-            # With unit weights the LGV determinant counts the disjoint families.
-            count = lgv.lgv_determinant(*lgv.family_config(args.family, args.m, args.k), {})[0]
+            count = _family_count(args.family, args.m, args.k)
             if count > _LGV_FAMILY_LIMIT:
                 print(f"error: --method lgv would enumerate {count} path families "
                       f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",
@@ -263,6 +269,19 @@ def cmd_verify(args, out) -> int:
             print(f"error: --max-m {args.max_m} exceeds the {name} suite's cap of {cap}",
                   file=sys.stderr)
             return EXIT_USAGE
+    if "lgv" in names and args.max_m is not None:
+        # Counts grow with m, so stopping at the first m with a case over the
+        # limit keeps this check cheap however large --max-m is.
+        for m in range(2, args.max_m + 1):
+            count, family, k = max(
+                ((_family_count(f, m, k), f, k) for f in FAMILIES for k in range(1, m)),
+                key=lambda case: case[0],
+            )
+            if count > _LGV_FAMILY_LIMIT:
+                print(f"error: --max-m {args.max_m} would make the lgv suite enumerate "
+                      f"{count} path families for {family}({m},{k}) "
+                      f"(limit {_LGV_FAMILY_LIMIT})", file=sys.stderr)
+                return EXIT_USAGE
     builders = {
         "theorem1": _suite_theorem1,
         "lemma1": _suite_lemma1,

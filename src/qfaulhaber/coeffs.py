@@ -1,23 +1,24 @@
 """The four coefficient families P, Q, G, H by determinant and inversion routes.
 
-The forward lower-triangular matrices are built from the h/c/g/d generators;
-their inverses encode the families up to explicit sign and denominator
-factors.  Each family's prefactor and denominator of the claimed inverse
-entry live in `_inverse_factors` alone; the prefactor times the forward
-diagonal product is the denominator.  Polynomial identity between routes is
-established by exact rational evaluation at more sample points than the
-degree bound (interpolation completeness), so pointwise agreement is a proof,
-not a heuristic.  The invert route bounds each degree by the first-column
-recurrence that `_family_det` evaluates, read on forward-entry degrees; it
-interpolates polynomial (m, k) on bound_k + 1 points and solves only the last
-row of the inverse at each point.
+One entry point per route: `det_route(family, m, k)` expands the family
+determinant along its first column (`_family_det`), and `invert_route` /
+`invert_route_row` recover the same polynomials from the rational inverse of
+the forward lower-triangular matrix, whose entries `forward_entry` builds
+from the h/c/g/d generators.  Each family's prefactor and denominator of the
+claimed inverse entry live in `_inverse_factors` alone; the prefactor times
+the forward diagonal product is the denominator.  Polynomial identity between
+routes is established by exact rational evaluation at more sample points than
+the degree bound (interpolation completeness), so pointwise agreement is a
+proof, not a heuristic.  The invert route bounds each degree by the
+first-column recurrence that `_family_det` evaluates, read on forward-entry
+degrees; it interpolates polynomial (m, k) on bound_k + 1 points and solves
+only the last row of the inverse at each point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
@@ -48,18 +49,6 @@ class PolyMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij) -> LaurentPoly:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return PolyMatrix.from_rows(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-
     def det(self) -> LaurentPoly:
         """Exact determinant by cofactor expansion memoized on column sets."""
         n = self.dim
@@ -84,23 +73,6 @@ class PolyMatrix:
             return total
 
         return minor(0, frozenset(range(n)))
-
-
-def detsum_expansion(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:
-    """det(A+B) via the sum over column subsets drawn from A versus B."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    n = a.dim
-    total = ZERO
-    for r in range(n + 1):
-        for cols in combinations(range(n), r):
-            chosen = set(cols)
-            rows = [
-                [a[i, j] if j in chosen else b[i, j] for j in range(n)]
-                for i in range(n)
-            ]
-            total = total + PolyMatrix.from_rows(rows).det()
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +116,6 @@ def _family_det(family: str, m: int, k: int) -> LaurentPoly:
     return acc
 
 
-def faulhaber_P(m: int, k: int) -> LaurentPoly:
-    _check_index(m, k)
-    return _family_det("P", m, k)
-
-
-def faulhaber_Q(m: int, k: int) -> LaurentPoly:
-    _check_index(m, k)
-    return _family_det("Q", m, k)
-
-
-def salie_G(m: int, k: int) -> LaurentPoly:
-    _check_index(m, k)
-    return _family_det("G", m, k)
-
-
-def salie_H(m: int, k: int) -> LaurentPoly:
-    _check_index(m, k)
-    return _family_det("H", m, k)
-
-
 def det_route(family: str, m: int, k: int) -> LaurentPoly:
     _check_index(m, k)
     return _family_det(family, m, k)
@@ -204,15 +156,6 @@ def family_matrix(family: str, m: int, k: int) -> PolyMatrix:
 
 def _index_range(family: str, n: int) -> range:
     return range(0, n + 1) if family == "P" else range(1, n + 1)
-
-
-def build_forward_matrix(family: str, n: int) -> PolyMatrix:
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    idx = _index_range(family, n)
-    return PolyMatrix.from_rows(
-        [forward_entry(family, k, m) for m in idx] for k in idx
-    )
 
 
 def _inverse_factors(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -284,17 +227,14 @@ def _pair_degree_bound(family: str, n: int) -> int:
     return bound
 
 
-def verify_inverse_pair(
-    family: str, n: int, points: list[Fraction] | None = None
-) -> bool:
+def verify_inverse_pair(family: str, n: int) -> bool:
     """Check forward * claimed-inverse == identity at rational points.
 
-    With the default point set, the number of points exceeds the degree bound
-    of the cleared identity, so success proves the polynomial statement.
+    The number of points exceeds the degree bound of the cleared identity, so
+    success proves the polynomial statement.
     """
     idx = list(_index_range(family, n))
-    if points is None:
-        points = sample_points(_pair_degree_bound(family, n) + 1)
+    points = sample_points(_pair_degree_bound(family, n) + 1)
     fwd = [[forward_entry(family, k, m) for m in idx] for k in idx]
     size = len(idx)
     # numerators and denominators of the claimed inverse entries (k, m), m <= k
@@ -319,7 +259,7 @@ def verify_inverse_pair(
 
 
 # ---------------------------------------------------------------------------
-# rational triangular inversion and the submatrix-determinant identity
+# rational triangular inversion
 # ---------------------------------------------------------------------------
 
 def inverse_last_row(a: list[list[Fraction]]) -> list[Fraction]:
@@ -336,57 +276,6 @@ def inverse_last_row(a: list[list[Fraction]]) -> list[Fraction]:
         rhs = Fraction(j == n - 1) - sum(x[t] * a[t][j] for t in range(j + 1, n))
         x[j] = rhs / a[j][j]
     return x
-
-
-def fraction_det(a: list[list[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix by Gaussian elimination."""
-    n = len(a)
-    a = [row[:] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def verify_detinv_consistency(
-    family: str, m: int, k: int, points: list[Fraction] | None = None
-) -> bool:
-    """Inverse entries by back-substitution match the submatrix-determinant
-    formula B[n,k] = (-1)^(n-k) det(A_{k+i+1,k+j}) / (A_kk ... A_nn)."""
-    _check_index(m, k)
-    if points is None:
-        points = sample_points(3)
-    idx = list(_index_range(family, m))
-    size = len(idx)
-    fwd = [[forward_entry(family, r, c) for c in idx] for r in idx]
-    row = size - 1
-    col = size - 1 - k
-    for q0 in points:
-        a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
-        if any(a[i][i] == 0 for i in range(size)):
-            raise SingularSampleError(f"singular diagonal at q0={q0}")
-        last = inverse_last_row(a)
-        sub = [
-            [a[col + i + 1][col + j] for j in range(row - col)]
-            for i in range(row - col)
-        ]
-        diag = Fraction(1)
-        for j in range(col, row + 1):
-            diag *= a[j][j]
-        sign = -1 if (row - col) % 2 else 1
-        if last[col] != sign * fraction_det(sub) / diag:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffs import SingularSampleError, _family_det, det_route, salie_G
+from .coeffs import SingularSampleError, _family_det, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
 from .laurent import LaurentPoly, ONE, ZERO, q_fact, q_int
 
@@ -304,7 +304,7 @@ def classical_check(max_m: int, max_n: int) -> bool:
             for k in range(1, m + 1)
         }
         s = {
-            k: _sign(m - k) * Fraction(2) ** (k - m) * salie_G(m, m - k)(one)
+            k: _sign(m - k) * Fraction(2) ** (k - m) * det_route("G", m, m - k)(one)
             for k in range(1, m + 1)
         }
         for n in range(1, max_n + 1):

@@ -213,14 +213,6 @@ class LaurentPoly:
         """True iff the coefficient sequence equals its own reversal."""
         return self.coeffs == self.coeffs[::-1]
 
-    def reversed_over(self, max_exp: int) -> "LaurentPoly":
-        """Coefficient reversal a_i -> a_{max_exp - i} over [0, max_exp]."""
-        if self.is_zero:
-            return ZERO
-        if self.min_exp < 0 or self.max_exp > max_exp:
-            raise ValueError("polynomial does not fit in [0, max_exp]")
-        return LaurentPoly(self.coeffs[::-1], max_exp - self.max_exp)
-
     def to_string(self, var: str = "q") -> str:
         if self.is_zero:
             return "0"
@@ -319,15 +311,12 @@ class CoeffRecord:
     k: int
     route: str
     poly: LaurentPoly
-    variable: str = "q"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if self.variable not in ("q", "q_half"):
-            raise ValueError(f"unknown variable {self.variable!r}")
         if not self.poly.is_zero and self.poly.min_exp != 0:
             raise ValueError("family polynomials start at exponent 0")
         if any(c < 0 for c in self.poly.coeffs):

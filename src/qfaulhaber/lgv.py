@@ -1,15 +1,18 @@
 """Weighted non-intersecting lattice paths and the determinant shortcut.
 
 Paths take unit steps east or north.  "Non-intersecting" means vertex
-disjoint: two paths of a family never share a lattice point.  Each pair's
-paths are listed once; families are enumerated by depth-first placement
-from those lists with on-the-fly disjointness pruning.  Every family weight
-is (1+q)^a times a sum of powers q^b, read from step statistics summed over
-the family's paths.  The brute route computes each path's statistics once
-per call, tallies all families in one (a, b) counter and builds one
-polynomial per distinct a at the end.  The
-determinant of single-pair weighted sums gives the same totals and is used
-as the fast route.
+disjoint: two paths of a family never share a lattice point.  One entry
+point per job: `family_config` places the start and end points of any
+family, `family_weight` weighs one path family, `brute_route` sums the
+weights over every non-intersecting family and `lgv_det_route` takes the
+determinant of single-pair weighted sums, the fast route to the same totals.
+
+Each pair's paths are listed once; families are enumerated by depth-first
+placement from those lists with on-the-fly disjointness pruning.  Every
+family weight is (1+q)^a times a sum of powers q^b, read from step
+statistics summed over the family's paths; each path's statistics are
+computed once per `PathStatsCache`.  The brute route tallies all families in
+one (a, b) counter and builds one polynomial per distinct a at the end.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, ONE, ZERO
-from .coeffs import BadIndexError, PolyMatrix
+from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
+from .coeffs import PolyMatrix, _check_index
 
 
 class LatticePoint(NamedTuple):
@@ -121,25 +124,21 @@ def lgv_determinant(
 # start / end configurations
 # ---------------------------------------------------------------------------
 
-def pq_config(m: int, k: int) -> tuple[list[LatticePoint], list[LatticePoint]]:
-    """Start/end points whose weighted families give P and Q."""
-    if k == 0:
-        return [], []
-    if not 1 <= k < m:
-        raise BadIndexError(f"need 1 <= k < m (got m={m}, k={k})")
-    starts = [LatticePoint(2 * i, -2 * i) for i in range(k)]
-    ends = [LatticePoint(2 * i + 3, m - k - i - 1) for i in range(k)]
-    return starts, ends
+def family_config(
+    family: str, m: int, k: int
+) -> tuple[list[LatticePoint], list[LatticePoint]]:
+    """Start/end points whose weighted families give the family's (m, k).
 
-
-def gh_config(m: int, k: int) -> tuple[list[LatticePoint], list[LatticePoint]]:
-    """Start/end points whose weighted families give G and H."""
-    if k == 0:
-        return [], []
-    if not 1 <= k < m:
-        raise BadIndexError(f"need 1 <= k < m (got m={m}, k={k})")
+    Path i runs from (2i, -2i) to (2i + 3, m - k - 1 - i) for P and Q, and to
+    (2i + 2, m - k - 1 - i) for G and H.  (m, k) is checked by the rule of the
+    determinant route, so every route accepts the same indices.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    _check_index(m, k)
+    end_x = 3 if family in ("P", "Q") else 2
     starts = [LatticePoint(2 * i, -2 * i) for i in range(k)]
-    ends = [LatticePoint(2 * i + 2, m - k - 1 - i) for i in range(k)]
+    ends = [LatticePoint(2 * i + end_x, m - k - 1 - i) for i in range(k)]
     return starts, ends
 
 
@@ -159,10 +158,6 @@ def vertical_columns(family: PathFamily) -> Counter:
 
 def starts_vertically(family: PathFamily) -> list[bool]:
     return [len(path) > 1 and path[1].x == path[0].x for path in family]
-
-
-def ends_vertically(family: PathFamily) -> list[bool]:
-    return [len(path) > 1 and path[-1].x == path[-2].x for path in family]
 
 
 def path_steps(path: LatticePath) -> str:
@@ -203,15 +198,6 @@ class PathStatsCache(dict):
         return stats
 
 
-_StatsCache = Mapping[LatticePath, PathStats] | None
-
-
-def _family_stats(family: PathFamily, cache: _StatsCache) -> list[PathStats]:
-    if cache is None:
-        return [path_stats(path) for path in family]
-    return [cache[path] for path in family]
-
-
 def _column_sums(stats: Sequence[PathStats]) -> dict[int, int]:
     """Vertical steps per column of a family, summed over its paths.  A column
     without vertical steps is absent, so read columns with .get(x, 0)."""
@@ -226,7 +212,7 @@ def _column_sums(stats: Sequence[PathStats]) -> dict[int, int]:
 # family weights
 # ---------------------------------------------------------------------------
 # A family's weight is (1+q)^a * sum_b count_b q^b; the term functions return
-# a and the exponent -> count map, and the weight_* functions build the
+# a and the exponent -> count map, and family_weight and brute_route build the
 # polynomial from them.
 
 WeightTerms = tuple[int, dict[int, int]]
@@ -249,32 +235,32 @@ def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
     return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
 
 
-def _terms_P(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
+def _terms_P(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
     """q per vertical step in an even column."""
-    return 0, {sum(path.even for path in _family_stats(family, cache)): 1}
+    return 0, {sum(cache[path].even for path in family): 1}
 
 
-def _terms_Q(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
+def _terms_Q(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
     """q^2 per vertical step in an even column, with the path-opening
     vertical step weighing q^2 + q = q(1+q) instead."""
-    stats = _family_stats(family, cache)
+    stats = [cache[path] for path in family]
     e = sum(path.even for path in stats)
     f = sum(path.opens_even for path in stats)
     return f, {2 * e - f: 1}
 
 
-def _terms_G(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
+def _terms_G(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
     """Closed product form of the subset-summed weights for the G family."""
     k = len(family)
-    sigma = _column_sums(_family_stats(family, cache))
+    sigma = _column_sums([cache[path] for path in family])
     pairs = [(sigma.get(2 * i - 1, 0), sigma.get(2 * i, 0)) for i in range(k)]
     return 0, _expand_pairs(sigma.get(2 * k, 0), pairs)
 
 
-def _terms_H(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
+def _terms_H(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
     """Closed product form of the subset-summed weights for the H family."""
     k = len(family)
-    stats = _family_stats(family, cache)
+    stats = [cache[path] for path in family]
     sigma = _column_sums(stats)
     pairs = [
         (2 * sigma.get(2 * i - 1, 0), 2 * sigma.get(2 * i, 0) - stats[i].opens)
@@ -287,109 +273,14 @@ def _terms_H(family: PathFamily, cache: _StatsCache = None) -> WeightTerms:
 _FAMILY_TERMS = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
 
 
-def weight_P(family: PathFamily) -> LaurentPoly:
-    return _poly_from_terms(*_terms_P(family))
-
-
-def weight_Q(family: PathFamily) -> LaurentPoly:
-    return _poly_from_terms(*_terms_Q(family))
-
-
-def weight_G(family: PathFamily) -> LaurentPoly:
-    return _poly_from_terms(*_terms_G(family))
-
-
-def weight_H(family: PathFamily) -> LaurentPoly:
-    return _poly_from_terms(*_terms_H(family))
-
-
-def weight_alt(family: PathFamily, scheme: str) -> LaurentPoly:
-    """Alternative weight placements; totals agree with weight_G / weight_H."""
-    k = len(family)
-    sigma = vertical_columns(family)
-    if scheme == "G_alt":
-        pairs = [(sigma[2 * i + 2], sigma[2 * i + 3]) for i in range(k)]
-        return _poly_from_terms(0, _expand_pairs(sigma[0], pairs))
-    if scheme == "H_alt":
-        fbar = ends_vertically(family)
-        pairs = [
-            (2 * sigma[2 * i + 2] - int(fbar[i]), 2 * sigma[2 * i + 3]) for i in range(k)
-        ]
-        return _poly_from_terms(sum(fbar), _expand_pairs(2 * sigma[0], pairs))
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
-# literal subset weights (the slow oracle the product forms must match)
-# ---------------------------------------------------------------------------
-
-def subset_weight(family: PathFamily, subset: frozenset | set, scheme: str) -> LaurentPoly:
-    """Weight of one family for one subset choice, taken literally."""
-    chosen = set(subset)
-    total = ONE
-    for path_idx, path in enumerate(family):
-        n_steps = len(path) - 1
-        for i, (p, nxt) in enumerate(zip(path, path[1:])):
-            if nxt.x != p.x:
-                continue
-            x = p.x
-            if scheme == "G":
-                q_weighted = (x % 2 and (x + 1) // 2 in chosen) or (
-                    x % 2 == 0 and x // 2 not in chosen
-                )
-                if q_weighted:
-                    total = total * _Q
-            elif scheme == "H":
-                q_weighted = (x % 2 and (x + 1) // 2 in chosen) or (
-                    x % 2 == 0 and x // 2 not in chosen
-                )
-                if i == 0:
-                    total = total * (_Q_PLUS_Q2 if q_weighted else _ONE_PLUS_Q)
-                elif q_weighted:
-                    total = total * _Q2
-            elif scheme == "G_alt":
-                q_weighted = (x % 2 and (x - 3) // 2 in chosen) or (
-                    x % 2 == 0 and (x - 2) // 2 not in chosen
-                )
-                if q_weighted:
-                    total = total * _Q
-            elif scheme == "H_alt":
-                into_end = i == n_steps - 1 and x % 2 == 0 and (x - 2) // 2 == path_idx
-                if into_end:
-                    total = total * (
-                        _ONE_PLUS_Q if path_idx in chosen else _Q_PLUS_Q2
-                    )
-                else:
-                    q_weighted = (x % 2 and (x - 3) // 2 in chosen) or (
-                        x % 2 == 0 and (x - 2) // 2 not in chosen
-                    )
-                    if q_weighted:
-                        total = total * _Q2
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-    return total
-
-
-def subset_weight_total(family: PathFamily, scheme: str) -> LaurentPoly:
-    """Sum of the literal subset weights over all 2^k subsets."""
-    k = len(family)
-    total = ZERO
-    for r in range(k + 1):
-        for subset in combinations(range(k), r):
-            total = total + subset_weight(family, frozenset(subset), scheme)
-    return total
+def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
+    """Weight of one path family under the P, Q, G or H scheme."""
+    return _poly_from_terms(*_FAMILY_TERMS[family](fam, PathStatsCache()))
 
 
 # ---------------------------------------------------------------------------
 # brute-force and determinant routes per family
 # ---------------------------------------------------------------------------
-
-def family_config(
-    family: str, m: int, k: int
-) -> tuple[list[LatticePoint], list[LatticePoint]]:
-    """Start/end points whose weighted families give the family's (m, k)."""
-    return pq_config(m, k) if family in ("P", "Q") else gh_config(m, k)
-
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial as the weighted count of non-intersecting families.
@@ -397,9 +288,9 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     Each path's statistics are computed once per call, and every family's
     weight terms (1+q)^a q^b are tallied in one (a, b) counter; one
     polynomial per distinct a is built at the end."""
+    starts, ends = family_config(family, m, k)
     if k == 0:
         return ONE
-    starts, ends = family_config(family, m, k)
     terms = _FAMILY_TERMS[family]
     cache = PathStatsCache()
     tally: Counter = Counter()
@@ -428,9 +319,9 @@ def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, step_weight) -> Laure
 
 def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial via the determinant of single-pair weighted sums."""
+    starts, ends = family_config(family, m, k)
     if k == 0:
         return ONE
-    starts, ends = family_config(family, m, k)
     if family == "P":
         weights = {x: _Q for x in range(0, 2 * k + 4, 2)}
         return lgv_determinant(starts, ends, weights)

@@ -1,0 +1,237 @@
+"""What the tests compare the library against, and only the tests use.
+
+Slow reference implementations of paper lemmas: the det(A+B) column-subset
+expansion behind the G/H entrywise split, the submatrix-determinant formula
+for triangular inverses, and the literal subset weights and alternative
+placements of the G/H lattice-path model.  Reference values: the tabled
+polynomials and the panel weights of G(4,2) and H(4,2).
+"""
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+from qfaulhaber.coeffs import (
+    PolyMatrix,
+    SingularSampleError,
+    _check_index,
+    _index_range,
+    forward_entry,
+    inverse_last_row,
+    sample_points,
+)
+from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
+from qfaulhaber.lgv import (
+    _ONE_PLUS_Q,
+    _Q,
+    _Q2,
+    _Q_PLUS_Q2,
+    PathFamily,
+    _expand_pairs,
+    _poly_from_terms,
+    vertical_columns,
+)
+
+
+def C(*descending):
+    """Polynomial from coefficients written highest power first."""
+    return LaurentPoly(list(reversed(descending)))
+
+
+QP1 = C(1, 1)  # q + 1
+
+# The tabled family polynomials with k >= 1.
+TABLES = {
+    "P": {
+        (2, 1): ONE,
+        (3, 1): 2 * QP1, (3, 2): 2 * QP1,
+        (4, 1): C(3, 4, 3), (4, 2): QP1 * C(5, 8, 5), (4, 3): QP1 * C(5, 8, 5),
+        (5, 1): 2 * QP1 * C(2, 1, 2),
+        (5, 2): QP1 * C(9, 19, 29, 19, 9),
+        (5, 3): 2 * QP1 ** 2 * C(1, 1, 1) * C(7, 11, 7),
+        (5, 4): 2 * QP1 ** 2 * C(1, 1, 1) * C(7, 11, 7),
+    },
+    "Q": {
+        (2, 1): ONE,
+        (3, 1): C(2, 1, 2), (3, 2): C(2, 1, 2),
+        (4, 1): C(3, 2, 4, 2, 3),
+        (4, 2): C(1, 1, 1) * C(5, 1, 9, 1, 5),
+        (4, 3): C(1, 1, 1) * C(5, 1, 9, 1, 5),
+    },
+    "G": {
+        (2, 1): C(2),
+        (3, 1): 3 * QP1, (3, 2): 6 * QP1,
+        (4, 1): 4 * C(1, 1, 1),
+        (4, 2): 2 * QP1 * C(5, 7, 5), (4, 3): 4 * QP1 * C(5, 7, 5),
+        (5, 1): 5 * QP1 * C(1, 0, 1),
+        (5, 2): 5 * QP1 * C(3, 4, 8, 4, 3),
+        (5, 3): 5 * QP1 ** 2 * C(7, 14, 20, 14, 7),
+        (5, 4): 10 * QP1 ** 2 * C(7, 14, 20, 14, 7),
+    },
+    "H": {
+        (2, 1): C(2),
+        (3, 1): C(3, 2, 3), (3, 2): 2 * C(3, 2, 3),
+        (4, 1): C(4, 3, 4, 3, 4),
+        (4, 2): C(10, 15, 30, 26, 30, 15, 10),
+        (4, 3): 2 * C(10, 15, 30, 26, 30, 15, 10),
+    },
+}
+
+# The weights of the 17 non-intersecting path families of G(4,2) and H(4,2).
+G_4_2_PANELS = Counter(
+    [C(1, 1, 1, 1), C(2, 2, 0), C(1, 2, 1), C(4, 0), C(2, 0, 2), C(1, 2, 1, 0),
+     C(4, 0, 0), C(2, 0, 2, 0)]
+    + [C(2, 2)] * 3 + [C(2, 2, 0)] * 3 + [C(2, 2, 0, 0)] * 3
+)
+_P, _P2, _P3 = C(1, 1), C(1, 0, 1), C(1, 0, 0, 1)
+H_4_2_PANELS = Counter(
+    [
+        _P ** 3 * _P3, 2 * Q ** 2 * _P ** 2, _P ** 4, 2 * Q * _P ** 2,
+        2 * _P * _P3, Q ** 2 * _P ** 4, 2 * Q ** 3 * _P ** 2,
+        2 * Q ** 2 * _P * _P3, 2 * _P ** 2, 2 * _P2, 2 * _P2,
+        2 * Q ** 2 * _P ** 2, 2 * Q ** 2 * _P2, 2 * Q ** 2 * _P2,
+        2 * Q ** 4 * _P ** 2, 2 * Q ** 4 * _P2, 2 * Q ** 4 * _P2,
+    ]
+)
+
+
+def detsum_expansion(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:
+    """det(A+B) via the sum over column subsets drawn from A versus B."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    n = a.dim
+    total = ZERO
+    for r in range(n + 1):
+        for cols in combinations(range(n), r):
+            chosen = set(cols)
+            rows = [
+                [a.entries[i][j] if j in chosen else b.entries[i][j] for j in range(n)]
+                for i in range(n)
+            ]
+            total = total + PolyMatrix.from_rows(rows).det()
+    return total
+
+
+def fraction_det(a: list[list[Fraction]]) -> Fraction:
+    """Determinant of a rational matrix by Gaussian elimination."""
+    n = len(a)
+    a = [row[:] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def verify_detinv_consistency(family: str, m: int, k: int) -> bool:
+    """Inverse entries by back-substitution match the submatrix-determinant
+    formula B[n,k] = (-1)^(n-k) det(A_{k+i+1,k+j}) / (A_kk ... A_nn)."""
+    _check_index(m, k)
+    idx = list(_index_range(family, m))
+    size = len(idx)
+    fwd = [[forward_entry(family, r, c) for c in idx] for r in idx]
+    row = size - 1
+    col = size - 1 - k
+    for q0 in sample_points(3):
+        a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
+        if any(a[i][i] == 0 for i in range(size)):
+            raise SingularSampleError(f"singular diagonal at q0={q0}")
+        last = inverse_last_row(a)
+        sub = [
+            [a[col + i + 1][col + j] for j in range(row - col)]
+            for i in range(row - col)
+        ]
+        diag = Fraction(1)
+        for j in range(col, row + 1):
+            diag *= a[j][j]
+        sign = -1 if (row - col) % 2 else 1
+        if last[col] != sign * fraction_det(sub) / diag:
+            return False
+    return True
+
+
+def ends_vertically(family: PathFamily) -> list[bool]:
+    return [len(path) > 1 and path[-1].x == path[-2].x for path in family]
+
+
+def weight_alt(family: PathFamily, scheme: str) -> LaurentPoly:
+    """Alternative weight placements; totals agree with the G and H weights."""
+    k = len(family)
+    sigma = vertical_columns(family)
+    if scheme == "G_alt":
+        pairs = [(sigma[2 * i + 2], sigma[2 * i + 3]) for i in range(k)]
+        return _poly_from_terms(0, _expand_pairs(sigma[0], pairs))
+    if scheme == "H_alt":
+        fbar = ends_vertically(family)
+        pairs = [
+            (2 * sigma[2 * i + 2] - int(fbar[i]), 2 * sigma[2 * i + 3]) for i in range(k)
+        ]
+        return _poly_from_terms(sum(fbar), _expand_pairs(2 * sigma[0], pairs))
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def subset_weight(family: PathFamily, subset: frozenset | set, scheme: str) -> LaurentPoly:
+    """Weight of one family for one subset choice, taken literally."""
+    chosen = set(subset)
+    total = ONE
+    for path_idx, path in enumerate(family):
+        n_steps = len(path) - 1
+        for i, (p, nxt) in enumerate(zip(path, path[1:])):
+            if nxt.x != p.x:
+                continue
+            x = p.x
+            if scheme == "G":
+                q_weighted = (x % 2 and (x + 1) // 2 in chosen) or (
+                    x % 2 == 0 and x // 2 not in chosen
+                )
+                if q_weighted:
+                    total = total * _Q
+            elif scheme == "H":
+                q_weighted = (x % 2 and (x + 1) // 2 in chosen) or (
+                    x % 2 == 0 and x // 2 not in chosen
+                )
+                if i == 0:
+                    total = total * (_Q_PLUS_Q2 if q_weighted else _ONE_PLUS_Q)
+                elif q_weighted:
+                    total = total * _Q2
+            elif scheme == "G_alt":
+                q_weighted = (x % 2 and (x - 3) // 2 in chosen) or (
+                    x % 2 == 0 and (x - 2) // 2 not in chosen
+                )
+                if q_weighted:
+                    total = total * _Q
+            elif scheme == "H_alt":
+                into_end = i == n_steps - 1 and x % 2 == 0 and (x - 2) // 2 == path_idx
+                if into_end:
+                    total = total * (
+                        _ONE_PLUS_Q if path_idx in chosen else _Q_PLUS_Q2
+                    )
+                else:
+                    q_weighted = (x % 2 and (x - 3) // 2 in chosen) or (
+                        x % 2 == 0 and (x - 2) // 2 not in chosen
+                    )
+                    if q_weighted:
+                        total = total * _Q2
+            else:
+                raise ValueError(f"unknown scheme {scheme!r}")
+    return total
+
+
+def subset_weight_total(family: PathFamily, scheme: str) -> LaurentPoly:
+    """Sum of the literal subset weights over all 2^k subsets."""
+    k = len(family)
+    total = ZERO
+    for r in range(k + 1):
+        for subset in combinations(range(k), r):
+            total = total + subset_weight(family, frozenset(subset), scheme)
+    return total

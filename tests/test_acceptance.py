@@ -11,11 +11,7 @@ from fractions import Fraction
 
 from qfaulhaber.coeffs import (
     det_route,
-    faulhaber_P,
-    faulhaber_Q,
     invert_route_row,
-    salie_G,
-    salie_H,
     verify_dstr_vanishing,
     verify_inverse_pair,
 )
@@ -25,19 +21,15 @@ from qfaulhaber.identities import (
     verify_lemma2,
     verify_theorem1,
 )
-from qfaulhaber.laurent import LaurentPoly, ONE, Q, shape_report
+from qfaulhaber.laurent import LaurentPoly, shape_report
 from qfaulhaber.lgv import (
     brute_route,
     enumerate_nonintersecting,
-    gh_config,
+    family_config,
+    family_weight,
     lgv_det_route,
-    weight_G,
-    weight_H,
 )
-
-
-def C(*descending):
-    return LaurentPoly(list(reversed(descending)))
+from oracles import C, H_4_2_PANELS, TABLES
 
 
 def report(criterion: int, label: str, ok: bool):
@@ -46,51 +38,10 @@ def report(criterion: int, label: str, ok: bool):
     assert ok, f"criterion {criterion} failed: {label}"
 
 
-QP1 = C(1, 1)
-
-TABLES = {
-    "P": {
-        (2, 1): ONE,
-        (3, 1): 2 * QP1, (3, 2): 2 * QP1,
-        (4, 1): C(3, 4, 3), (4, 2): QP1 * C(5, 8, 5), (4, 3): QP1 * C(5, 8, 5),
-        (5, 1): 2 * QP1 * C(2, 1, 2),
-        (5, 2): QP1 * C(9, 19, 29, 19, 9),
-        (5, 3): 2 * QP1 ** 2 * C(1, 1, 1) * C(7, 11, 7),
-        (5, 4): 2 * QP1 ** 2 * C(1, 1, 1) * C(7, 11, 7),
-    },
-    "Q": {
-        (2, 1): ONE,
-        (3, 1): C(2, 1, 2), (3, 2): C(2, 1, 2),
-        (4, 1): C(3, 2, 4, 2, 3),
-        (4, 2): C(1, 1, 1) * C(5, 1, 9, 1, 5),
-        (4, 3): C(1, 1, 1) * C(5, 1, 9, 1, 5),
-    },
-    "G": {
-        (2, 1): C(2),
-        (3, 1): 3 * QP1, (3, 2): 6 * QP1,
-        (4, 1): 4 * C(1, 1, 1),
-        (4, 2): 2 * QP1 * C(5, 7, 5), (4, 3): 4 * QP1 * C(5, 7, 5),
-        (5, 1): 5 * QP1 * C(1, 0, 1),
-        (5, 2): 5 * QP1 * C(3, 4, 8, 4, 3),
-        (5, 3): 5 * QP1 ** 2 * C(7, 14, 20, 14, 7),
-        (5, 4): 10 * QP1 ** 2 * C(7, 14, 20, 14, 7),
-    },
-    "H": {
-        (2, 1): C(2),
-        (3, 1): C(3, 2, 3), (3, 2): 2 * C(3, 2, 3),
-        (4, 1): C(4, 3, 4, 3, 4),
-        (4, 2): C(10, 15, 30, 26, 30, 15, 10),
-        (4, 3): 2 * C(10, 15, 30, 26, 30, 15, 10),
-    },
-}
-
-FUNCS = {"P": faulhaber_P, "Q": faulhaber_Q, "G": salie_G, "H": salie_H}
-
-
 def test_criterion_1_table_reproduction():
     start = time.monotonic()
     ok = all(
-        FUNCS[family](m, k) == expected
+        det_route(family, m, k) == expected
         for family, table in TABLES.items()
         for (m, k), expected in table.items()
     )
@@ -103,9 +54,9 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_panel_reproduction():
     start = time.monotonic()
-    starts, ends = gh_config(4, 2)
+    starts, ends = family_config("G", 4, 2)
     fams = enumerate_nonintersecting(starts, ends)
-    got = Counter(weight_G(f) for f in fams)
+    got = Counter(family_weight("G", f) for f in fams)
     sample_panels = [C(1, 1, 1, 1), C(2, 2, 0), C(4, 0)]
     total = sum((w * n for w, n in got.items()), LaurentPoly())
     ok = (
@@ -119,22 +70,12 @@ def test_criterion_2_panel_reproduction():
 
 
 def test_criterion_3_h_panel_reproduction():
-    starts, ends = gh_config(4, 2)
+    starts, ends = family_config("H", 4, 2)
     fams = enumerate_nonintersecting(starts, ends)
-    got = Counter(weight_H(f) for f in fams)
-    p, p2, p3, q = C(1, 1), C(1, 0, 1), C(1, 0, 0, 1), Q
-    expected = Counter(
-        [
-            p ** 3 * p3, 2 * q ** 2 * p ** 2, p ** 4, 2 * q * p ** 2,
-            2 * p * p3, q ** 2 * p ** 4, 2 * q ** 3 * p ** 2,
-            2 * q ** 2 * p * p3, 2 * p ** 2, 2 * p2, 2 * p2,
-            2 * q ** 2 * p ** 2, 2 * q ** 2 * p2, 2 * q ** 2 * p2,
-            2 * q ** 4 * p ** 2, 2 * q ** 4 * p2, 2 * q ** 4 * p2,
-        ]
-    )
+    got = Counter(family_weight("H", f) for f in fams)
     total = sum((w * n for w, n in got.items()), LaurentPoly())
-    ok = got == expected and total == C(10, 15, 30, 26, 30, 15, 10)
-    ok = ok and total == salie_H(4, 2)
+    ok = got == H_4_2_PANELS and total == C(10, 15, 30, 26, 30, 15, 10)
+    ok = ok and total == det_route("H", 4, 2)
     report(3, "17 cell weights match and sum to H(4,2)", ok)
 
 

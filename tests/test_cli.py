@@ -106,6 +106,15 @@ class TestCompute:
             "(limit 1000000); use --method lgv-det"
         )
 
+    @pytest.mark.parametrize("method", ["det", "invert", "lgv", "lgv-det"])
+    def test_negative_m_at_k_zero_exits_2(self, method, capsys):
+        code, out = run_cli(
+            "compute", "--family", "P", "--m", "-3", "--k", "0", "--method", method
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
+
     def test_lgv_below_limit_runs(self):
         code, out = run_cli(
             "compute", "--family", "P", "--m", "6", "--k", "3", "--method", "lgv"
@@ -148,6 +157,20 @@ class TestVerify:
         lines = out.splitlines()
         assert lines == sorted(lines)
         assert all(line.startswith("PASS ") for line in lines)
+
+    @pytest.mark.parametrize("max_m", ["8", "50"])
+    def test_lgv_refuses_runaway_enumeration(self, max_m, capsys):
+        # At m = 8 the largest case has 43,751,232 families (hours of brute
+        # force); the counts are taken first, m by m, and the run refused.
+        start = time.perf_counter()
+        code, out = run_cli("verify", "--suite", "lgv", "--max-m", max_m)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.strip() == (
+            f"error: --max-m {max_m} would make the lgv suite enumerate 43751232 "
+            "path families for P(8,6) (limit 1000000)"
+        )
 
     def test_classical_suite(self):
         code, out = run_cli("verify", "--suite", "classical", "--max-n", "10")

@@ -230,8 +230,8 @@ class TestPalindromicity:
     def test_products_of_palindromes_are_palindromic(self, a, b):
         a = LaurentPoly(a.coeffs)
         b = LaurentPoly(b.coeffs)
-        pa = a * a.reversed_over(a.max_exp)
-        pb = b * b.reversed_over(b.max_exp)
+        pa = a * LaurentPoly(a.coeffs[::-1])
+        pb = b * LaurentPoly(b.coeffs[::-1])
         assert pa.is_palindromic() and pb.is_palindromic()
         assert (pa * pb).is_palindromic()
 
@@ -295,7 +295,6 @@ class TestCoeffRecord:
         rec = CoeffRecord(family="G", m=4, k=2, route="det",
                           poly=LaurentPoly([10, 24, 24, 10]))
         assert list(rec.coefficients()) == [10, 24, 24, 10]
-        assert rec.variable == "q"
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from qfaulhaber.coeffs import BadIndexError, det_route, salie_G, salie_H
+from qfaulhaber.coeffs import BadIndexError, det_route, invert_route
 from qfaulhaber import lgv
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
@@ -17,31 +17,27 @@ from qfaulhaber.lgv import (
     _terms_P,
     _terms_Q,
     brute_route,
-    ends_vertically,
     enumerate_nonintersecting,
     family_config,
     family_steps,
-    gh_config,
+    family_weight,
     lgv_det_route,
     lgv_determinant,
     path_steps,
     paths_between,
-    pq_config,
     single_path_weight_sum,
     starts_vertically,
+    vertical_columns,
+)
+from oracles import (
+    C,
+    G_4_2_PANELS,
+    H_4_2_PANELS,
+    ends_vertically,
     subset_weight,
     subset_weight_total,
-    vertical_columns,
-    weight_G,
-    weight_H,
-    weight_P,
-    weight_Q,
     weight_alt,
 )
-
-
-def C(*descending):
-    return LaurentPoly(list(reversed(descending)))
 
 
 def make_path(start, steps):
@@ -56,12 +52,12 @@ def make_path(start, steps):
     return tuple(pts)
 
 
-# Reference four-path family used throughout: gh_config(7, 4) with the step
-# words NENE / NNENE / NENENN / ENNENNN.
+# Reference four-path family used throughout: family_config("G", 7, 4) with
+# the step words NENE / NNENE / NENENN / ENNENNN.
 REFERENCE_STEPS = ("NENE", "NNENE", "NENENN", "ENNENNN")
 
 
-# A family of gh_config(9, 8): eight paths, so 2^8 subset terms per weight.
+# A family of family_config("G", 9, 8): eight paths, so 2^8 subset terms per weight.
 WIDE_STEPS = ("EE", "ENE", "NEEN", "NENNE", "NNNNEE", "ENNNNNE", "NNNENNEN", "NNENNENNN")
 
 
@@ -105,7 +101,7 @@ def literal_terms(family):
 
 @pytest.fixture
 def reference_family():
-    starts, ends = gh_config(7, 4)
+    starts, ends = family_config("G", 7, 4)
     fam = tuple(make_path(s, w) for s, w in zip(starts, REFERENCE_STEPS))
     for path, end in zip(fam, ends):
         assert path[-1] == end
@@ -139,7 +135,7 @@ class TestPaths:
 
 class TestEnumeration:
     def test_vertex_disjointness(self):
-        starts, ends = gh_config(4, 2)
+        starts, ends = family_config("G", 4, 2)
         for fam in enumerate_nonintersecting(starts, ends):
             seen = set()
             for path in fam:
@@ -147,27 +143,27 @@ class TestEnumeration:
                 seen.update(path)
 
     def test_family_count_4_2(self):
-        starts, ends = gh_config(4, 2)
+        starts, ends = family_config("G", 4, 2)
         assert len(enumerate_nonintersecting(starts, ends)) == 17
 
     def test_single_path_case(self):
-        starts, ends = gh_config(3, 1)
+        starts, ends = family_config("G", 3, 1)
         fams = enumerate_nonintersecting(starts, ends)
         assert len(fams) == len(list(paths_between(starts[0], ends[0])))
 
-    @pytest.mark.parametrize("config", [pq_config, gh_config])
-    def test_same_families_in_same_order_as_reference(self, config):
+    @pytest.mark.parametrize("family", "PG")  # the two end-point geometries
+    def test_same_families_in_same_order_as_reference(self, family):
         for m in range(2, 6):
             for k in range(1, m):
-                starts, ends = config(m, k)
+                starts, ends = family_config(family, m, k)
                 assert enumerate_nonintersecting(starts, ends) == reference_enumeration(
                     starts, ends
-                ), (config.__name__, m, k)
+                ), (family, m, k)
 
     def test_lgv_determinant_counts_families(self):
         # with unit weights the determinant counts non-intersecting families
         for m, k in ((3, 2), (4, 2), (4, 3), (5, 2)):
-            starts, ends = gh_config(m, k)
+            starts, ends = family_config("G", m, k)
             count = len(enumerate_nonintersecting(starts, ends))
             assert lgv_determinant(starts, ends, {}) == LaurentPoly([count])
 
@@ -190,23 +186,36 @@ class TestEnumeration:
 
 class TestConfigs:
     def test_pq_points(self):
-        starts, ends = pq_config(7, 4)
-        assert starts == [LatticePoint(2 * i, -2 * i) for i in range(4)]
-        assert ends == [LatticePoint(2 * i + 3, 7 - 4 - i - 1) for i in range(4)]
+        for family in "PQ":
+            starts, ends = family_config(family, 7, 4)
+            assert starts == [LatticePoint(2 * i, -2 * i) for i in range(4)]
+            assert ends == [LatticePoint(2 * i + 3, 7 - 4 - i - 1) for i in range(4)]
 
     def test_gh_points(self):
-        starts, ends = gh_config(7, 4)
-        assert ends == [LatticePoint(2 * i + 2, 7 - 4 - 1 - i) for i in range(4)]
+        for family in "GH":
+            starts, ends = family_config(family, 7, 4)
+            assert starts == [LatticePoint(2 * i, -2 * i) for i in range(4)]
+            assert ends == [LatticePoint(2 * i + 2, 7 - 4 - 1 - i) for i in range(4)]
 
     def test_k_zero_empty(self):
-        assert pq_config(5, 0) == ([], [])
-        assert gh_config(5, 0) == ([], [])
+        for family in "PQGH":
+            assert family_config(family, 5, 0) == ([], [])
 
     def test_bad_indices(self):
         with pytest.raises(BadIndexError):
-            pq_config(3, 3)
+            family_config("P", 3, 3)
         with pytest.raises(BadIndexError):
-            gh_config(3, 4)
+            family_config("G", 3, 4)
+        # the k = 0 shortcut of the lgv routes does not skip the check
+        with pytest.raises(BadIndexError):
+            family_config("Q", -3, 0)
+        with pytest.raises(BadIndexError):
+            family_config("H", -2, 0)
+
+    def test_unknown_family(self):
+        for route in (family_config, brute_route, lgv_det_route):
+            with pytest.raises(ValueError, match="unknown family"):
+                route("X", 4, 2)
 
 
 class TestReferenceFamily:
@@ -229,14 +238,15 @@ class TestReferenceFamily:
 
     def test_product_forms_match_subset_totals(self, reference_family):
         fam = reference_family
-        assert weight_G(fam) == subset_weight_total(fam, "G")
-        assert weight_H(fam) == subset_weight_total(fam, "H")
+        assert family_weight("G", fam) == subset_weight_total(fam, "G")
+        assert family_weight("H", fam) == subset_weight_total(fam, "H")
         assert weight_alt(fam, "G_alt") == subset_weight_total(fam, "G_alt")
         assert weight_alt(fam, "H_alt") == subset_weight_total(fam, "H_alt")
 
     def test_reference_weights(self, reference_family):
-        assert weight_G(reference_family) == 2 * C(1, 3, 3, 1) * LaurentPoly.term(1, 6)
-        assert weight_H(reference_family) == C(
+        fam = reference_family
+        assert family_weight("G", fam) == 2 * C(1, 3, 3, 1) * LaurentPoly.term(1, 6)
+        assert family_weight("H", fam) == C(
             1, 6, 16, 26, 30, 26, 16, 6, 1
         ) * LaurentPoly.term(1, 11)
 
@@ -245,19 +255,19 @@ class TestPathStatistics:
     def test_per_path_sums_match_literal_walk(self):
         terms = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
         last_column_used = False
-        for config in (pq_config, gh_config):
+        for family in "PG":  # the two end-point geometries
             for m in range(2, 6):
                 for k in range(1, m):
                     cache = PathStatsCache()
-                    for fam in enumerate_nonintersecting(*config(m, k)):
+                    for fam in enumerate_nonintersecting(*family_config(family, m, k)):
                         stats = [cache[path] for path in fam]
                         assert _column_sums(stats) == dict(vertical_columns(fam))
                         assert [s.opens for s in stats] == starts_vertically(fam)
                         expected = literal_terms(fam)
                         for name, term in terms.items():
                             assert term(fam, cache) == expected[name], (name, fam)
-                            assert term(fam) == expected[name], (name, fam)
-                        if config is gh_config and vertical_columns(fam)[2 * k]:
+                            assert term(fam, PathStatsCache()) == expected[name], (name, fam)
+                        if family == "G" and vertical_columns(fam)[2 * k]:
                             last_column_used = True
         # A G/H family with a vertical step in column 2k tells column -1
         # (no steps) apart from a wrapped-around read of column 2k.
@@ -296,71 +306,38 @@ class TestPathStatistics:
 
 class TestPanelMultisets:
     def test_g_4_2_panels(self):
-        starts, ends = gh_config(4, 2)
+        starts, ends = family_config("G", 4, 2)
         fams = enumerate_nonintersecting(starts, ends)
-        got = Counter(weight_G(f) for f in fams)
-        expected = Counter(
-            [
-                C(1, 1, 1, 1),
-                C(2, 2, 0),
-                C(1, 2, 1),
-                C(4, 0),
-                C(2, 0, 2),
-                C(1, 2, 1, 0),
-                C(4, 0, 0),
-                C(2, 0, 2, 0),
-                C(2, 2),
-                C(2, 2),
-                C(2, 2),
-                C(2, 2, 0),
-                C(2, 2, 0),
-                C(2, 2, 0),
-                C(2, 2, 0, 0),
-                C(2, 2, 0, 0),
-                C(2, 2, 0, 0),
-            ]
-        )
-        assert got == expected
+        got = Counter(family_weight("G", f) for f in fams)
+        assert got == G_4_2_PANELS
         total = sum((w * n for w, n in got.items()), ZERO)
         assert total == C(10, 24, 24, 10)
-        assert total == salie_G(4, 2)
+        assert total == det_route("G", 4, 2)
 
     def test_h_4_2_panels(self):
-        starts, ends = gh_config(4, 2)
+        starts, ends = family_config("G", 4, 2)
         fams = enumerate_nonintersecting(starts, ends)
-        got = Counter(weight_H(f) for f in fams)
-        one_plus_q = C(1, 1)
-        one_plus_q2 = C(1, 0, 1)
-        one_plus_q3 = C(1, 0, 0, 1)
-        q = Q
-        expected = Counter(
-            [
-                one_plus_q ** 3 * one_plus_q3,
-                2 * q ** 2 * one_plus_q ** 2,
-                one_plus_q ** 4,
-                2 * q * one_plus_q ** 2,
-                2 * one_plus_q * one_plus_q3,
-                q ** 2 * one_plus_q ** 4,
-                2 * q ** 3 * one_plus_q ** 2,
-                2 * q ** 2 * one_plus_q * one_plus_q3,
-                2 * one_plus_q ** 2,
-                2 * one_plus_q2,
-                2 * one_plus_q2,
-                2 * q ** 2 * one_plus_q ** 2,
-                2 * q ** 2 * one_plus_q2,
-                2 * q ** 2 * one_plus_q2,
-                2 * q ** 4 * one_plus_q ** 2,
-                2 * q ** 4 * one_plus_q2,
-                2 * q ** 4 * one_plus_q2,
-            ]
-        )
-        assert got == expected
+        got = Counter(family_weight("H", f) for f in fams)
+        assert got == H_4_2_PANELS
         total = sum((w * n for w, n in got.items()), ZERO)
         assert total == C(10, 15, 30, 26, 30, 15, 10)
-        assert total == salie_H(4, 2)
+        assert total == det_route("H", 4, 2)
 
 
 class TestRouteAgreement:
+    def test_routes_accept_the_same_indices(self):
+        routes = (det_route, invert_route, brute_route, lgv_det_route)
+        for family in "PQGH":
+            for m in range(-2, 5):
+                for k in range(-1, 6):
+                    results = []
+                    for route in routes:
+                        try:
+                            results.append(route(family, m, k))
+                        except BadIndexError:
+                            results.append(BadIndexError)
+                    assert len(set(results)) == 1, (family, m, k, results)
+
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_and_det_routes_agree(self, family):
         for m in range(1, 6):
@@ -371,18 +348,17 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_route_is_sum_of_family_weights(self, family):
-        weigh = {"P": weight_P, "Q": weight_Q, "G": weight_G, "H": weight_H}[family]
         for m in range(2, 6):
             for k in range(1, m):
                 fams = enumerate_nonintersecting(*family_config(family, m, k))
-                expected = sum((weigh(fam) for fam in fams), ZERO)
+                expected = sum((family_weight(family, fam) for fam in fams), ZERO)
                 assert brute_route(family, m, k) == expected, (family, m, k)
 
     def test_wide_family_terms_merge(self):
         # With k = 8 paths the G/H products have 2^8 terms; the expansion
         # merges equal exponents factor by factor, and still matches both the
         # factor-by-factor polynomial product and the literal subset sum.
-        starts, ends = gh_config(9, 8)
+        starts, ends = family_config("G", 9, 8)
         fam = tuple(make_path(s, w) for s, w in zip(starts, WIDE_STEPS))
         assert [path[-1] for path in fam] == ends
         k = len(fam)
@@ -398,39 +374,39 @@ class TestRouteAgreement:
                 LaurentPoly.term(1, 2 * sigma[2 * i - 1])
                 + LaurentPoly.term(1, 2 * sigma[2 * i] - int(flags[i]))
             )
-        assert weight_G(fam) == product_g == subset_weight_total(fam, "G")
-        assert weight_H(fam) == product_h == subset_weight_total(fam, "H")
+        assert family_weight("G", fam) == product_g == subset_weight_total(fam, "G")
+        assert family_weight("H", fam) == product_h == subset_weight_total(fam, "H")
         for terms in (_terms_G, _terms_H):
-            _, exps = terms(fam)
+            _, exps = terms(fam, PathStatsCache())
             assert sum(exps.values()) == 2 ** k
             assert len(exps) < 2 ** k
 
     def test_alt_weight_totals_agree(self):
         for m in range(2, 6):
             for k in range(1, m):
-                starts, ends = gh_config(m, k)
+                starts, ends = family_config("G", m, k)
                 fams = enumerate_nonintersecting(starts, ends)
-                for scheme, ref in (("G_alt", salie_G), ("H_alt", salie_H)):
+                for scheme, family in (("G_alt", "G"), ("H_alt", "H")):
                     total = sum((weight_alt(f, scheme) for f in fams), ZERO)
-                    assert total == ref(m, k), (scheme, m, k)
+                    assert total == det_route(family, m, k), (scheme, m, k)
 
     def test_subset_totals_match_product_forms_everywhere(self):
         for m in range(2, 5):
             for k in range(1, m):
-                starts, ends = gh_config(m, k)
+                starts, ends = family_config("G", m, k)
                 for fam in enumerate_nonintersecting(starts, ends):
-                    assert weight_G(fam) == subset_weight_total(fam, "G")
-                    assert weight_H(fam) == subset_weight_total(fam, "H")
+                    assert family_weight("G", fam) == subset_weight_total(fam, "G")
+                    assert family_weight("H", fam) == subset_weight_total(fam, "H")
 
     def test_p_weight_is_single_power(self):
-        starts, ends = pq_config(5, 3)
+        starts, ends = family_config("P", 5, 3)
         for fam in enumerate_nonintersecting(starts, ends):
-            w = weight_P(fam)
+            w = family_weight("P", fam)
             assert len(w.coeffs) == 1 and w.coeffs[0] == 1
 
     def test_q_weight_construction(self):
         # opening vertical steps carry q^2 + q, later even-column ones q^2
         fam = (make_path((0, 0), "NE"),)
-        assert weight_Q(fam) == C(1, 1, 0)
+        assert family_weight("Q", fam) == C(1, 1, 0)
         fam = (make_path((0, 0), "EN"),)
-        assert weight_Q(fam) == ONE  # vertical step sits in the odd column 1
+        assert family_weight("Q", fam) == ONE  # vertical step sits in the odd column 1

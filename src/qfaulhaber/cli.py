@@ -3,9 +3,12 @@
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 index error.  A size flag below 1, a `verify` size flag that no selected suite
 reads, or a `verify --max-m` above the cap of a suite it selects (theorem1: 5,
-classical: 4), is refused with exit 2, and so is a `compute --method lgv` or
-`verify --suite lgv --max-m` that would enumerate more than 1,000,000 path
-families in one case.
+classical: 4), is refused with exit 2.  So are requests that would enumerate
+more than 1,000,000 objects: a `compute --method lgv` case with that many
+path families, a `compute --method lgv-det` case for Q, G or H with that many
+lattice paths over its start/end pairs (P's pair sums are a column DP and
+list no path), and a `verify --suite lgv --max-m` whose cases together hold
+that many path families.
 Verification output is sorted by case key.
 """
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import coeffs, identities, lgv
 from .laurent import FAMILIES, CoeffRecord, shape_report
@@ -41,9 +45,11 @@ _SUITES = tuple(_SUITE_SIZES)
 # Largest `verify --max-m` a suite accepts; larger values cost too much.
 _VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
 
-# Most path families one `compute --method lgv` or `verify --suite lgv` case
-# enumerates; P(8,4) has 1,531,152 and takes 6.3-7.0 s with a 146 MB peak RSS
-# (one core of a 2-vCPU host, Python 3.11).
+# Most path families one `compute --method lgv` case, or one `verify --suite
+# lgv` run in all, enumerates, and most lattice paths one Q/G/H `compute
+# --method lgv-det` case lists.  P(8,4) has 1,531,152 families and takes
+# 8.6-9.8 s with a 144 MB peak RSS; Q(19,7) lists 973,752 paths in 10.8 s
+# with a 16 MB peak (one core of a 2-vCPU host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 
 
@@ -221,6 +227,16 @@ def _family_count(family: str, m: int, k: int) -> int:
     return lgv.lgv_determinant(*lgv.family_config(family, m, k), {})[0]
 
 
+def _path_count(family: str, m: int, k: int) -> int:
+    """Lattice paths a Q/G/H `lgv.lgv_det_route(family, m, k)` lists: each
+    start/end pair's paths once, C(east + north, north) of them."""
+    starts, ends = lgv.family_config(family, m, k)
+    return sum(
+        comb(b.x - a.x + b.y - a.y, b.y - a.y)
+        for a in starts for b in ends if b.x >= a.x and b.y >= a.y
+    )
+
+
 def cmd_compute(args, out) -> int:
     try:
         if args.method == "lgv":
@@ -228,6 +244,13 @@ def cmd_compute(args, out) -> int:
             if count > _LGV_FAMILY_LIMIT:
                 print(f"error: --method lgv would enumerate {count} path families "
                       f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",
+                      file=sys.stderr)
+                return EXIT_USAGE
+        if args.method == "lgv-det" and args.family != "P":
+            count = _path_count(args.family, args.m, args.k)
+            if count > _LGV_FAMILY_LIMIT:
+                print(f"error: --method lgv-det would list {count} lattice paths "
+                      f"(limit {_LGV_FAMILY_LIMIT}); use --method det",
                       file=sys.stderr)
                 return EXIT_USAGE
         record = compute_record(args.family, args.m, args.k, args.method)
@@ -270,17 +293,17 @@ def cmd_verify(args, out) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     if "lgv" in names and args.max_m is not None:
-        # Counts grow with m, so stopping at the first m with a case over the
-        # limit keeps this check cheap however large --max-m is.
+        # The budget is the whole run's.  Stopping at the first m that takes
+        # the running total over the limit keeps this check cheap however
+        # large --max-m is.
+        total = 0
         for m in range(2, args.max_m + 1):
-            count, family, k = max(
-                ((_family_count(f, m, k), f, k) for f in FAMILIES for k in range(1, m)),
-                key=lambda case: case[0],
-            )
-            if count > _LGV_FAMILY_LIMIT:
+            total += sum(_family_count(f, m, k) for f in FAMILIES for k in range(1, m))
+            if total > _LGV_FAMILY_LIMIT:
+                least = "at least " if m < args.max_m else ""
                 print(f"error: --max-m {args.max_m} would make the lgv suite enumerate "
-                      f"{count} path families for {family}({m},{k}) "
-                      f"(limit {_LGV_FAMILY_LIMIT})", file=sys.stderr)
+                      f"{least}{total} path families in all (limit {_LGV_FAMILY_LIMIT})",
+                      file=sys.stderr)
                 return EXIT_USAGE
     builders = {
         "theorem1": _suite_theorem1,

@@ -13,6 +13,12 @@ family weight is (1+q)^a times a sum of powers q^b, read from step
 statistics summed over the family's paths; each path's statistics are
 computed once per `PathStatsCache`.  The brute route tallies all families in
 one (a, b) counter and builds one polynomial per distinct a at the end.
+
+The determinant route sums P's single pairs by a column DP.  For Q, G and H
+every step weight depends only on the column's parity and on whether the
+step opens the path, so each pair's paths are listed once, each path's
+statistics read once, and its (1+q)^a q^b terms (two for G and H, one per
+column weighting) tallied into one polynomial per pair.
 """
 from __future__ import annotations
 
@@ -33,28 +39,29 @@ LatticePath = tuple[LatticePoint, ...]
 PathFamily = tuple[LatticePath, ...]
 
 _Q = LaurentPoly.term(1, 1)
-_Q2 = LaurentPoly.term(1, 2)
 _ONE_PLUS_Q = ONE + _Q
-_Q_PLUS_Q2 = _Q + _Q2
 
 
 def paths_between(a: LatticePoint, b: LatticePoint) -> Iterator[LatticePath]:
-    """All monotone (east/north) paths from a to b."""
+    """All monotone (east/north) paths from a to b, in the lexicographic
+    order of their north-step positions."""
     a, b = LatticePoint(*a), LatticePoint(*b)
     if b.x < a.x or b.y < a.y:
         return
     east = b.x - a.x
     north = b.y - a.y
+    # rows[y][x]: the grid point (a.x + x, a.y + y), built once per call
+    rows = [[LatticePoint(x, y) for x in range(a.x, b.x + 1)]
+            for y in range(a.y, b.y + 1)]
     for north_positions in combinations(range(east + north), north):
-        chosen = set(north_positions)
-        pts = [a]
-        x, y = a
-        for step in range(east + north):
-            if step in chosen:
-                y += 1
-            else:
-                x += 1
-            pts.append(LatticePoint(x, y))
+        pts = [rows[0][0]]
+        x = 0
+        for y, step in enumerate(north_positions):
+            # east along row y up to column step - y, then one step north
+            pts += rows[y][x + 1:step - y + 1]
+            x = step - y
+            pts.append(rows[y + 1][x])
+        pts += rows[north][x + 1:]
         yield tuple(pts)
 
 
@@ -146,20 +153,6 @@ def family_config(
 # step statistics
 # ---------------------------------------------------------------------------
 
-def vertical_columns(family: PathFamily) -> Counter:
-    """Counter mapping x-coordinate to the number of vertical steps there."""
-    sigma: Counter = Counter()
-    for path in family:
-        for p, nxt in zip(path, path[1:]):
-            if nxt.x == p.x:
-                sigma[p.x] += 1
-    return sigma
-
-
-def starts_vertically(family: PathFamily) -> list[bool]:
-    return [len(path) > 1 and path[1].x == path[0].x for path in family]
-
-
 def path_steps(path: LatticePath) -> str:
     """Serialize a path as a string of E/N steps (debug dump format)."""
     return "".join(
@@ -180,11 +173,23 @@ class PathStats(NamedTuple):
 
 
 def path_stats(path: LatticePath) -> PathStats:
-    sigma = vertical_columns((path,))
-    opens = starts_vertically((path,))[0]
+    """One pass over the path: a monotone path climbs each column in one
+    run, so a column's vertical steps are the height it gains there."""
+    columns = []
+    x, y0 = path[0]
+    y = y0
+    for px, py in path:
+        if px != x:
+            if y > y0:
+                columns.append((x, y - y0))
+            x, y0 = px, py
+        y = py
+    if y > y0:
+        columns.append((x, y - y0))
+    opens = len(path) > 1 and path[1].x == path[0].x
     return PathStats(
-        tuple(sigma.items()),
-        sum(c for x, c in sigma.items() if x % 2 == 0),
+        tuple(columns),
+        sum(c for x, c in columns if x % 2 == 0),
         opens,
         opens and path[0].x % 2 == 0,
     )
@@ -233,6 +238,15 @@ def _expand_pairs(base: int, pairs: Sequence[tuple[int, int]]) -> dict[int, int]
 
 def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
     return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
+
+
+def _poly_from_tally(tally: Mapping[tuple[int, int], int]) -> LaurentPoly:
+    """Sum of count * (1+q)^a q^b over the tally's (a, b) -> count entries,
+    one polynomial per distinct a."""
+    by_a: dict[int, dict[int, int]] = {}
+    for (a, b), c in tally.items():
+        by_a.setdefault(a, {})[b] = c
+    return sum((_poly_from_terms(a, exps) for a, exps in by_a.items()), ZERO)
 
 
 def _terms_P(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
@@ -298,23 +312,49 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
         a, exps = terms(fam, cache)
         for b, c in exps.items():
             tally[a, b] += c
-    by_a: dict[int, dict[int, int]] = {}
-    for (a, b), c in tally.items():
-        by_a.setdefault(a, {})[b] = c
-    return sum((_poly_from_terms(a, exps) for a, exps in by_a.items()), ZERO)
+    return _poly_from_tally(tally)
 
 
-def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, step_weight) -> LaurentPoly:
-    """Brute single-pair sum for step rules that look at step position."""
-    total = ZERO
+# Single-pair step weights of lgv_det_route.  Each is (1+q)^a q^b and reads
+# only the column's parity and whether the step opens the path, so a path's
+# weight follows from its PathStats; odd = vertical steps in odd columns.
+# G and H weigh each pair by an odd-column and an even-column scheme, summed:
+# one path gives one (a, b) term per scheme.
+
+def _pair_terms_Q(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
+    """q^2 per even-column vertical step; an opening one weighs q + q^2."""
+    return ((s.opens_even, 2 * s.even - s.opens_even),)
+
+
+def _pair_terms_G(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
+    """q per odd-column vertical step in one weighting, q per even-column
+    one in the other."""
+    return ((0, odd), (0, s.even))
+
+
+def _pair_terms_H(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
+    """q^2 per vertical step in the scheme's column parity; an opening step
+    weighs q + q^2 in that parity and 1 + q in the other."""
+    return (
+        (s.opens, 2 * odd - (s.opens and not s.opens_even)),
+        (s.opens, 2 * s.even - s.opens_even),
+    )
+
+
+_PAIR_TERMS = {"Q": _pair_terms_Q, "G": _pair_terms_G, "H": _pair_terms_H}
+
+
+def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, path_terms) -> LaurentPoly:
+    """Single-pair sum a -> b of the weights path_terms(stats, odd) gives
+    each path: the pair's paths are listed once, their (a, b) terms tallied,
+    and one polynomial built per distinct a.  Zero when b is unreachable."""
+    north = b.y - a.y
+    tally: Counter = Counter()
     for path in paths_between(a, b):
-        w = ONE
-        n_steps = len(path) - 1
-        for i, (p, nxt) in enumerate(zip(path, path[1:])):
-            if nxt.x == p.x:
-                w = w * step_weight(p.x, i == 0, i == n_steps - 1)
-        total = total + w
-    return total
+        stats = path_stats(path)
+        for term in path_terms(stats, north - stats.even):
+            tally[term] += 1
+    return _poly_from_tally(tally)
 
 
 def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
@@ -325,40 +365,9 @@ def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
     if family == "P":
         weights = {x: _Q for x in range(0, 2 * k + 4, 2)}
         return lgv_determinant(starts, ends, weights)
-    if family == "Q":
-        def rule(x, first, last):
-            if x % 2:
-                return ONE
-            return _Q_PLUS_Q2 if first else _Q2
-        rows = [
-            [_pair_sum_with_steps(starts[j], ends[i], rule) for j in range(k)]
-            for i in range(k)
-        ]
-        return PolyMatrix.from_rows(rows).det()
-    # G and H: each determinant entry splits into an odd-column-weighted and
-    # an even-column-weighted single-pair sum, summed entrywise.
-    if family == "G":
-        def rule_in(x, first, last):
-            return _Q if x % 2 else ONE
-
-        def rule_out(x, first, last):
-            return ONE if x % 2 else _Q
-    else:
-        def rule_in(x, first, last):
-            if first:
-                return _Q_PLUS_Q2 if x % 2 else _ONE_PLUS_Q
-            return _Q2 if x % 2 else ONE
-
-        def rule_out(x, first, last):
-            if first:
-                return _ONE_PLUS_Q if x % 2 else _Q_PLUS_Q2
-            return ONE if x % 2 else _Q2
+    terms = _PAIR_TERMS[family]
     rows = [
-        [
-            _pair_sum_with_steps(starts[j], ends[i], rule_in)
-            + _pair_sum_with_steps(starts[j], ends[i], rule_out)
-            for j in range(k)
-        ]
+        [_pair_sum_with_steps(starts[j], ends[i], terms) for j in range(k)]
         for i in range(k)
     ]
     return PolyMatrix.from_rows(rows).det()

@@ -3,7 +3,10 @@
 Slow reference implementations of paper lemmas: the det(A+B) column-subset
 expansion behind the G/H entrywise split, the submatrix-determinant formula
 for triangular inverses, and the literal subset weights and alternative
-placements of the G/H lattice-path model.  Reference values: the tabled
+placements of the G/H lattice-path model.  Literal walks of the lattice-path
+layer: path listing step by step, step statistics read off each step, and
+the determinant route's single-pair sums as one polynomial product per
+vertical step under its step rules.  Reference values: the tabled
 polynomials and the panel weights of G(4,2) and H(4,2).
 """
 from __future__ import annotations
@@ -25,13 +28,15 @@ from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     _ONE_PLUS_Q,
     _Q,
-    _Q2,
-    _Q_PLUS_Q2,
+    LatticePoint,
     PathFamily,
+    PathStats,
     _expand_pairs,
     _poly_from_terms,
-    vertical_columns,
 )
+
+_Q2 = LaurentPoly.term(1, 2)
+_Q_PLUS_Q2 = _Q + _Q2
 
 
 def C(*descending):
@@ -158,6 +163,98 @@ def verify_detinv_consistency(family: str, m: int, k: int) -> bool:
         if last[col] != sign * fraction_det(sub) / diag:
             return False
     return True
+
+
+def paths_walk(a, b):
+    """All monotone paths a -> b, each walked step by step from its set of
+    north-step positions, in the order of those positions."""
+    a, b = LatticePoint(*a), LatticePoint(*b)
+    if b.x < a.x or b.y < a.y:
+        return
+    east = b.x - a.x
+    north = b.y - a.y
+    for north_positions in combinations(range(east + north), north):
+        chosen = set(north_positions)
+        pts = [a]
+        x, y = a
+        for step in range(east + north):
+            if step in chosen:
+                y += 1
+            else:
+                x += 1
+            pts.append(LatticePoint(x, y))
+        yield tuple(pts)
+
+
+def vertical_columns(family: PathFamily) -> Counter:
+    """Counter mapping x-coordinate to the number of vertical steps there."""
+    sigma: Counter = Counter()
+    for path in family:
+        for p, nxt in zip(path, path[1:]):
+            if nxt.x == p.x:
+                sigma[p.x] += 1
+    return sigma
+
+
+def starts_vertically(family: PathFamily) -> list[bool]:
+    return [len(path) > 1 and path[1].x == path[0].x for path in family]
+
+
+def path_stats_walk(path) -> PathStats:
+    """A path's statistics read off its steps one by one."""
+    sigma = vertical_columns((path,))
+    opens = starts_vertically((path,))[0]
+    return PathStats(
+        tuple(sigma.items()),
+        sum(c for x, c in sigma.items() if x % 2 == 0),
+        opens,
+        opens and path[0].x % 2 == 0,
+    )
+
+
+def step_rules(family: str) -> list:
+    """The determinant route's step weights rule(x, first, last) for Q, G and
+    H, one rule per column weighting; a pair's entry sums over the rules."""
+    if family == "Q":
+        def rule(x, first, last):
+            if x % 2:
+                return ONE
+            return _Q_PLUS_Q2 if first else _Q2
+        return [rule]
+    if family == "G":
+        def rule_in(x, first, last):
+            return _Q if x % 2 else ONE
+
+        def rule_out(x, first, last):
+            return ONE if x % 2 else _Q
+    elif family == "H":
+        def rule_in(x, first, last):
+            if first:
+                return _Q_PLUS_Q2 if x % 2 else _ONE_PLUS_Q
+            return _Q2 if x % 2 else ONE
+
+        def rule_out(x, first, last):
+            if first:
+                return _ONE_PLUS_Q if x % 2 else _Q_PLUS_Q2
+            return ONE if x % 2 else _Q2
+    else:
+        raise ValueError(f"no step rules for family {family!r}")
+    return [rule_in, rule_out]
+
+
+def pair_sum_by_steps(a, b, family: str) -> LaurentPoly:
+    """Single-pair sum a -> b under the family's step rules: per rule, one
+    polynomial product per vertical step of every path."""
+    total = ZERO
+    for rule in step_rules(family):
+        for path in paths_walk(a, b):
+            w = ONE
+            n_steps = len(path) - 1
+            for i, (p, nxt) in enumerate(zip(path, path[1:])):
+                if nxt.x == p.x:
+                    w = w * rule(p.x, i == 0, i == n_steps - 1)
+            total = total + w
+    return total
 
 
 def ends_vertically(family: PathFamily) -> list[bool]:

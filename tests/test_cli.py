@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from qfaulhaber import cli
+from qfaulhaber import cli, lgv
+from qfaulhaber.coeffs import det_route
 from qfaulhaber.laurent import LaurentPoly
 
 
@@ -106,6 +107,49 @@ class TestCompute:
             "(limit 1000000); use --method lgv-det"
         )
 
+    def test_lgv_det_refuses_runaway_path_listing(self, capsys):
+        # Q(30,29) has 2,147,483,613 paths over its 841 start/end pairs; the
+        # pair sums would list them for hours, so the count comes first.
+        start = time.perf_counter()
+        code, out = run_cli(
+            "compute", "--family", "Q", "--m", "30", "--k", "29", "--method", "lgv-det"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.strip() == (
+            "error: --method lgv-det would list 2147483613 lattice paths "
+            "(limit 1000000); use --method det"
+        )
+
+    def test_lgv_det_for_p_lists_no_path(self, monkeypatch):
+        # P's pair sums are a column DP, so no size is refused and no path listed
+        monkeypatch.setattr(lgv, "paths_between", None)
+        code, out = run_cli(
+            "compute", "--family", "P", "--m", "26", "--k", "16",
+            "--method", "lgv-det", "--format", "json",
+        )
+        assert code == 0
+        expected = [str(c) for c in det_route("P", 26, 16).coeffs]
+        assert json.loads(out)["coefficients"] == expected
+
+    @pytest.mark.parametrize("family", "QGH")
+    def test_path_count_is_what_lgv_det_lists(self, family, monkeypatch):
+        listed = []
+        paths_between = lgv.paths_between
+
+        def counting_paths_between(a, b):
+            for path in paths_between(a, b):
+                listed.append(path)
+                yield path
+
+        monkeypatch.setattr(lgv, "paths_between", counting_paths_between)
+        for m in range(2, 8):
+            for k in range(1, m):
+                listed.clear()
+                lgv.lgv_det_route(family, m, k)
+                assert cli._path_count(family, m, k) == len(listed), (family, m, k)
+
     @pytest.mark.parametrize("method", ["det", "invert", "lgv", "lgv-det"])
     def test_negative_m_at_k_zero_exits_2(self, method, capsys):
         code, out = run_cli(
@@ -160,17 +204,46 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_m", ["8", "50"])
     def test_lgv_refuses_runaway_enumeration(self, max_m, capsys):
-        # At m = 8 the largest case has 43,751,232 families (hours of brute
-        # force); the counts are taken first, m by m, and the run refused.
+        # The cases up to m = 7 already hold 3,553,512 families in all; the
+        # counts are taken first, m by m, and the run refused at m = 7.
         start = time.perf_counter()
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", max_m)
         assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            f"error: --max-m {max_m} would make the lgv suite enumerate 43751232 "
-            "path families for P(8,6) (limit 1000000)"
+            f"error: --max-m {max_m} would make the lgv suite enumerate at least "
+            "3553512 path families in all (limit 1000000)"
         )
+
+    def test_lgv_budget_is_the_whole_run(self, capsys):
+        # No case of m = 7 reaches the limit (the largest has 705,600
+        # families), but together the run's cases hold 3,553,512.
+        code, out = run_cli("verify", "--suite", "lgv", "--max-m", "7")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.strip() == (
+            "error: --max-m 7 would make the lgv suite enumerate 3553512 "
+            "path families in all (limit 1000000)"
+        )
+        assert max(cli._family_count(f, 7, k) for f in "PQGH" for k in range(1, 7)) \
+            < cli._LGV_FAMILY_LIMIT
+
+    def test_lgv_at_max_m_6_runs_every_case(self):
+        # 90,864 families in all, under the limit
+        code, out = run_cli("verify", "--suite", "lgv", "--max-m", "6")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 60 and all(line.startswith("PASS ") for line in lines)
+
+    def test_lgv_without_max_m_counts_nothing(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("the default lgv suite was counted")
+
+        monkeypatch.setattr(cli, "_family_count", no_count)
+        code, out = run_cli("verify", "--suite", "lgv")
+        assert code == 0
+        assert len(out.splitlines()) == 60
 
     def test_classical_suite(self):
         code, out = run_cli("verify", "--suite", "classical", "--max-n", "10")

@@ -26,16 +26,19 @@ from qfaulhaber.lgv import (
     path_steps,
     paths_between,
     single_path_weight_sum,
-    starts_vertically,
-    vertical_columns,
 )
 from oracles import (
     C,
     G_4_2_PANELS,
     H_4_2_PANELS,
     ends_vertically,
+    pair_sum_by_steps,
+    path_stats_walk,
+    paths_walk,
+    starts_vertically,
     subset_weight,
     subset_weight_total,
+    vertical_columns,
     weight_alt,
 )
 
@@ -131,6 +134,19 @@ class TestPaths:
         for p in paths_between(LatticePoint(0, 0), LatticePoint(2, 2)):
             for a, b in zip(p, p[1:]):
                 assert (b.x - a.x, b.y - a.y) in ((1, 0), (0, 1))
+
+    def test_same_paths_in_same_order_as_step_walk(self):
+        # every end point around two starts: unreachable ones, the start
+        # itself, the same row, the same column and the open quadrant
+        for a in (LatticePoint(0, 0), LatticePoint(3, -2)):
+            for dx in range(-1, 5):
+                for dy in range(-1, 5):
+                    b = (a.x + dx, a.y + dy)
+                    assert list(paths_between(a, b)) == list(paths_walk(a, b)), (a, b)
+        assert list(paths_between((2, 1), (2, 1))) == [((2, 1),)]
+        assert list(paths_between((0, 0), (3, 0))) == [((0, 0), (1, 0), (2, 0), (3, 0))]
+        assert list(paths_between((0, 0), (0, 2))) == [((0, 0), (0, 1), (0, 2))]
+        assert list(paths_between((0, 0), (-1, 3))) == []
 
 
 class TestEnumeration:
@@ -273,6 +289,21 @@ class TestPathStatistics:
         # (no steps) apart from a wrapped-around read of column 2k.
         assert last_column_used
 
+    def test_path_stats_match_step_walk(self):
+        # every path of every pair of the two end-point geometries, m <= 7
+        pairs = set()
+        for family in "PG":
+            for m in range(2, 8):
+                for k in range(1, m):
+                    starts, ends = family_config(family, m, k)
+                    pairs.update((a, b) for a in starts for b in ends)
+        checked = 0
+        for a, b in sorted(pairs):
+            for path in paths_between(a, b):
+                assert lgv.path_stats(path) == path_stats_walk(path), path
+                checked += 1
+        assert checked > 1000
+
     def test_reference_family_statistics(self, reference_family):
         stats = [lgv.path_stats(path) for path in reference_family]
         assert [s.columns for s in stats] == [
@@ -302,6 +333,62 @@ class TestPathStatistics:
         monkeypatch.setattr(lgv, "path_stats", counting_path_stats)
         assert brute_route(family, m, k) == det_route(family, m, k)
         assert len(calls) == len(distinct) < len(fams) * k
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("family", "QGH")
+    def test_pair_sums_match_step_products(self, family):
+        # every start/end pair of every configuration with m <= 8, against
+        # one polynomial product per vertical step under the step rules; the
+        # configurations start in even columns only, so pairs starting in an
+        # odd column are added to tell the opening-step parities apart
+        pairs = set()
+        for m in range(2, 9):
+            for k in range(1, m):
+                starts, ends = family_config(family, m, k)
+                pairs.update((a, b) for a in starts for b in ends)
+        for a in (LatticePoint(1, 0), LatticePoint(3, -2)):
+            pairs.update((a, LatticePoint(a.x + dx, a.y + dy))
+                         for dx in range(-1, 5) for dy in range(-1, 5))
+        terms = lgv._PAIR_TERMS[family]
+        nonzero = 0
+        for a, b in sorted(pairs):
+            got = lgv._pair_sum_with_steps(a, b, terms)
+            assert got == pair_sum_by_steps(a, b, family), (family, a, b)
+            nonzero += not got.is_zero
+        assert 0 < nonzero < len(pairs)  # reachable and unreachable pairs
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_lgv_det_route_matches_det_route(self, family):
+        for m in range(1, 13):
+            for k in range(0, m):
+                assert lgv_det_route(family, m, k) == det_route(family, m, k), (
+                    family, m, k)
+
+    @pytest.mark.parametrize("family", "GH")
+    def test_each_pair_listed_once_and_each_path_read_once(self, family, monkeypatch):
+        m, k = 7, 4
+        pairs, yielded, read = [], [], []
+        paths_between = lgv.paths_between
+        path_stats = lgv.path_stats
+
+        def counting_paths_between(a, b):
+            pairs.append((a, b))
+            for path in paths_between(a, b):
+                yielded.append(path)
+                yield path
+
+        def counting_path_stats(path):
+            read.append(path)
+            return path_stats(path)
+
+        monkeypatch.setattr(lgv, "paths_between", counting_paths_between)
+        monkeypatch.setattr(lgv, "path_stats", counting_path_stats)
+        assert lgv_det_route(family, m, k) == det_route(family, m, k)
+        starts, ends = family_config(family, m, k)
+        assert len(pairs) == k * k
+        assert sorted(pairs) == sorted((a, b) for a in starts for b in ends)
+        assert read == yielded and len(yielded) > k * k
 
 
 class TestPanelMultisets:

@@ -18,6 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import coeffs, identities, lgv
 from .laurent import FAMILIES, CoeffRecord, shape_report
@@ -27,23 +28,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
-
-# The size flags (argparse dests) each suite reads, in the order its builder
-# takes them, with their defaults.
-_SUITE_SIZES = {
-    "theorem1": {"max_m": 5, "max_n": 6},
-    "lemma1": {"max_l": 5},
-    "lemma2": {"max_m": 8, "max_l": 8},
-    "inverse": {"n": 6},
-    "lgv": {"max_m": 6},
-    "symmetry": {"max_m": 8},
-    "classical": {"max_m": 4, "max_n": 20},
-}
-
-_SUITES = tuple(_SUITE_SIZES)
-
-# Largest `verify --max-m` a suite accepts; larger values cost too much.
-_VERIFY_MAX_M_CAP = {"theorem1": 5, "classical": 4}
 
 # Most path families one `compute --method lgv` case, or one `verify --suite
 # lgv` run in all, enumerates, and most lattice paths one Q/G/H `compute
@@ -217,6 +201,26 @@ def _suite_classical(max_m: int, max_n: int) -> list:
     ]
 
 
+class _Suite(NamedTuple):
+    """A verify suite: its case builder, the size flags (argparse dests) it
+    reads with their defaults, in the order the builder takes them, and the
+    largest `--max-m` it accepts (larger values cost too much)."""
+    build: Callable[..., list]
+    sizes: dict[str, int]
+    max_m_cap: int | None = None
+
+
+_SUITES = {
+    "theorem1": _Suite(_suite_theorem1, {"max_m": 5, "max_n": 6}, max_m_cap=5),
+    "lemma1": _Suite(_suite_lemma1, {"max_l": 5}),
+    "lemma2": _Suite(_suite_lemma2, {"max_m": 8, "max_l": 8}),
+    "inverse": _Suite(_suite_inverse, {"n": 6}),
+    "lgv": _Suite(_suite_lgv, {"max_m": 6}),
+    "symmetry": _Suite(_suite_symmetry, {"max_m": 8}),
+    "classical": _Suite(_suite_classical, {"max_m": 4, "max_n": 20}, max_m_cap=4),
+}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -277,17 +281,17 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    names = _SUITES if args.suite == "all" else (args.suite,)
+    names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     for flag in ("max_m", "max_n", "max_l", "n"):
         if getattr(args, flag) is not None and not any(
-            flag in _SUITE_SIZES[name] for name in names
+            flag in _SUITES[name].sizes for name in names
         ):
             option = "--" + flag.replace("_", "-")
             print(f"error: {option} is not read by the {args.suite} suite",
                   file=sys.stderr)
             return EXIT_USAGE
     for name in names:
-        cap = _VERIFY_MAX_M_CAP.get(name)
+        cap = _SUITES[name].max_m_cap
         if cap is not None and args.max_m is not None and args.max_m > cap:
             print(f"error: --max-m {args.max_m} exceeds the {name} suite's cap of {cap}",
                   file=sys.stderr)
@@ -305,21 +309,12 @@ def cmd_verify(args, out) -> int:
                       f"{least}{total} path families in all (limit {_LGV_FAMILY_LIMIT})",
                       file=sys.stderr)
                 return EXIT_USAGE
-    builders = {
-        "theorem1": _suite_theorem1,
-        "lemma1": _suite_lemma1,
-        "lemma2": _suite_lemma2,
-        "inverse": _suite_inverse,
-        "lgv": _suite_lgv,
-        "symmetry": _suite_symmetry,
-        "classical": _suite_classical,
-    }
     cases = []
     for name in names:
+        suite = _SUITES[name]
         # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
-        sizes = [getattr(args, flag) or default
-                 for flag, default in _SUITE_SIZES[name].items()]
-        cases += builders[name](*sizes)
+        cases += suite.build(*(getattr(args, flag) or default
+                               for flag, default in suite.sizes.items()))
     return EXIT_OK if _run_cases(cases, out) else EXIT_FAIL
 
 
@@ -369,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         required=True,
-        choices=_SUITES + ("all",),
+        choices=(*_SUITES, "all"),
     )
     p_verify.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
     p_verify.add_argument("--max-n", dest="max_n", type=positive_int, default=None)

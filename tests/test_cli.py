@@ -294,9 +294,10 @@ class TestVerify:
         assert "PASS theorem1 which=p m=5 n=1" in out.splitlines()
 
     def test_failure_exits_1(self, monkeypatch):
-        monkeypatch.setattr(
-            cli, "_suite_classical", lambda m, n: [("forced", lambda: False)]
+        forced = cli._SUITES["classical"]._replace(
+            build=lambda m, n: [("forced", lambda: False)]
         )
+        monkeypatch.setitem(cli._SUITES, "classical", forced)
         code, out = run_cli("verify", "--suite", "classical")
         assert code == 1
         assert out.splitlines() == ["FAIL forced"]

@@ -27,7 +27,9 @@ from qfaulhaber.coeffs import (
     verify_inverse_pair,
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
-from oracles import C, TABLES, detsum_expansion, fraction_det, verify_detinv_consistency
+from oracles import (
+    C, TABLES, detsum_expansion, fraction_det, laplace_det, verify_detinv_consistency,
+)
 
 
 class TestReferenceTables:
@@ -62,15 +64,15 @@ class TestReferenceTables:
                 assert det_route(family, m, 0) == ONE
 
     def test_row_recurrence_matches_matrix_determinant(self):
-        # _family_det expands along the first column and reuses the smaller
-        # determinants of its row; compare with the plain matrix determinant.
+        # _family_det reads a row off the trailing minors of one Hessenberg
+        # matrix; compare with an independent dense Laplace expansion.
         _family_det.cache_clear()
         for family in "PQGH":
             for m in range(0, 13):
                 for k in range(0, m + 1):
-                    assert _family_det(family, m, k) == family_matrix(
-                        family, m, k
-                    ).det(), (family, m, k)
+                    assert _family_det(family, m, k) == laplace_det(
+                        family_matrix(family, m, k).entries
+                    ), (family, m, k)
 
 
 class TestPolyMatrix:
@@ -84,36 +86,39 @@ class TestPolyMatrix:
         with pytest.raises(ValueError):
             PolyMatrix.from_rows([[ONE, Q]])
 
-    def test_det_matches_rational_determinant(self):
-        rng = random.Random(7)
-        for n in range(1, 6):
-            rows = [
-                [
-                    LaurentPoly([rng.randint(-3, 3) for _ in range(3)])
-                    for _ in range(n)
-                ]
-                for _ in range(n)
+    def test_rejects_non_hessenberg(self):
+        m = PolyMatrix.from_rows([[ONE, ZERO, Q], [ONE, ONE, ZERO], [ONE, ONE, ONE]])
+        with pytest.raises(ValueError, match="Hessenberg"):
+            m.det()
+
+    @staticmethod
+    def random_hessenberg(rng, n, width, spread):
+        return PolyMatrix.from_rows(
+            [
+                LaurentPoly([rng.randint(-spread, spread) for _ in range(width)])
+                if j <= i + 1 else ZERO
+                for j in range(n)
             ]
-            m = PolyMatrix.from_rows(rows)
+            for i in range(n)
+        )
+
+    def test_det_matches_rational_determinant(self):
+        # every trailing minor, the last of which is det()
+        rng = random.Random(7)
+        for n in range(1, 7):
+            m = self.random_hessenberg(rng, n, 3, 3)
+            minors = m.minors()
+            assert len(minors) == n + 1 and minors[-1] == m.det()
             for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 7)):
-                a = [[e(q0) for e in row] for row in rows]
-                assert m.det()(q0) == fraction_det(a)
+                a = [[e(q0) for e in row] for row in m.entries]
+                for s, minor in enumerate(minors):
+                    assert minor(q0) == fraction_det([row[n - s:] for row in a[n - s:]])
 
     def test_detsum_equals_det_of_sum(self):
         rng = random.Random(11)
         for n in range(1, 5):
-            def rand_matrix():
-                return PolyMatrix.from_rows(
-                    [
-                        [
-                            LaurentPoly([rng.randint(-2, 2) for _ in range(2)])
-                            for _ in range(n)
-                        ]
-                        for _ in range(n)
-                    ]
-                )
-
-            a, b = rand_matrix(), rand_matrix()
+            a = self.random_hessenberg(rng, n, 2, 2)
+            b = self.random_hessenberg(rng, n, 2, 2)
             total = PolyMatrix.from_rows(
                 [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)
             )

@@ -222,7 +222,7 @@ class TestConfigs:
             family_config("P", 3, 3)
         with pytest.raises(BadIndexError):
             family_config("G", 3, 4)
-        # the k = 0 shortcut of the lgv routes does not skip the check
+        # k = 0 does not skip the check
         with pytest.raises(BadIndexError):
             family_config("Q", -3, 0)
         with pytest.raises(BadIndexError):
@@ -424,6 +424,13 @@ class TestRouteAgreement:
                         except BadIndexError:
                             results.append(BadIndexError)
                     assert len(set(results)) == 1, (family, m, k, results)
+
+    def test_every_route_is_one_at_k_zero(self):
+        # the empty determinant and the empty family sum, with no special case
+        for route in (det_route, invert_route, brute_route, lgv_det_route):
+            for family in "PQGH":
+                for m in range(0, 6):
+                    assert route(family, m, 0) == ONE, (route.__name__, family, m)
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_and_det_routes_agree(self, family):

@@ -9,7 +9,8 @@ path families, a `compute --method lgv-det` case for Q, G or H with that many
 lattice paths over its start/end pairs (P's pair sums are a column DP and
 list no path), and a `verify --suite lgv --max-m` whose cases together hold
 that many path families.
-Verification output is sorted by case key.
+Verification output is sorted by case key; a case that raises prints a FAIL
+line naming the exception, and the remaining cases still run.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -88,13 +90,22 @@ def _emit_record(record: CoeffRecord, fmt: str, out) -> None:
 
 
 def _run_cases(cases: list[tuple[str, object]], out) -> bool:
-    """Run (key, thunk) verification cases in order, print sorted pass/fail lines."""
-    results = [(key, bool(thunk())) for key, thunk in cases]
-    all_ok = True
-    for key, ok in sorted(results):
-        print(f"{'PASS' if ok else 'FAIL'} {key}", file=out)
-        all_ok = all_ok and ok
-    return all_ok
+    """Run (key, thunk) verification cases in order, print sorted pass/fail
+    lines.  A case that raises fails with the exception named on its line and
+    its traceback on stderr, and the other cases still run."""
+    lines = []
+    for key, thunk in cases:
+        try:
+            line = f"{'PASS' if thunk() else 'FAIL'} {key}"
+        except Exception as exc:
+            import traceback  # only on this path: it adds ~3 ms to every start
+
+            traceback.print_exc()
+            line = f"FAIL {key}: {type(exc).__name__}: {exc}"
+        lines.append((key, line))
+    for _, line in sorted(lines):
+        print(line, file=out)
+    return all(line.startswith("PASS") for _, line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +239,8 @@ _SUITES = {
 def _family_count(family: str, m: int, k: int) -> int:
     """Path families `lgv.brute_route(family, m, k)` would enumerate: with
     unit weights the LGV determinant counts the disjoint families."""
-    return lgv.lgv_determinant(*lgv.family_config(family, m, k), {})[0]
+    unit = partial(lgv.single_path_weight_sum, per_column_weights={})
+    return lgv.lgv_determinant(*lgv.family_config(family, m, k), unit)[0]
 
 
 def _path_count(family: str, m: int, k: int) -> int:

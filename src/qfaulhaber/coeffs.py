@@ -128,7 +128,7 @@ def forward_entry(family: str, k: int, m: int) -> LaurentPoly:
     The P matrix is indexed from 0, the Q/G/H matrices from 1.
     """
     if family == "P":
-        return h_spec(2 * m - k, k - m + 1, k - m + 1, 1)
+        return h_spec(2 * m - k, k - m + 1, k - m + 1)
     if family == "Q":
         return c_poly(k, m)
     if family == "G":

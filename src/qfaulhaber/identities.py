@@ -2,9 +2,22 @@
 
 Everything here lives in the variable t = q^(1/2): objects that are
 polynomials in q are embedded with stride 2 (q = t^2), while objects already
-expressed in half powers use t directly.  Identities with denominators are
-checked after multiplying both sides by the explicit factor list read off the
-equation, so both sides are compared in the Laurent polynomial ring.
+expressed in half powers use t directly.
+
+Theorem 1 is checked after clearing denominators.  Each identity has one
+factor list, read off the theorem, and its right side is one sum over k of
+(-1)^(m-k) t^(2n(m-k)) term_k.  The clearing product and the partial product
+in term_k are prefixes of the list, so every prefix is built once:
+
+    p      [i]_{t^2}, i = 1..m+1       partial: prefix k    clearing: prefix m+1
+    qmn    1 - t^(2j+1), j = 0..m      partial: prefix k    clearing: prefix m+1
+    t2mnq  1 + t^(2j), j = 1..m        partial: prefix k-1  clearing: prefix m
+    t2m1   (1+t)(1 + t^(2j-1)), j=1..m partial: prefix k-1  clearing: prefix m
+
+(for t2m1 the (1+t)^m of the clearing product and the (1+t)^(k-1) of term k
+ride in the list).  Lemma 2 is checked exactly in the Laurent ring: with
+y = [l]_{t^2} t^(-l), every right side is a prefactor times one series
+sum_j gen_j y^(2j-s), gen_j being h, c, g or d and s being 0 or 1.
 """
 from __future__ import annotations
 
@@ -14,7 +27,7 @@ from math import factorial
 
 from .coeffs import SingularSampleError, _family_det, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .laurent import LaurentPoly, ONE, ZERO, q_fact, q_int
+from .laurent import LaurentPoly, ONE, ZERO, q_int
 
 
 def _sign(n: int) -> int:
@@ -59,107 +72,75 @@ def x_poly(n: int, power: int) -> LaurentPoly:
     return base ** power
 
 
-def _xn(n: int) -> LaurentPoly:
-    """[n][n+1] in t (no q^-n factor)."""
-    return q_int(n, 2) * q_int(n + 1, 2)
-
-
 def _binom_factor(exp: int, sign: int) -> LaurentPoly:
     """1 + sign * t^exp."""
     return LaurentPoly.from_terms({0: 1, exp: sign})
 
 
+def _prefix_products(factors: list) -> list:
+    """[1, f_0, f_0 f_1, ...]: every prefix product of factors, one multiply each."""
+    prefixes = [ONE]
+    for factor in factors:
+        prefixes.append(prefixes[-1] * factor)
+    return prefixes
+
+
+def _alternating_sum(m: int, n: int, terms) -> LaurentPoly:
+    """Sum over (k, term) of (-1)^(m-k) t^(2n(m-k)) term: the shape shared by
+    the four right sides of Theorem 1."""
+    total = ZERO
+    for k, term in terms:
+        total = total + LaurentPoly.term(_sign(m - k), 2 * n * (m - k)) * term
+    return total
+
+
 def verify_theorem1(which: str, m: int, n: int) -> bool:
-    """Check one of the four summation identities after denominator clearing."""
-    if which == "p":
-        if m < 0 or n < 1:
-            raise ValueError("need m >= 0 and n >= 1")
-        lhs = s_sum(2 * m + 1, n) * q_fact(m + 1, 2) * q_int(2, 2)
-        rhs = ZERO
-        for k in range(m + 1):
-            p = _family_det("P", m, m - k)
-            if p.is_zero:
-                continue
-            rhs = rhs + (
-                _sign(m - k)
-                * LaurentPoly.term(1, 2 * n * (m - k))
-                * q_fact(k, 2)
-                * p.stretch(2)
-                * _xn(n) ** (k + 1)
-            )
-    elif which == "qmn":
-        if m < 1 or n < 1:
-            raise ValueError("need m >= 1 and n >= 1")
-        clearing = ONE
-        for i in range(m + 1):
-            clearing = clearing * _binom_factor(2 * (m - i) + 1, -1)
-        lhs = s_sum(2 * m, n) * q_int(2, 2) * clearing
-        one_minus_t = _binom_factor(1, -1)
-        rhs = ZERO
-        for k in range(m + 1):
-            qpoly = _family_det("Q", m, m - k)
-            if qpoly.is_zero:
-                continue
-            partial = ONE
-            for i in range(m - k + 1, m + 1):
-                partial = partial * _binom_factor(2 * (m - i) + 1, -1)
-            rhs = rhs + (
-                _sign(m - k)
-                * LaurentPoly.term(1, 2 * n * (m - k))
-                * one_minus_t ** (m - k)
-                * qpoly  # variable substituted by t = q^(1/2)
-                * _xn(n) ** k
-                * partial
-            )
-        rhs = rhs * _binom_factor(2 * n + 1, -1)
-    elif which == "t2mnq":
-        if m < 1 or n < 1:
-            raise ValueError("need m >= 1 and n >= 1")
-        clearing = ONE
-        for i in range(m):
-            clearing = clearing * _binom_factor(2 * (m - i), 1)
-        lhs = t_sum(2 * m, n) * clearing
-        rhs = ZERO
-        for k in range(1, m + 1):
-            gpoly = det_route("G", m, m - k)
-            partial = ONE
-            for i in range(m - k + 1, m):
-                partial = partial * _binom_factor(2 * (m - i), 1)
-            rhs = rhs + (
-                _sign(m - k)
-                * LaurentPoly.term(1, 2 * n * (m - k))
-                * gpoly.stretch(2)
-                * _xn(n) ** k
-                * partial
-            )
-    elif which == "t2m1":
-        if m < 1 or n < 1:
-            raise ValueError("need m >= 1 and n >= 1")
-        one_plus_t = _binom_factor(1, 1)
-        clearing = one_plus_t ** m
-        for i in range(m):
-            clearing = clearing * _binom_factor(2 * (m - i) - 1, 1)
-        lhs = t_sum(2 * m - 1, n) * clearing
-        rhs = _sign(m + n) * det_route("H", m, m - 1) * LaurentPoly.term(
-            1, (2 * m - 1) * n
-        )
-        tail = ZERO
-        for k in range(1, m + 1):
-            hpoly = det_route("H", m, m - k)
-            partial = ONE
-            for i in range(m - k + 1, m):
-                partial = partial * _binom_factor(2 * (m - i) - 1, 1)
-            tail = tail + (
-                _sign(m - k)
-                * LaurentPoly.term(1, 2 * n * (m - k))
-                * hpoly  # variable substituted by t = q^(1/2)
-                * _xn(n) ** (k - 1)
-                * one_plus_t ** (k - 1)
-                * partial
-            )
-        rhs = rhs + q_int(2 * n + 1, 1) * tail
-    else:
+    """Check one of the four summation identities after denominator clearing.
+
+    Each identity has one factor list; its clearing product and the partial
+    product of term k are prefixes of that list (see the module docstring)."""
+    if which not in ("p", "qmn", "t2mnq", "t2m1"):
         raise ValueError(f"unknown identity {which!r}")
+    least_m = 0 if which == "p" else 1
+    if m < least_m or n < 1:
+        raise ValueError(f"need m >= {least_m} and n >= 1")
+    # xn[k] = ([n][n+1])^k in t
+    xn = _prefix_products([q_int(n, 2) * q_int(n + 1, 2)] * (m + 1))
+    if which == "p":
+        prefix = _prefix_products([q_int(i, 2) for i in range(1, m + 2)])
+        lhs = s_sum(2 * m + 1, n) * q_int(2, 2) * prefix[m + 1]
+        rhs = _alternating_sum(m, n, (
+            (k, _family_det("P", m, m - k).stretch(2) * prefix[k] * xn[k + 1])
+            for k in range(m + 1)
+        ))
+    elif which == "qmn":
+        prefix = _prefix_products([_binom_factor(2 * j + 1, -1) for j in range(m + 1)])
+        lhs = s_sum(2 * m, n) * q_int(2, 2) * prefix[m + 1]
+        one_minus_t = _binom_factor(1, -1)
+        rhs = _binom_factor(2 * n + 1, -1) * _alternating_sum(m, n, (
+            # Q's variable is substituted by t = q^(1/2)
+            (k, _family_det("Q", m, m - k) * one_minus_t ** (m - k) * xn[k] * prefix[k])
+            for k in range(m + 1)
+        ))
+    elif which == "t2mnq":
+        prefix = _prefix_products([_binom_factor(2 * j, 1) for j in range(1, m + 1)])
+        lhs = t_sum(2 * m, n) * prefix[m]
+        rhs = _alternating_sum(m, n, (
+            (k, det_route("G", m, m - k).stretch(2) * xn[k] * prefix[k - 1])
+            for k in range(1, m + 1)
+        ))
+    else:  # t2m1
+        one_plus_t = _binom_factor(1, 1)
+        prefix = _prefix_products(
+            [one_plus_t * _binom_factor(2 * j - 1, 1) for j in range(1, m + 1)]
+        )
+        lhs = t_sum(2 * m - 1, n) * prefix[m]
+        head = LaurentPoly.term(_sign(m + n), (2 * m - 1) * n) * det_route("H", m, m - 1)
+        rhs = head + q_int(2 * n + 1, 1) * _alternating_sum(m, n, (
+            # H's variable is substituted by t = q^(1/2)
+            (k, det_route("H", m, m - k) * xn[k - 1] * prefix[k - 1])
+            for k in range(1, m + 1)
+        ))
     if not lhs.is_zero and lhs.min_exp < 0:
         raise AssertionError("cleared left side is not polynomial")
     if not rhs.is_zero and rhs.min_exp < 0:
@@ -167,83 +148,52 @@ def verify_theorem1(which: str, m: int, n: int) -> bool:
     return lhs == rhs
 
 
-def _qint_powers(l: int, m: int, shift: int) -> list:
-    """[l]^(2j - shift) in t for j = 0..m, shift 0 or 1, each power from the
-    previous by one multiply by [l]^2.  [l]^(-1) is no polynomial; its slot
-    holds None, so a term that would need it fails instead of passing."""
-    base = q_int(l, 2)
-    square = base * base
-    powers = [ONE, square] if shift == 0 else [None, base]
-    while len(powers) <= m:
-        powers.append(powers[-1] * square)
-    return powers
+def _odd_x(n: int, power: int) -> LaurentPoly:
+    """[2n+1]_t t^(-n) x_poly(n, power), the two terms of the inverseq and
+    sumd left sides (n = l and n = l - 1)."""
+    return q_int(2 * n + 1, 1) * LaurentPoly.term(1, -n) * x_poly(n, power)
+
+
+def _y_series(l: int, m: int, shift: int, gen) -> LaurentPoly:
+    """Sum over j = 0..m of gen(j) y^(2j - shift), y = [l]_{t^2} t^(-l), shift
+    0 or 1; each power from the previous by one multiply by y^2.  y^(-1) is no
+    Laurent polynomial, so a nonzero gen(0) with shift 1 raises."""
+    y = q_int(l, 2) * LaurentPoly.term(1, -l)
+    square = y * y
+    power = ONE if shift == 0 else None  # y^(2j - shift), None for y^(-1)
+    total = ZERO
+    for j in range(m + 1):
+        term = gen(j)
+        if not term.is_zero:
+            if power is None:
+                raise AssertionError("a j = 0 term needs y^(-1)")
+            total = total + term * power
+        power = y if power is None else power * square
+    return total
 
 
 def verify_lemma2(which: str, m: int, l: int) -> bool:
     """Check one of the four h/c/g/d difference identities exactly in the
-    Laurent ring (negative powers of t are retained, no clearing needed)."""
+    Laurent ring (negative powers of t are retained, no clearing needed).
+
+    Every right side is a prefactor times one series in y = [l]_{t^2} t^(-l)."""
     if m < 1 or l < 1:
         raise ValueError("need m >= 1 and l >= 1")
+    wide = q_int(2 * l, 2) * LaurentPoly.term(1, -2 * l)  # [2l]_{t^2} t^(-2l)
     if which == "diff1":
-        powers = _qint_powers(l, m, 0)
         lhs = x_poly(l, m + 1) - x_poly(l - 1, m + 1)
-        rhs = ZERO
-        for k in range(m + 1):
-            h = h_spec(m - 2 * k, k + 1, k + 1, 1)
-            if h.is_zero:
-                continue
-            rhs = rhs + (
-                h.stretch(2)
-                * q_int(2 * l, 2)
-                * powers[m - k]
-                * LaurentPoly.term(1, -2 * l * (m - k + 1))
-            )
+        rhs = wide * _y_series(
+            l, m, 0, lambda j: h_spec(2 * j - m, m - j + 1, m - j + 1).stretch(2)
+        )
     elif which == "inverseq":
-        powers = _qint_powers(l, m, 1)
-        lhs = (
-            q_int(2 * l + 1, 1) * LaurentPoly.term(1, -l) * x_poly(l, m)
-            - q_int(2 * l - 1, 1) * LaurentPoly.term(1, -(l - 1)) * x_poly(l - 1, m)
-        )
-        rhs = ZERO
-        for k in range(m + 1):
-            c = c_poly(m, m - k)
-            if c.is_zero:
-                continue
-            rhs = rhs + (
-                c
-                * q_int(2 * l, 2)
-                * powers[m - k]
-                * LaurentPoly.term(1, -l * (2 * (m - k) + 1))
-            )
+        lhs = _odd_x(l, m) - _odd_x(l - 1, m)
+        rhs = wide * _y_series(l, m, 1, lambda j: c_poly(m, j))
     elif which == "diff":
-        powers = _qint_powers(l, m, 0)
         lhs = x_poly(l, m) + x_poly(l - 1, m)
-        rhs = ZERO
-        for k in range(m + 1):
-            g = g_poly(m, m - k)
-            if g.is_zero:
-                continue
-            rhs = rhs + (
-                g.stretch(2)
-                * powers[m - k]
-                * LaurentPoly.term(1, -2 * l * (m - k))
-            )
+        rhs = _y_series(l, m, 0, lambda j: g_poly(m, j).stretch(2))
     elif which == "sumd":
-        powers = _qint_powers(l, m, 1)
-        lhs = (
-            q_int(2 * l + 1, 1) * LaurentPoly.term(1, -l) * x_poly(l, m - 1)
-            + q_int(2 * l - 1, 1) * LaurentPoly.term(1, -(l - 1)) * x_poly(l - 1, m - 1)
-        )
-        rhs = ZERO
-        for k in range(m + 1):
-            d = d_poly(m, m - k)
-            if d.is_zero:
-                continue
-            rhs = rhs + (
-                d
-                * powers[m - k]
-                * LaurentPoly.term(1, -l * (2 * (m - k) - 1))
-            )
+        lhs = _odd_x(l, m - 1) + _odd_x(l - 1, m - 1)
+        rhs = _y_series(l, m, 1, lambda j: d_poly(m, j))
     else:
         raise ValueError(f"unknown identity {which!r}")
     return lhs == rhs
@@ -266,7 +216,7 @@ def verify_lemma1(a: int, b: int, q0: Fraction, l: int, order: int) -> bool:
     for m in range(order + 1):
         coeff = Fraction(0)
         for k in range(m // 2 + 1):
-            h = h_spec(m - 2 * k, k + a, k + b, 1)
+            h = h_spec(m - 2 * k, k + a, k + b)
             if not h.is_zero:
                 coeff += h(q0) * x ** k
         lhs.append(coeff)

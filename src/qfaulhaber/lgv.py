@@ -14,20 +14,21 @@ statistics summed over the family's paths; each path's statistics are
 computed once per `PathStatsCache`.  The brute route tallies all families in
 one (a, b) counter and builds one polynomial per distinct a at the end.
 
-The determinant route takes `PolyMatrix.det` of one matrix of single-pair
-sums for every family (start j at x = 2j cannot reach end i at x <= 2i + 3
-when j > i + 1, so it is lower Hessenberg).  P's pair sums are a column DP.
-For Q, G and H every step weight depends only on the column's parity and on
-whether the step opens the path, so each pair's paths are listed once, each
-path's statistics read once, and its (1+q)^a q^b terms (two for G and H,
-one per column weighting) tallied into one polynomial per pair.
+The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
+of single-pair sums, for every family (start j at x = 2j cannot reach end i
+at x <= 2i + 3 when j > i + 1, so it is lower Hessenberg).  P's pair sums
+are a column DP.  For Q, G and H every step weight depends only on the
+column's parity and on whether the step opens the path, so each pair's paths
+are listed once, each path's statistics read once, and its (1+q)^a q^b terms
+(two for G and H, one per column weighting) tallied into one polynomial per
+pair.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
 from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
 from .coeffs import PolyMatrix, _check_index
@@ -119,15 +120,10 @@ def single_path_weight_sum(
 def lgv_determinant(
     starts: Sequence[LatticePoint],
     ends: Sequence[LatticePoint],
-    per_column_weights: Mapping[int, LaurentPoly],
+    pair_sum: Callable[[LatticePoint, LatticePoint], LaurentPoly],
 ) -> LaurentPoly:
-    """det over (i, j) of the single-pair sums starts[j] -> ends[i]."""
-    n = len(starts)
-    rows = [
-        [single_path_weight_sum(starts[j], ends[i], per_column_weights) for j in range(n)]
-        for i in range(n)
-    ]
-    return PolyMatrix.from_rows(rows).det()
+    """det over (i, j) of the single-pair sums pair_sum(starts[j], ends[i])."""
+    return PolyMatrix.from_rows([pair_sum(a, b) for a in starts] for b in ends).det()
 
 
 # ---------------------------------------------------------------------------
@@ -366,4 +362,4 @@ def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
         pair_sum = partial(single_path_weight_sum, per_column_weights=weights)
     else:
         pair_sum = partial(_pair_sum_with_steps, path_terms=_PAIR_TERMS[family])
-    return PolyMatrix.from_rows([pair_sum(a, b) for a in starts] for b in ends).det()
+    return lgv_determinant(starts, ends, pair_sum)

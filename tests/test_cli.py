@@ -302,6 +302,30 @@ class TestVerify:
         assert code == 1
         assert out.splitlines() == ["FAIL forced"]
 
+    def test_case_that_raises_fails_and_the_rest_run(self, monkeypatch, capsys):
+        from qfaulhaber import identities
+
+        checker = identities.verify_theorem1
+
+        def raises_at_qmn_1_1(which, m, n):
+            if (which, m, n) == ("qmn", 1, 1):
+                raise AssertionError("cleared left side is not polynomial")
+            return checker(which, m, n)
+
+        monkeypatch.setattr(identities, "verify_theorem1", raises_at_qmn_1_1)
+        code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "1",
+                            "--max-n", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS theorem1 which=p m=0 n=1",
+            "PASS theorem1 which=p m=1 n=1",
+            "FAIL theorem1 which=qmn m=1 n=1: AssertionError: "
+            "cleared left side is not polynomial",
+            "PASS theorem1 which=t2m1 m=1 n=1",
+            "PASS theorem1 which=t2mnq m=1 n=1",
+        ]
+        assert "raises_at_qmn_1_1" in capsys.readouterr().err  # the traceback
+
 
 class TestShape:
     def test_shape_lines(self):

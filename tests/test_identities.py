@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfaulhaber import identities
 from qfaulhaber.identities import (
     classical_check,
     s_sum,
@@ -61,7 +62,8 @@ class TestPowerSumSeries:
 class TestSummationIdentities:
     @pytest.mark.parametrize("which", ["p", "qmn", "t2mnq", "t2m1"])
     def test_identities_hold(self, which):
-        for m in range(1, 6):
+        # m up to 8 runs the factor lists well past the CLI's cap of 5
+        for m in range(1, 9):
             for n in range(1, 7):
                 assert verify_theorem1(which, m, n), (which, m, n)
 
@@ -75,17 +77,22 @@ class TestSummationIdentities:
         with pytest.raises(ValueError):
             verify_theorem1("qmn", 0, 2)
 
-    def test_detects_perturbation(self):
+    def test_detects_perturbation(self, monkeypatch):
         # sanity: the checker is not vacuously true
-        from qfaulhaber import identities
-
         bad = s_sum(3, 2) + ONE
-        orig = identities.s_sum
-        identities.s_sum = lambda m, n: bad
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "s_sum", lambda m, n: bad)
             assert not identities.verify_theorem1("p", 1, 2)
-        finally:
-            identities.s_sum = orig
+        # a +1 fault in the family each right side reads fails every case
+        for which, source in (("p", "_family_det"), ("qmn", "_family_det"),
+                              ("t2mnq", "det_route"), ("t2m1", "det_route")):
+            family = getattr(identities, source)
+            with monkeypatch.context() as patch:
+                patch.setattr(identities, source,
+                              lambda *index, family=family: family(*index) + ONE)
+                for m in range(1, 4):
+                    for n in range(1, 4):
+                        assert not verify_theorem1(which, m, n), (which, m, n)
 
 
 class TestDifferenceIdentities:
@@ -94,6 +101,32 @@ class TestDifferenceIdentities:
         for m in range(1, 9):
             for l in range(1, 9):
                 assert verify_lemma2(which, m, l), (which, m, l)
+
+    def test_detects_perturbation(self, monkeypatch):
+        # +1 on every nonzero generator value fails every case; a zero value
+        # stays zero, so no j = 0 term of a y^(2j - 1) series appears
+        for which, source in (("diff1", "h_spec"), ("inverseq", "c_poly"),
+                              ("diff", "g_poly"), ("sumd", "d_poly")):
+            gen = getattr(identities, source)
+
+            def faulty(*args, gen=gen):
+                value = gen(*args)
+                return value if value.is_zero else value + ONE
+
+            with monkeypatch.context() as patch:
+                patch.setattr(identities, source, faulty)
+                for m in range(1, 4):
+                    for l in range(1, 4):
+                        assert not verify_lemma2(which, m, l), (which, m, l)
+
+    @pytest.mark.parametrize("which, source", [("inverseq", "c_poly"),
+                                               ("sumd", "d_poly")])
+    def test_term_needing_inverse_y_raises(self, monkeypatch, which, source):
+        # c_{m,0} = d_{m,0} = 0 for m >= 1; a nonzero one would need y^(-1)
+        gen = getattr(identities, source)
+        monkeypatch.setattr(identities, source, lambda m, j: gen(m, j) if j else ONE)
+        with pytest.raises(AssertionError, match="y\\^\\(-1\\)"):
+            verify_lemma2(which, 2, 2)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Weighted non-intersecting lattice paths: enumeration, weight schemes,
 reference panel values and agreement with the determinant route."""
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -181,7 +182,8 @@ class TestEnumeration:
         for m, k in ((3, 2), (4, 2), (4, 3), (5, 2)):
             starts, ends = family_config("G", m, k)
             count = len(enumerate_nonintersecting(starts, ends))
-            assert lgv_determinant(starts, ends, {}) == LaurentPoly([count])
+            unit = partial(single_path_weight_sum, per_column_weights={})
+            assert lgv_determinant(starts, ends, unit) == LaurentPoly([count])
 
     def test_single_pair_weight_dp_matches_brute(self):
         a, b = LatticePoint(0, 0), LatticePoint(3, 3)

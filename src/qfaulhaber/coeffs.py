@@ -3,16 +3,19 @@
 One entry point per route: `det_route(family, m, k)` reads the family
 determinant off the trailing minors of one forward submatrix per row
 (`_family_det`), and `invert_route` / `invert_route_row` recover the same
-polynomials from the rational inverse of the forward lower-triangular matrix,
-whose entries `forward_entry` builds from the h/c/g/d generators.  Every
-matrix the package builds is lower Hessenberg, so its one determinant routine
-is the first-column recurrence `PolyMatrix.minors`.  Each family's prefactor
-and denominator of the claimed inverse entry live in `_inverse_factors`
-alone.  Routes agree as polynomials by exact rational evaluation at more
-sample points than the degree bound (interpolation completeness), so
-pointwise agreement is a proof.  The invert route bounds each degree by the
-same recurrence read on forward-entry degrees, interpolates (m, k) on
-bound_k + 1 points and solves only the last row of the inverse at each point.
+polynomials from the inverse of the forward lower-triangular matrix, whose
+entries `forward_entry` builds from the h/c/g/d generators.  Every matrix the
+package builds is lower Hessenberg, so its one determinant routine is the
+first-column recurrence `PolyMatrix.minors`.  Each family's prefactor and
+denominator of the claimed inverse entry live in `_inverse_factors` alone.
+Polynomial statements are checked at more sample points than their degree
+bound (interpolation completeness), so pointwise agreement is a proof; the
+inverse-pair check compares exact rational values.  The invert route bounds
+each degree by the same recurrence read on forward-entry degrees and each
+coefficient by a product of forward-row 1-norms.  It evaluates every entry
+exactly at the sample points, then solves only the last row of the inverse
+and interpolates (m, k) on bound_k + 1 points modulo one prime above twice
+the coefficient bound.
 """
 from __future__ import annotations
 
@@ -256,57 +259,100 @@ def verify_inverse_pair(family: str, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rational triangular inversion
-# ---------------------------------------------------------------------------
-
-def inverse_last_row(a: list[list[Fraction]]) -> list[Fraction]:
-    """Last row x of the inverse of a lower-triangular rational matrix, i.e.
-    the solution of x A = e_last, by back substitution in O(n^2).
-
-    Row i of `a` may stop at the diagonal; entries right of it are not read.
-    """
-    n = len(a)
-    x = [Fraction(0)] * n
-    for j in range(n - 1, -1, -1):
-        if a[j][j] == 0:
-            raise ZeroDivisionError("singular triangular matrix")
-        rhs = Fraction(j == n - 1) - sum(x[t] * a[t][j] for t in range(j + 1, n))
-        x[j] = rhs / a[j][j]
-    return x
-
-
-# ---------------------------------------------------------------------------
 # polynomial extraction via inversion + interpolation (the "invert" route)
 # ---------------------------------------------------------------------------
 
-def interpolate_poly(points: list[Fraction], values: list[Fraction]) -> LaurentPoly:
-    """Interpolate and convert to an integer polynomial."""
-    coeffs = _newton_interpolate(points, values)
-    ints = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolated coefficients are not integers")
-        ints.append(c.numerator)
-    return LaurentPoly(ints)
+_MODULUS_FLOOR = 1 << 61
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _newton_interpolate(points, values) -> list[Fraction]:
-    n = len(points)
-    divided = [Fraction(v) for v in values]
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the first thirteen prime bases: exact below 3.3e24."""
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n: int) -> int:
+    """The least probable prime above n."""
+    n += 1
+    while not _is_probable_prime(n):
+        n += 1
+    return n
+
+
+def _mod(x: Fraction, modulus: int) -> int:
+    """x reduced mod `modulus`; ValueError if its denominator is not a unit."""
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def _det_coeff_bound(family: str, m: int, k: int) -> int:
+    """Bound on |c| for every coefficient c of det family_matrix(family, m, k).
+
+    Over the permutation expansion the coefficient 1-norm of the determinant
+    is at most sum_sigma prod_i ||a_i,sigma(i)||_1 <= prod_i sum_j ||a_ij||_1,
+    since the 1-norm of a product is at most the product of the 1-norms.  It
+    reads forward entries only and assumes no sign of their coefficients.
+    """
+    return prod(
+        sum(sum(map(abs, entry.coeffs)) for entry in row)
+        for row in family_matrix(family, m, k).entries
+    )
+
+
+def _inverse_last_row_mod(a: list[list[int]], modulus: int) -> list[int]:
+    """Last row x of the inverse of a lower-triangular matrix mod `modulus`,
+    i.e. the solution of x A = e_last, by back substitution in O(n^2).
+
+    Row i of `a` may stop at the diagonal; entries right of it are not read.
+    Raises ValueError when a diagonal entry is not a unit.
+    """
+    n = len(a)
+    x = [0] * n
+    for j in range(n - 1, -1, -1):
+        rhs = (j == n - 1) - sum(x[t] * a[t][j] for t in range(j + 1, n))
+        x[j] = rhs * pow(a[j][j], -1, modulus) % modulus
+    return x
+
+
+def interpolate_poly(points: list[Fraction], values: list[int], modulus: int) -> LaurentPoly:
+    """The polynomial of degree < len(points) through (points[i], values[i])
+    mod `modulus`, by Newton interpolation, each coefficient lifted into the
+    symmetric range (-modulus/2, modulus/2].
+
+    Raises ValueError when a point's denominator or a difference of two
+    points is not a unit mod `modulus`.
+    """
+    xs = [_mod(p, modulus) for p in points]
+    n = len(xs)
+    divided = list(values)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (
-                points[i] - points[i - level]
-            )
+            step = pow(xs[i] - xs[i - level], -1, modulus)
+            divided[i] = (divided[i] - divided[i - 1]) * step % modulus
     # Horner expansion of the Newton form, in place:
-    # coeffs <- coeffs * (x - points[i]) + divided[i], whose degree is n-1-i
-    coeffs = [Fraction(0)] * n
+    # coeffs <- coeffs * (x - xs[i]) + divided[i], whose degree is n-1-i
+    coeffs = [0] * n
     for i in reversed(range(n)):
-        p = points[i]
+        x = xs[i]
         for j in range(n - 1 - i, 0, -1):
-            coeffs[j] = coeffs[j - 1] - p * coeffs[j]
-        coeffs[0] = divided[i] - p * coeffs[0]
-    return coeffs
+            coeffs[j] = (coeffs[j - 1] - x * coeffs[j]) % modulus
+        coeffs[0] = (divided[i] - x * coeffs[0]) % modulus
+    half = modulus // 2
+    return LaurentPoly([c - modulus if c > half else c for c in coeffs])
 
 
 @lru_cache(maxsize=None)
@@ -337,12 +383,25 @@ def _invert_degree_bound(family: str, m: int, k: int) -> int:
 
 
 def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
-    """All family polynomials with first index m, recovered from the exact
-    rational inverse of the forward matrix by interpolation.
+    """All family polynomials with first index m, recovered from the inverse
+    of the forward matrix by interpolation modulo one odd modulus M.
 
-    D(m, k) is interpolated on exactly the first bound_k + 1 sample points,
-    bound_k from the first-column recurrence (`_invert_degree_bound`), and at
-    each point only the last row of the inverse is solved.
+    By Cramer's rule, (-1)^k B[m][m-k] * denominator / prefactor at a point is
+    det family_matrix(family, m, k) there, as prefactor times the diagonal
+    product is the denominator.  Each forward entry, prefactor and
+    denominator is evaluated exactly at each sample point and reduced mod M;
+    only the last row of the inverse is solved, by back substitution mod M,
+    and D(m, k) is interpolated mod M on its first bound_k + 1 points.
+
+    M is the first prime above max(2C, 2^61), C the largest
+    `_det_coeff_bound` over the row's k.  The result is a proof:
+
+    - bound_k (`_invert_degree_bound`) is exact, so D(m, k) mod M is the one
+      polynomial of degree <= bound_k through those values;
+    - every inverse taken exists mod M, because a `pow(x, -1, M)` that fails
+      moves on to the next prime, so each value mod M is the image of the
+      exact one and the interpolant is unique, whether or not M is prime;
+    - every coefficient c has |c| <= C < M/2, so the symmetric lift is c.
     """
     if m < 1:
         raise BadIndexError("m must be at least 1")
@@ -354,14 +413,27 @@ def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     fwd = [[forward_entry(family, r, c) for c in idx[: i + 1]] for i, r in enumerate(idx)]
     # D(m, k) = (-1)^k B[m][m-k] * denominator / prefactor, factors at (m, m-k)
     factors = {k: _inverse_factors(family, m, m - k) for k in ks}
-    values: dict[int, list[Fraction]] = {k: [] for k in ks}
-    for p, q0 in enumerate(points):
-        last = inverse_last_row([[e(q0) for e in row] for row in fwd])
-        for k, (prefactor, denominator) in factors.items():
-            if p <= bounds[k]:
-                entry = last[size - 1 - k]
-                values[k].append((-1) ** k * entry * denominator(q0) / prefactor(q0))
-    return {k: interpolate_poly(points[: bounds[k] + 1], values[k]) for k in ks}
+    modulus = _next_prime(max(2 * max(_det_coeff_bound(family, m, k) for k in ks),
+                              _MODULUS_FLOOR))
+    while True:
+        try:
+            values: dict[int, list[int]] = {k: [] for k in ks}
+            for p, q0 in enumerate(points):
+                a = [[e(q0) for e in row] for row in fwd]
+                # an exact zero is no unit mod any modulus: fail, not retry
+                if not all(row[-1] for row in a):
+                    raise ZeroDivisionError("singular triangular matrix")
+                last = _inverse_last_row_mod(
+                    [[_mod(v, modulus) for v in row] for row in a], modulus
+                )
+                for k, (prefactor, denominator) in factors.items():
+                    if p <= bounds[k]:
+                        ratio = _mod(denominator(q0) / prefactor(q0), modulus)
+                        values[k].append((-1) ** k * last[size - 1 - k] * ratio % modulus)
+            return {k: interpolate_poly(points[: bounds[k] + 1], values[k], modulus)
+                    for k in ks}
+        except ValueError:  # pow(x, -1, modulus) found x not a unit
+            modulus = _next_prime(modulus)
 
 
 def invert_route(family: str, m: int, k: int) -> LaurentPoly:

@@ -258,11 +258,11 @@ def q_int(k: int, stride: int = 1) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def q_fact(k: int, stride: int = 1) -> LaurentPoly:
-    """Product of q_int(i, stride) for i = 1..k; the empty product is 1."""
+def q_fact(k: int) -> LaurentPoly:
+    """Product of q_int(i) for i = 1..k; the empty product is 1."""
     result = ONE
     for i in range(1, k + 1):
-        result = result * q_int(i, stride)
+        result = result * q_int(i)
     return result
 
 

@@ -1,8 +1,9 @@
 """What the tests compare the library against, and only the tests use.
 
 Slow reference implementations: a dense Laplace determinant, the det(A+B)
-column-subset expansion behind the G/H entrywise split, the
-submatrix-determinant formula for triangular inverses, and the literal subset
+column-subset expansion behind the G/H entrywise split, rational
+back substitution and Newton interpolation, the submatrix-determinant
+formula for triangular inverses, and the literal subset
 weights and alternative placements of the G/H lattice-path model.  Literal walks of the lattice-path
 layer: path listing step by step, step statistics read off each step, and
 the determinant route's single-pair sums as one polynomial product per
@@ -22,7 +23,6 @@ from qfaulhaber.coeffs import (
     _check_index,
     _index_range,
     forward_entry,
-    inverse_last_row,
     sample_points,
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
@@ -161,6 +161,45 @@ def fraction_det(a: list[list[Fraction]]) -> Fraction:
             if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def inverse_last_row(a: list[list[Fraction]]) -> list[Fraction]:
+    """Last row x of the inverse of a lower-triangular rational matrix, i.e.
+    the solution of x A = e_last, by back substitution in O(n^2).
+
+    Row i of `a` may stop at the diagonal; entries right of it are not read.
+    """
+    n = len(a)
+    x = [Fraction(0)] * n
+    for j in range(n - 1, -1, -1):
+        if a[j][j] == 0:
+            raise ZeroDivisionError("singular triangular matrix")
+        rhs = Fraction(j == n - 1) - sum(x[t] * a[t][j] for t in range(j + 1, n))
+        x[j] = rhs / a[j][j]
+    return x
+
+
+def rational_interpolate(points, values) -> LaurentPoly:
+    """Newton interpolation over the rationals, converted to an integer
+    polynomial; ArithmeticError if a coefficient is not an integer."""
+    n = len(points)
+    divided = [Fraction(v) for v in values]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) / (
+                points[i] - points[i - level]
+            )
+    # Horner expansion of the Newton form, in place:
+    # coeffs <- coeffs * (x - points[i]) + divided[i], whose degree is n-1-i
+    coeffs = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        p = points[i]
+        for j in range(n - 1 - i, 0, -1):
+            coeffs[j] = coeffs[j - 1] - p * coeffs[j]
+        coeffs[0] = divided[i] - p * coeffs[0]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("interpolated coefficients are not integers")
+    return LaurentPoly(c.numerator for c in coeffs)
 
 
 def verify_detinv_consistency(family: str, m: int, k: int) -> bool:

@@ -9,17 +9,18 @@ from qfaulhaber import coeffs
 from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
+    _det_coeff_bound,
     _family_det,
     _index_range,
     _inverse_entry,
     _inverse_factors,
     _invert_degree_bound,
+    _next_prime,
     _pair_degree_bound,
     det_route,
     family_matrix,
     forward_entry,
     interpolate_poly,
-    inverse_last_row,
     invert_route,
     invert_route_row,
     sample_points,
@@ -28,7 +29,8 @@ from qfaulhaber.coeffs import (
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
 from oracles import (
-    C, TABLES, detsum_expansion, fraction_det, laplace_det, verify_detinv_consistency,
+    C, TABLES, detsum_expansion, fraction_det, inverse_last_row, laplace_det,
+    rational_interpolate, verify_detinv_consistency,
 )
 
 
@@ -269,12 +271,41 @@ class TestRationalLinearAlgebra:
             p = LaurentPoly(coeffs)
             pts = sample_points(len(coeffs))
             vals = [p(x) for x in pts]
-            assert interpolate_poly(pts, vals) == p
+            assert rational_interpolate(pts, vals) == p
 
     def test_interpolation_rejects_non_integer(self):
         pts = sample_points(2)
         with pytest.raises(ArithmeticError):
-            interpolate_poly(pts, [Fraction(1, 2), Fraction(1, 3)])
+            rational_interpolate(pts, [Fraction(1, 2), Fraction(1, 3)])
+
+
+class TestModularInterpolation:
+    def test_roundtrip_lifts_symmetric_coefficients(self):
+        # a word-sized prime, and a small one whose every residue is a
+        # coefficient of (-M/2, M/2], the ends included
+        rng = random.Random(17)
+        for modulus in (101, _next_prime(coeffs._MODULUS_FLOOR)):
+            half = modulus // 2
+            for length in (1, 2, 3, 6, 11, 17, 25, 32, 39, 40):
+                cs = [rng.randint(-half, half) for _ in range(length)]
+                cs[0], cs[-1] = -half, half
+                p = LaurentPoly(cs)
+                pts = sample_points(length)
+                vals = [coeffs._mod(p(x), modulus) for x in pts]
+                assert interpolate_poly(pts, vals, modulus) == p, (modulus, length)
+
+    def test_non_unit_difference_raises(self):
+        # 5 - 2 is 0 mod 3: the invert route moves on to the next prime
+        with pytest.raises(ValueError):
+            interpolate_poly([Fraction(2), Fraction(5)], [0, 1], 3)
+
+    def test_next_prime(self):
+        primes = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
+        assert [_next_prime(n) for n in range(1, 1990)] == [
+            next(p for p in primes if p > n) for n in range(1, 1990)
+        ]
+        assert _next_prime((1 << 61) - 2) == (1 << 61) - 1  # a Mersenne prime
+        assert _next_prime(561) == 563  # past a Carmichael number
 
 
 class TestInvertRoute:
@@ -301,9 +332,9 @@ class TestInvertRoute:
     def test_each_k_interpolates_on_its_bound(self, family, monkeypatch):
         calls = []
 
-        def spy(points, values):
+        def spy(points, values, modulus):
             calls.append(list(points))
-            return interpolate_poly(points, values)
+            return interpolate_poly(points, values, modulus)
 
         monkeypatch.setattr(coeffs, "interpolate_poly", spy)
         invert_route_row(family, 8)
@@ -311,6 +342,102 @@ class TestInvertRoute:
         for k, points in enumerate(calls):
             assert len(points) == _invert_degree_bound(family, 8, k) + 1, (family, k)
             assert points == sample_points(len(points))
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_coefficient_bound_covers_polynomial(self, family):
+        # The route lifts coefficients from (-M/2, M/2] with M > 2 * bound,
+        # so the recovered polynomial is proven only while the bound covers
+        # every coefficient.
+        for m in range(1, 13):
+            for k in range(m):
+                largest = max(map(abs, det_route(family, m, k).coeffs))
+                assert _det_coeff_bound(family, m, k) >= largest, (family, m, k)
+
+    def test_coefficient_bound_assumes_no_sign(self, monkeypatch):
+        # -1 on the forward diagonal and 1 below it: each family matrix is
+        # lower Hessenberg with -1 on its superdiagonal, and all 2^(k-1) terms
+        # of its determinant add up, which one entry per row cannot bound.
+        monkeypatch.setattr(coeffs, "forward_entry", lambda family, r, c: (
+            -ONE if c == r else ONE if c < r else ZERO))
+        for k in range(1, 8):
+            assert family_matrix("P", 8, k).det() == 2 ** (k - 1)
+            assert _det_coeff_bound("P", 8, k) >= 2 ** (k - 1), k
+
+    @staticmethod
+    def spy_moduli(monkeypatch):
+        """Drop the modulus floor and record every modulus the route picks."""
+        moduli = []
+
+        def spy(n):
+            moduli.append(_next_prime(n))
+            return moduli[-1]
+
+        monkeypatch.setattr(coeffs, "_MODULUS_FLOOR", 0)
+        monkeypatch.setattr(coeffs, "_next_prime", spy)
+        return moduli
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_bound_alone_sizes_the_modulus(self, family, monkeypatch):
+        # With no floor, M is the first prime above 2 * bound, and the rows
+        # still come out exact.
+        moduli = self.spy_moduli(monkeypatch)
+        for m in range(1, 9):
+            moduli.clear()
+            row = invert_route_row(family, m)
+            for k in range(m):
+                assert row[k] == det_route(family, m, k), (family, m, k)
+            bound = max(_det_coeff_bound(family, m, k) for k in range(m))
+            assert moduli[0] == _next_prime(2 * bound), (family, m)
+
+    def test_failed_inverse_moves_to_the_next_prime(self, monkeypatch):
+        # P(1, 0): bound 1, so M = 3, where the forward entry 1 + q is 0 at
+        # q = 2; the route retries mod 5.
+        moduli = self.spy_moduli(monkeypatch)
+        assert invert_route_row("P", 1) == {0: ONE}
+        assert moduli == [3, 5]
+
+    @pytest.mark.parametrize("family", "QH")
+    def test_rows_past_one_machine_word(self, family):
+        row = invert_route_row(family, 12)
+        assert max(_det_coeff_bound(family, 12, k) for k in range(12)) >= 1 << 64
+        for k in range(12):
+            assert row[k] == det_route(family, 12, k), (family, k)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_denominator_fault_fails_the_crosscheck(self, family, monkeypatch):
+        # Mod M a wrong clearing factor cannot show as a non-integer
+        # coefficient; it must show as a row that differs from the det route.
+        factors = coeffs._inverse_factors
+
+        def faulty(family, k, m):
+            prefactor, denominator = factors(family, k, m)
+            return prefactor, denominator + 1
+
+        monkeypatch.setattr(coeffs, "_inverse_factors", faulty)
+        for m in range(1, 5):
+            try:
+                row = invert_route_row(family, m)
+            except ArithmeticError:
+                continue
+            for k in range(m):
+                assert row[k] != det_route(family, m, k), (family, m, k)
+
+    def test_vanishing_diagonal_raises(self, monkeypatch):
+        # q - 2 is 0 at the first sample point, so no modulus can invert it;
+        # the route must raise rather than try prime after prime
+        entry = coeffs.forward_entry
+        moduli = []
+
+        def bounded(n):
+            moduli.append(_next_prime(n))
+            assert len(moduli) < 50, "retried prime after prime"
+            return moduli[-1]
+
+        monkeypatch.setattr(coeffs, "forward_entry", lambda family, i, j: (
+            LaurentPoly([-2, 1]) if i == j else entry(family, i, j)))
+        monkeypatch.setattr(coeffs, "_next_prime", bounded)
+        with pytest.raises(ZeroDivisionError):
+            invert_route_row("G", 3)
 
     def test_single_entry(self):
         assert invert_route("G", 4, 2) == C(10, 24, 24, 10)

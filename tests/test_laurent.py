@@ -256,7 +256,12 @@ class TestQAnalogues:
             assert q_fact(k) == q_fact(k - 1) * q_int(k)
 
     def test_q_fact_stride(self):
-        assert q_fact(3, 2) == q_fact(3).stretch(2)
+        # the [k]_{q^2}! of the identities is q_fact stretched by 2
+        for k in range(6):
+            product = ONE
+            for i in range(1, k + 1):
+                product = product * q_int(i, 2)
+            assert product == q_fact(k).stretch(2), k
 
 
 class TestShapeReport:

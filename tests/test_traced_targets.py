@@ -41,7 +41,8 @@ def resolves(target):
 def test_every_traced_target_resolves():
     targets = traced_targets(TRACING.read_text())
     assert {"laurent.LaurentPoly.__mul__", "lgv._pair_sum_with_steps",
-            "lgv.paths_between", "cli._run_cases"} <= set(targets)
+            "lgv.paths_between", "cli._run_cases", "coeffs.interpolate_poly",
+            "coeffs.invert_route_row", "coeffs.sample_points"} <= set(targets)
     assert [t for t in targets if not resolves(t)] == []
 
 

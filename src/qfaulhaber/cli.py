@@ -245,7 +245,10 @@ def _family_count(family: str, m: int, k: int) -> int:
 
 def _path_count(family: str, m: int, k: int) -> int:
     """Lattice paths a Q/G/H `lgv.lgv_det_route(family, m, k)` lists: each
-    start/end pair's paths once, C(east + north, north) of them."""
+    start/end pair's paths once, C(east + north, north) of them.  Exact for
+    one call in a fresh process (the k*k pairs of one case have distinct
+    displacements); an upper bound once the process has summed some
+    displacements, since the route lists only pairs its memo lacks."""
     starts, ends = lgv.family_config(family, m, k)
     return sum(
         comb(b.x - a.x + b.y - a.y, b.y - a.y)

@@ -16,17 +16,19 @@ one (a, b) counter and builds one polynomial per distinct a at the end.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
-at x <= 2i + 3 when j > i + 1, so it is lower Hessenberg).  P's pair sums
-are a column DP.  For Q, G and H every step weight depends only on the
-column's parity and on whether the step opens the path, so each pair's paths
-are listed once, each path's statistics read once, and its (1+q)^a q^b terms
-(two for G and H, one per column weighting) tallied into one polynomial per
-pair.
+at x <= 2i + 3 when j > i + 1, so it is lower Hessenberg).  Every step
+weight depends only on the column's parity and on whether the step opens the
+path, so a pair sum a -> b depends only on the family, b - a and a.x mod 2:
+`_pair_sum` sums each such translate once per process, from (a.x mod 2, 0),
+and every (m, k) matrix reads its entries from that memo.  P's pair sums are
+a column DP.  For Q, G and H each pair's paths are listed once, each path's
+statistics read once, and its (1+q)^a q^b terms (two for G and H, one per
+column weighting) tallied into one polynomial per pair.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -354,12 +356,21 @@ def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, path_terms) -> Lauren
     return _poly_from_tally(tally)
 
 
+@lru_cache(maxsize=None)
+def _pair_sum(family: str, dx: int, dy: int, x0: int) -> LaurentPoly:
+    """Single-pair sum of lgv_det_route from (x0, 0) to (x0 + dx, dy), with
+    x0 in {0, 1}: the sum a -> b is _pair_sum(family, b.x - a.x, b.y - a.y,
+    a.x % 2), since moving a pair by (2s, t) changes no step weight."""
+    a, b = LatticePoint(x0, 0), LatticePoint(x0 + dx, dy)
+    if family == "P":
+        weights = {x: _Q for x in range(0, x0 + dx + 1, 2)}
+        return single_path_weight_sum(a, b, weights)
+    return _pair_sum_with_steps(a, b, _PAIR_TERMS[family])
+
+
 def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial via the determinant of single-pair weighted sums."""
     starts, ends = family_config(family, m, k)
-    if family == "P":
-        weights = {x: _Q for x in range(0, 2 * k + 4, 2)}
-        pair_sum = partial(single_path_weight_sum, per_column_weights=weights)
-    else:
-        pair_sum = partial(_pair_sum_with_steps, path_terms=_PAIR_TERMS[family])
-    return lgv_determinant(starts, ends, pair_sum)
+    return lgv_determinant(
+        starts, ends, lambda a, b: _pair_sum(family, b.x - a.x, b.y - a.y, a.x % 2)
+    )

@@ -277,8 +277,12 @@ def path_stats_walk(path) -> PathStats:
 
 
 def step_rules(family: str) -> list:
-    """The determinant route's step weights rule(x, first, last) for Q, G and
-    H, one rule per column weighting; a pair's entry sums over the rules."""
+    """The determinant route's step weights rule(x, first, last) for P, Q, G
+    and H, one rule per column weighting; a pair's entry sums over the rules."""
+    if family == "P":
+        def rule(x, first, last):
+            return ONE if x % 2 else _Q
+        return [rule]
     if family == "Q":
         def rule(x, first, last):
             if x % 2:

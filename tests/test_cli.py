@@ -122,6 +122,7 @@ class TestCompute:
             "(limit 1000000); use --method det"
         )
 
+    @pytest.mark.usefixtures("cold_pair_sums")
     def test_lgv_det_for_p_lists_no_path(self, monkeypatch):
         # P's pair sums are a column DP, so no size is refused and no path listed
         monkeypatch.setattr(lgv, "paths_between", None)
@@ -134,7 +135,10 @@ class TestCompute:
         assert json.loads(out)["coefficients"] == expected
 
     @pytest.mark.parametrize("family", "QGH")
+    @pytest.mark.usefixtures("cold_pair_sums")
     def test_path_count_is_what_lgv_det_lists(self, family, monkeypatch):
+        # exact for one call on a cold pair-sum memo; a repeated call lists
+        # nothing
         listed = []
         paths_between = lgv.paths_between
 
@@ -146,7 +150,10 @@ class TestCompute:
         monkeypatch.setattr(lgv, "paths_between", counting_paths_between)
         for m in range(2, 8):
             for k in range(1, m):
+                lgv._pair_sum.cache_clear()
                 listed.clear()
+                lgv.lgv_det_route(family, m, k)
+                assert cli._path_count(family, m, k) == len(listed), (family, m, k)
                 lgv.lgv_det_route(family, m, k)
                 assert cli._path_count(family, m, k) == len(listed), (family, m, k)
 

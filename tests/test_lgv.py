@@ -321,6 +321,7 @@ class TestPathStatistics:
         assert odd_start == (((1, 1), (2, 1)), 1, True, False)
 
     @pytest.mark.parametrize("family", "PQGH")
+    @pytest.mark.usefixtures("cold_pair_sums")
     def test_brute_route_reads_each_path_once(self, family, monkeypatch):
         m, k = 6, 3
         fams = enumerate_nonintersecting(*family_config(family, m, k))
@@ -367,7 +368,40 @@ class TestPairSums:
                 assert lgv_det_route(family, m, k) == det_route(family, m, k), (
                     family, m, k)
 
+    @pytest.mark.parametrize("family", "PQGH")
+    @pytest.mark.usefixtures("cold_pair_sums")
+    def test_memo_matches_step_products(self, family):
+        # every start/end pair of every configuration with m <= 8, as placed,
+        # moved to an odd start column, and moved by (2s, t); the moved
+        # copies read the memo entries of the pairs they translate
+        pairs = set()
+        for m in range(2, 9):
+            for k in range(1, m):
+                starts, ends = family_config(family, m, k)
+                pairs.update((a, b) for a in starts for b in ends)
+        keys = set()
+        nonzero = 0
+        for a, b in sorted(pairs):
+            for s, t in ((0, 0), (1, 0), (2, 3), (-4, -1), (7, 5)):
+                a2 = LatticePoint(a.x + s, a.y + t)
+                b2 = LatticePoint(b.x + s, b.y + t)
+                key = (family, b2.x - a2.x, b2.y - a2.y, a2.x % 2)
+                got = lgv._pair_sum(*key)
+                assert got == pair_sum_by_steps(a2, b2, family), (family, a2, b2)
+                keys.add(key)
+                nonzero += not got.is_zero
+        assert 0 < nonzero < 5 * len(pairs)  # reachable and unreachable pairs
+        assert lgv._pair_sum.cache_info().currsize == len(keys) < 5 * len(pairs)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_lgv_det_route_matches_det_route(self, family):
+        for m in range(1, 13):
+            for k in range(0, m):
+                assert lgv_det_route(family, m, k) == det_route(family, m, k), (
+                    family, m, k)
+
     @pytest.mark.parametrize("family", "GH")
+    @pytest.mark.usefixtures("cold_pair_sums")
     def test_each_pair_listed_once_and_each_path_read_once(self, family, monkeypatch):
         m, k = 7, 4
         pairs, yielded, read = [], [], []
@@ -388,9 +422,33 @@ class TestPairSums:
         monkeypatch.setattr(lgv, "path_stats", counting_path_stats)
         assert lgv_det_route(family, m, k) == det_route(family, m, k)
         starts, ends = family_config(family, m, k)
+        # each pair is summed as its translate from (a.x mod 2, 0)
+        translates = [
+            ((a.x % 2, 0), (b.x - a.x + a.x % 2, b.y - a.y)) for a in starts for b in ends
+        ]
         assert len(pairs) == k * k
-        assert sorted(pairs) == sorted((a, b) for a in starts for b in ends)
+        assert sorted(pairs) == sorted(translates)
         assert read == yielded and len(yielded) > k * k
+        # a repeated call reads every pair sum from the memo
+        assert lgv_det_route(family, m, k) == det_route(family, m, k)
+        assert len(pairs) == k * k
+
+    @pytest.mark.parametrize("family", "PQGH")
+    @pytest.mark.usefixtures("cold_pair_sums")
+    def test_step_weight_fault_fails_the_crosscheck(self, family, monkeypatch):
+        # fault-matrix row: one more unit in every path weight of the pair
+        # sums (Q, G, H), or in P's even-column step weight, changes every
+        # k >= 1 of lgv_det_route at m <= 4 but P(2, 1), whose one path has
+        # no vertical step for a step weight to act on
+        if family == "P":
+            monkeypatch.setattr(lgv, "_Q", Q + ONE)
+        else:
+            terms = lgv._PAIR_TERMS[family]
+            monkeypatch.setitem(lgv._PAIR_TERMS, family,
+                                lambda stats, odd: terms(stats, odd) + ((0, 0),))
+        unchanged = [(m, k) for m in range(2, 5) for k in range(1, m)
+                     if lgv_det_route(family, m, k) == det_route(family, m, k)]
+        assert unchanged == ([(2, 1)] if family == "P" else [])
 
 
 class TestPanelMultisets:

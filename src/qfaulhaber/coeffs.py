@@ -6,7 +6,11 @@ determinant off the trailing minors of one forward submatrix per row
 polynomials from the inverse of the forward lower-triangular matrix, whose
 entries `forward_entry` builds from the h/c/g/d generators.  Every matrix the
 package builds is lower Hessenberg, so its one determinant routine is the
-first-column recurrence `PolyMatrix.minors`.  Each family's prefactor and
+first-column recurrence `PolyMatrix.minors`, run once per matrix on Python
+ints: each row is divided by its lowest power of q, every entry evaluated at
+q = 2^B, and each minor read back as signed base-2^B digits, with B above
+the largest trailing permanent of the entry coefficient 1-norms, which
+bounds every coefficient of every minor.  Each family's prefactor and
 denominator of the claimed inverse entry live in `_inverse_factors` alone.
 Polynomial statements are checked at more sample points than their degree
 bound (interpolation completeness), so pointwise agreement is a proof; the
@@ -36,6 +40,47 @@ class SingularSampleError(ArithmeticError):
     """Raised when a denominator factor vanishes at a sample point."""
 
 
+def _hessenberg_minors(a: list[list[int]]) -> list[int]:
+    """`PolyMatrix.minors`' first-column recurrence on an integer lower-
+    Hessenberg matrix, in Horner form: its trailing minors, smallest first."""
+    n = len(a)
+    minors = [1]
+    for r in range(n - 1, -1, -1):
+        acc = a[n - 1][r]
+        for i in range(n - 2, r - 1, -1):
+            acc = a[i][r] * minors[n - 1 - i] - a[i][i + 1] * acc
+        minors.append(acc)
+    return minors
+
+
+def _minors_bound(norms: list[list[int]]) -> int:
+    """Bound on |c| for every coefficient c of every trailing minor of a
+    lower-Hessenberg polynomial matrix M whose entry coefficient 1-norms are
+    `norms` (N[i][j] = ||M[i][j]||_1): the largest trailing permanent of N.
+
+    The 1-norm of a product is at most the product of the 1-norms, so each
+    coefficient of a minor is at most its 1-norm, which is at most the sum
+    over permutations of prod_i ||M[i][sigma(i)]||_1: the permanent of N on
+    the minor's block.  In the recurrence of `PolyMatrix.minors` the term of
+    row i carries i - r superdiagonal factors and the sign (-1)^(i-r), so
+    negating N's superdiagonal makes every term positive: that matrix's
+    trailing minors are the trailing permanents of N.
+    """
+    return max(_hessenberg_minors(
+        [[-v if j == i + 1 else v for j, v in enumerate(row)]
+         for i, row in enumerate(norms)]
+    ))
+
+
+def _at_power_of_two(e: LaurentPoly, shift: int, bits: int) -> int:
+    """e / q^shift at q = 2^bits, by Horner's rule on shifts; e has no
+    exponent below `shift`."""
+    value = 0
+    for c in reversed(e.coeffs):
+        value = (value << bits) + c
+    return value << bits * (e.min_exp - shift) if e else 0
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
@@ -62,19 +107,43 @@ class PolyMatrix:
         M[r][r+1] ... M[i-1][i] on its diagonal and vanish to its right, so
 
             minors[s] = sum over i = r..n-1 of
-                        (-1)^(i-r) M[i][r] M[r][r+1]...M[i-1][i] minors[n-1-i],
+                        (-1)^(i-r) M[i][r] M[r][r+1]...M[i-1][i] minors[n-1-i].
 
-        evaluated in Horner form: O(n^2) multiplies in all.
+        The recurrence runs once, on integers (Kronecker substitution): row
+        i is divided by q^e_i, e_i its lowest exponent, which leaves
+        polynomials in q, and every entry is evaluated at q = X = 2^B.  Each
+        minor then comes out as the value at X of a polynomial in q; its
+        coefficients are read back as signed base-X digits and its rows'
+        e_i added to every exponent.  The digits are exact while every
+        coefficient c of every trailing minor has |c| < 2^(B-1), which B
+        secures: see `_minors_bound`.  One evaluation and O(n^2) integer
+        multiplies in all.
         """
         m, n = self.entries, self.dim
         if any(m[i][j] for i in range(n) for j in range(i + 2, n)):
             raise ValueError("matrix is not lower Hessenberg")
-        minors = [ONE]
-        for r in range(n - 1, -1, -1):
-            acc = m[n - 1][r]
-            for i in range(n - 2, r - 1, -1):
-                acc = m[i][r] * minors[n - 1 - i] - m[i][i + 1] * acc
-            minors.append(acc)
+        norms = [[sum(map(abs, e.coeffs)) for e in row] for row in m]
+        width = (_minors_bound(norms).bit_length() + 8) // 8  # bytes per digit
+        bits = 8 * width  # B
+        shifts = [min((e.min_exp for e in row if e), default=0) for row in m]
+        values = _hessenberg_minors(
+            [[_at_power_of_two(e, e_i, bits) for e in row] for row, e_i in zip(m, shifts)]
+        )
+        half = 1 << (bits - 1)
+        half_digit = half.to_bytes(width, "little")
+        minors = []
+        for s, value in enumerate(values):
+            # |c| < 2^(B-1) puts a value of degree d above X^d / 2, so it
+            # has at least B d bits; bias every digit by 2^(B-1), so each
+            # c + 2^(B-1) reads as an unsigned digit
+            digits = abs(value).bit_length() // bits + 1
+            bias = int.from_bytes(half_digit * digits, "little")
+            raw = (value + bias).to_bytes(digits * width, "little")
+            minors.append(LaurentPoly(
+                [int.from_bytes(raw[j:j + width], "little") - half
+                 for j in range(0, len(raw), width)],
+                sum(shifts[n - s:]),
+            ))
         return minors
 
     def det(self) -> LaurentPoly:

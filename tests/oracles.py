@@ -1,6 +1,8 @@
 """What the tests compare the library against, and only the tests use.
 
-Slow reference implementations: a dense Laplace determinant, the det(A+B)
+Slow reference implementations: a dense Laplace determinant, the trailing
+minors of a Hessenberg matrix by its first-column recurrence on
+polynomials, the det(A+B)
 column-subset expansion behind the G/H entrywise split, rational
 back substitution and Newton interpolation, the submatrix-determinant
 formula for triangular inverses, and the literal subset
@@ -124,6 +126,20 @@ def laplace_det(rows) -> LaurentPoly:
         return total
 
     return minor(0, frozenset(range(n)))
+
+
+def hessenberg_minors_poly(rows) -> list[LaurentPoly]:
+    """Trailing minors of a lower-Hessenberg polynomial matrix, smallest
+    first, by the first-column recurrence of `PolyMatrix.minors` run on
+    `LaurentPoly` products instead of one integer evaluation."""
+    n = len(rows)
+    minors = [ONE]
+    for r in range(n - 1, -1, -1):
+        acc = rows[n - 1][r]
+        for i in range(n - 2, r - 1, -1):
+            acc = rows[i][r] * minors[n - 1 - i] - rows[i][i + 1] * acc
+        minors.append(acc)
+    return minors
 
 
 def detsum_expansion(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:

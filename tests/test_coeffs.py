@@ -2,6 +2,7 @@
 inverse-pair proofs and the interpolation-based recovery."""
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -28,9 +29,10 @@ from qfaulhaber.coeffs import (
     verify_inverse_pair,
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
+from qfaulhaber.lgv import lgv_det_route
 from oracles import (
-    C, TABLES, detsum_expansion, fraction_det, inverse_last_row, laplace_det,
-    rational_interpolate, verify_detinv_consistency,
+    C, TABLES, detsum_expansion, fraction_det, hessenberg_minors_poly,
+    inverse_last_row, laplace_det, rational_interpolate, verify_detinv_consistency,
 )
 
 
@@ -116,6 +118,33 @@ class TestPolyMatrix:
                 for s, minor in enumerate(minors):
                     assert minor(q0) == fraction_det([row[n - s:] for row in a[n - s:]])
 
+    def test_minors_match_laplace_on_random_matrices(self):
+        # signed coefficients, some above 2^64, negative exponents, zero
+        # entries and a zero row: every trailing minor of the integer
+        # recurrence against a dense Laplace expansion of its block
+        rng = random.Random(15)
+
+        def entry():
+            if rng.random() < 0.25:
+                return ZERO
+            spread = rng.choice((3, 1 << 70))
+            return LaurentPoly(
+                [rng.randint(-spread, spread) for _ in range(rng.randint(1, 4))],
+                rng.randint(-4, 3),
+            )
+
+        for n in range(8):
+            for trial in range(6):
+                rows = [[entry() if j <= i + 1 else ZERO for j in range(n)]
+                        for i in range(n)]
+                if n and trial == 0:
+                    rows[rng.randrange(n)] = [ZERO] * n
+                minors = PolyMatrix.from_rows(rows).minors()
+                assert len(minors) == n + 1
+                for s, minor in enumerate(minors):
+                    block = [row[n - s:] for row in rows[n - s:]]
+                    assert minor == laplace_det(block), (n, trial, s)
+
     def test_detsum_equals_det_of_sum(self):
         rng = random.Random(11)
         for n in range(1, 5):
@@ -125,6 +154,62 @@ class TestPolyMatrix:
                 [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)
             )
             assert detsum_expansion(a, b) == total.det()
+
+
+def _norms(matrix: PolyMatrix) -> list[list[int]]:
+    return [[sum(map(abs, e.coeffs)) for e in row] for row in matrix.entries]
+
+
+def _largest_coeff(polys) -> int:
+    return max(abs(c) for poly in polys for c in poly.coeffs)
+
+
+class TestMinorsBound:
+    # PolyMatrix.minors reads its digits exactly only while _minors_bound
+    # covers every coefficient of every trailing minor; the true minors here
+    # come from the polynomial recurrence, not from the integer one.
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_covers_family_minors(self, family):
+        for m in range(21):
+            # the (m, k) matrix is the trailing k x k block of the (m, m) one
+            minors = hessenberg_minors_poly(family_matrix(family, m, m).entries)
+            for k in range(m + 1):
+                bound = coeffs._minors_bound(_norms(family_matrix(family, m, k)))
+                assert _largest_coeff(minors[: k + 1]) <= bound, (family, m, k)
+                # never looser than the invert route's row product, on its
+                # range k < m (the (1, 1) block of P and Q is a zero entry)
+                if k < m:
+                    assert bound <= _det_coeff_bound(family, m, k), (family, m, k)
+
+    def test_covers_lgv_det_minors(self, monkeypatch):
+        matrices = []
+        det = PolyMatrix.det
+
+        def spy(self):
+            matrices.append(self)
+            return det(self)
+
+        monkeypatch.setattr(PolyMatrix, "det", spy)
+        for family in "PQGH":
+            for m in range(1, 12):
+                for k in range(m):
+                    lgv_det_route(family, m, k)
+        assert len(matrices) == 4 * 66
+        for matrix in matrices:
+            bound = coeffs._minors_bound(_norms(matrix))
+            assert _largest_coeff(hessenberg_minors_poly(matrix.entries)) <= bound
+            assert bound <= prod(map(sum, _norms(matrix)))
+
+    def test_narrow_digits_fail_the_crosscheck(self, monkeypatch, cold_family_dets):
+        # Half the digit width the bound asks for must wrap some digit: the
+        # width is load-bearing, and a wrapped digit shows as a wrong row.
+        bound = coeffs._minors_bound
+        monkeypatch.setattr(coeffs, "_minors_bound", lambda norms: isqrt(bound(norms)))
+        wrong = next((
+            (family, m, k) for m in range(1, 11) for family in "PQGH" for k in range(m)
+            if det_route(family, m, k) != laplace_det(family_matrix(family, m, k).entries)
+        ), None)
+        assert wrong is not None
 
 
 class TestForwardMatrices:
@@ -398,10 +483,12 @@ class TestInvertRoute:
 
     @pytest.mark.parametrize("family", "QH")
     def test_rows_past_one_machine_word(self, family):
-        row = invert_route_row(family, 12)
-        assert max(_det_coeff_bound(family, 12, k) for k in range(12)) >= 1 << 64
-        for k in range(12):
-            assert row[k] == det_route(family, 12, k), (family, k)
+        # m = 16 has wider coefficients than any other cross-check reaches
+        for m in (12, 16):
+            row = invert_route_row(family, m)
+            assert max(_det_coeff_bound(family, m, k) for k in range(m)) >= 1 << 64
+            for k in range(m):
+                assert row[k] == det_route(family, m, k), (family, m, k)
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_denominator_fault_fails_the_crosscheck(self, family, monkeypatch):

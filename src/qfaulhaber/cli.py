@@ -2,13 +2,14 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 index error.  A size flag below 1, a `verify` size flag that no selected suite
-reads, or a `verify --max-m` above the cap of a suite it selects (theorem1: 5,
-classical: 4), is refused with exit 2.  So are requests that would enumerate
-more than 1,000,000 objects: a `compute --method lgv` case with that many
-path families, a `compute --method lgv-det` case for Q, G or H with that many
-lattice paths over its start/end pairs (P's pair sums are a column DP and
-list no path), and a `verify --suite lgv --max-m` whose cases together hold
-that many path families.
+reads, a `verify --max-m` above the cap of a suite it selects (theorem1: 5,
+classical: 4), or one below the least a selected suite needs to build any case
+(lgv: 2), is refused with exit 2 before any case runs.  So are requests
+that would enumerate more than 1,000,000 objects: a `compute --method lgv`
+case with that many path families, a `compute --method lgv-det` case for Q,
+G or H with that many lattice paths over its start/end pairs (P's pair sums
+are a column DP and list no path), and a `verify --suite lgv --max-m` whose
+cases together hold that many path families.
 Verification output is sorted by case key; a case that raises prints a FAIL
 line naming the exception, and the remaining cases still run.
 """
@@ -19,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -328,8 +330,16 @@ def cmd_verify(args, out) -> int:
     for name in names:
         suite = _SUITES[name]
         # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
-        cases += suite.build(*(getattr(args, flag) or default
-                               for flag, default in suite.sizes.items()))
+        sizes = {flag: getattr(args, flag) or default for flag, default in suite.sizes.items()}
+        built = suite.build(*sizes.values())
+        if not built:
+            # only --max-m can leave a suite empty (lgv starts at m = 2)
+            least = next(v for v in count(sizes["max_m"] + 1)
+                         if suite.build(*{**sizes, "max_m": v}.values()))
+            print(f"error: --max-m {sizes['max_m']} leaves the {name} suite with no case "
+                  f"(it needs --max-m {least} or more)", file=sys.stderr)
+            return EXIT_USAGE
+        cases += built
     return EXIT_OK if _run_cases(cases, out) else EXIT_FAIL
 
 

@@ -9,23 +9,25 @@ package builds is lower Hessenberg, so its one determinant routine is the
 first-column recurrence `PolyMatrix.minors`, run once per matrix on Python
 ints: each row is divided by its lowest power of q, every entry evaluated at
 q = 2^B, and each minor read back as signed base-2^B digits, with B above
-the largest trailing permanent of the entry coefficient 1-norms, which
-bounds every coefficient of every minor.  Each family's prefactor and
-denominator of the claimed inverse entry live in `_inverse_factors` alone.
-Polynomial statements are checked at more sample points than their degree
-bound (interpolation completeness), so pointwise agreement is a proof; the
-inverse-pair check compares exact rational values.  The invert route bounds
-each degree by the same recurrence read on forward-entry degrees and each
-coefficient by a product of forward-row 1-norms.  It evaluates every entry
-exactly at the sample points, then solves only the last row of the inverse
-and interpolates (m, k) on bound_k + 1 points modulo one prime above twice
-the coefficient bound.
+the largest trailing permanent of the entry coefficient 1-norms
+(`_minors_bound`), which bounds every coefficient of every minor.  Each
+family's prefactor and denominator of the claimed inverse entry live in
+`_inverse_factors` alone, which only the inverse-pair check reads.
+Polynomial statements are checked at more integer sample points 2, 3, 4, ...
+than their degree bound (interpolation completeness), so pointwise agreement
+is a proof; the inverse-pair check compares exact rational values there.
+The invert route evaluates every forward entry exactly at those points,
+solves only the last row of the inverse modulo one prime above twice the
+row's `_minors_bound`, clears each entry by Cramer's rule (a product of
+forward diagonal values) and interpolates on the degree bound that the
+minors recurrence gives on forward-entry degrees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
@@ -97,6 +99,10 @@ class PolyMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
+    def norms(self) -> list[list[int]]:
+        """The coefficient 1-norm of every entry: `_minors_bound`'s input."""
+        return [[sum(map(abs, e.coeffs)) for e in row] for row in self.entries]
+
     def minors(self) -> list[LaurentPoly]:
         """Trailing principal minors of a lower-Hessenberg matrix, smallest
         first: minors()[s] is the determinant of the last s rows and columns.
@@ -122,8 +128,7 @@ class PolyMatrix:
         m, n = self.entries, self.dim
         if any(m[i][j] for i in range(n) for j in range(i + 2, n)):
             raise ValueError("matrix is not lower Hessenberg")
-        norms = [[sum(map(abs, e.coeffs)) for e in row] for row in m]
-        width = (_minors_bound(norms).bit_length() + 8) // 8  # bytes per digit
+        width = (_minors_bound(self.norms()).bit_length() + 8) // 8  # bytes per digit
         bits = 8 * width  # B
         shifts = [min((e.min_exp for e in row if e), default=0) for row in m]
         values = _hessenberg_minors(
@@ -254,21 +259,12 @@ def _inverse_entry(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPol
     return prefactor * _family_det(family, k, k - m), denominator
 
 
-def sample_points(count: int) -> list[Fraction]:
-    """Deterministic distinct positive rationals, none equal to 0 or 1."""
-    pts: list[Fraction] = []
-    seen = set()
-    n = 2
-    while len(pts) < count:
-        for d in (1, 2, 3):
-            f = Fraction(n, d)
-            if f != 1 and f not in seen:
-                seen.add(f)
-                pts.append(f)
-                if len(pts) == count:
-                    break
-        n += 1
-    return pts
+def sample_points(count: int) -> list[int]:
+    """The integers 2, 3, ..., count + 1.  Every forward diagonal entry is a
+    q-integer or a product of factors 1 + q^j, and every denominator of
+    `_inverse_factors` a product of q-integers and factors 1 +- q^j (j >= 1):
+    none of them vanishes at an integer q >= 2."""
+    return list(range(2, count + 2))
 
 
 def _pair_degree_bound(family: str, n: int) -> int:
@@ -297,7 +293,7 @@ def _pair_degree_bound(family: str, n: int) -> int:
 
 
 def verify_inverse_pair(family: str, n: int) -> bool:
-    """Check forward * claimed-inverse == identity at rational points.
+    """Check forward * claimed-inverse == identity at the integer sample points.
 
     The number of points exceeds the degree bound of the cleared identity, so
     success proves the polynomial statement.
@@ -363,25 +359,6 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _mod(x: Fraction, modulus: int) -> int:
-    """x reduced mod `modulus`; ValueError if its denominator is not a unit."""
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
-def _det_coeff_bound(family: str, m: int, k: int) -> int:
-    """Bound on |c| for every coefficient c of det family_matrix(family, m, k).
-
-    Over the permutation expansion the coefficient 1-norm of the determinant
-    is at most sum_sigma prod_i ||a_i,sigma(i)||_1 <= prod_i sum_j ||a_ij||_1,
-    since the 1-norm of a product is at most the product of the 1-norms.  It
-    reads forward entries only and assumes no sign of their coefficients.
-    """
-    return prod(
-        sum(sum(map(abs, entry.coeffs)) for entry in row)
-        for row in family_matrix(family, m, k).entries
-    )
-
-
 def _inverse_last_row_mod(a: list[list[int]], modulus: int) -> list[int]:
     """Last row x of the inverse of a lower-triangular matrix mod `modulus`,
     i.e. the solution of x A = e_last, by back substitution in O(n^2).
@@ -397,15 +374,21 @@ def _inverse_last_row_mod(a: list[list[int]], modulus: int) -> list[int]:
     return x
 
 
-def interpolate_poly(points: list[Fraction], values: list[int], modulus: int) -> LaurentPoly:
-    """The polynomial of degree < len(points) through (points[i], values[i])
-    mod `modulus`, by Newton interpolation, each coefficient lifted into the
-    symmetric range (-modulus/2, modulus/2].
+def _trailing_products(diagonal: list[int], modulus: int) -> list[int]:
+    """Cramer's factors of a lower-triangular matrix's last inverse row:
+    entry k is the product of the last k + 1 diagonal values mod `modulus`."""
+    return list(accumulate(reversed(diagonal), lambda acc, v: acc * v % modulus))
 
-    Raises ValueError when a point's denominator or a difference of two
-    points is not a unit mod `modulus`.
+
+def interpolate_poly(points: list[int], values: list[int], modulus: int) -> LaurentPoly:
+    """The polynomial of degree < len(points) through the integer points
+    (points[i], values[i]) mod `modulus`, by Newton interpolation, each
+    coefficient lifted into the symmetric range (-modulus/2, modulus/2].
+
+    Raises ValueError when a difference of two points is not a unit mod
+    `modulus`.
     """
-    xs = [_mod(p, modulus) for p in points]
+    xs = [p % modulus for p in points]
     n = len(xs)
     divided = list(values)
     for level in range(1, n):
@@ -453,17 +436,20 @@ def _invert_degree_bound(family: str, m: int, k: int) -> int:
 
 def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     """All family polynomials with first index m, recovered from the inverse
-    of the forward matrix by interpolation modulo one odd modulus M.
+    B of the forward matrix A by interpolation modulo one odd modulus M.
 
-    By Cramer's rule, (-1)^k B[m][m-k] * denominator / prefactor at a point is
-    det family_matrix(family, m, k) there, as prefactor times the diagonal
-    product is the denominator.  Each forward entry, prefactor and
-    denominator is evaluated exactly at each sample point and reduced mod M;
-    only the last row of the inverse is solved, by back substitution mod M,
-    and D(m, k) is interpolated mod M on its first bound_k + 1 points.
+    By Cramer's rule, (-1)^k B[m][m-k] * A[m-k][m-k] ... A[m][m] is
+    det A[m-k+1..m][m-k..m-1] = D(m, k).  Each forward entry is a
+    polynomial, evaluated exactly to an integer at each integer sample point
+    and then reduced mod M; only the last row of the inverse is solved, by
+    back substitution mod M, its entries are multiplied by the running
+    diagonal products, and D(m, k) is interpolated mod M on its first
+    bound_k + 1 points.  Neither the det route nor `_inverse_factors` is read.
 
-    M is the first prime above max(2C, 2^61), C the largest
-    `_det_coeff_bound` over the row's k.  The result is a proof:
+    The (m, k) family matrices are the trailing blocks of the (m, m - 1)
+    one, so C = `_minors_bound` of its 1-norms bounds every coefficient of
+    the row; M is the first prime above max(2C, 2^61).  The result is a
+    proof:
 
     - bound_k (`_invert_degree_bound`) is exact, so D(m, k) mod M is the one
       polynomial of degree <= bound_k through those values;
@@ -478,27 +464,24 @@ def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     bounds = [_invert_degree_bound(family, m, k) for k in ks]
     points = sample_points(max(bounds) + 1)
     idx = list(_index_range(family, m))
-    size = len(idx)
     fwd = [[forward_entry(family, r, c) for c in idx[: i + 1]] for i, r in enumerate(idx)]
-    # D(m, k) = (-1)^k B[m][m-k] * denominator / prefactor, factors at (m, m-k)
-    factors = {k: _inverse_factors(family, m, m - k) for k in ks}
-    modulus = _next_prime(max(2 * max(_det_coeff_bound(family, m, k) for k in ks),
-                              _MODULUS_FLOOR))
+    bound = _minors_bound(family_matrix(family, m, m - 1).norms())
+    modulus = _next_prime(max(2 * bound, _MODULUS_FLOOR))
     while True:
         try:
             values: dict[int, list[int]] = {k: [] for k in ks}
             for p, q0 in enumerate(points):
-                a = [[e(q0) for e in row] for row in fwd]
+                # a polynomial at an integer: the value is an integer Fraction
+                a = [[e(q0).numerator for e in row] for row in fwd]
                 # an exact zero is no unit mod any modulus: fail, not retry
                 if not all(row[-1] for row in a):
                     raise ZeroDivisionError("singular triangular matrix")
-                last = _inverse_last_row_mod(
-                    [[_mod(v, modulus) for v in row] for row in a], modulus
-                )
-                for k, (prefactor, denominator) in factors.items():
+                a = [[v % modulus for v in row] for row in a]
+                last = _inverse_last_row_mod(a, modulus)[::-1]  # last[k] = B[m][m-k]
+                diagonal = _trailing_products([row[-1] for row in a], modulus)
+                for k in ks:
                     if p <= bounds[k]:
-                        ratio = _mod(denominator(q0) / prefactor(q0), modulus)
-                        values[k].append((-1) ** k * last[size - 1 - k] * ratio % modulus)
+                        values[k].append((-1) ** k * last[k] * diagonal[k] % modulus)
             return {k: interpolate_poly(points[: bounds[k] + 1], values[k], modulus)
                     for k in ks}
         except ValueError:  # pow(x, -1, modulus) found x not a unit

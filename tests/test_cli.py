@@ -288,6 +288,21 @@ class TestVerify:
         assert out == ""
         assert "is not read by" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["lgv", "all"])
+    def test_suite_with_no_case_exits_2(self, suite, monkeypatch, capsys):
+        # the lgv suite starts at m = 2: at --max-m 1 it would pass vacuously
+        def no_run(cases, out):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(cli, "_run_cases", no_run)
+        code, out = run_cli("verify", "--suite", suite, "--max-m", "1")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.strip() == (
+            "error: --max-m 1 leaves the lgv suite with no case "
+            "(it needs --max-m 2 or more)"
+        )
+
     def test_all_reads_every_size_flag(self):
         code, out = run_cli("verify", "--suite", "all", "--max-m", "2",
                             "--max-n", "1", "--max-l", "1", "--n", "1")

@@ -10,7 +10,6 @@ from qfaulhaber import coeffs
 from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
-    _det_coeff_bound,
     _family_det,
     _index_range,
     _inverse_entry,
@@ -156,10 +155,6 @@ class TestPolyMatrix:
             assert detsum_expansion(a, b) == total.det()
 
 
-def _norms(matrix: PolyMatrix) -> list[list[int]]:
-    return [[sum(map(abs, e.coeffs)) for e in row] for row in matrix.entries]
-
-
 def _largest_coeff(polys) -> int:
     return max(abs(c) for poly in polys for c in poly.coeffs)
 
@@ -174,12 +169,14 @@ class TestMinorsBound:
             # the (m, k) matrix is the trailing k x k block of the (m, m) one
             minors = hessenberg_minors_poly(family_matrix(family, m, m).entries)
             for k in range(m + 1):
-                bound = coeffs._minors_bound(_norms(family_matrix(family, m, k)))
+                norms = family_matrix(family, m, k).norms()
+                bound = coeffs._minors_bound(norms)
                 assert _largest_coeff(minors[: k + 1]) <= bound, (family, m, k)
-                # never looser than the invert route's row product, on its
-                # range k < m (the (1, 1) block of P and Q is a zero entry)
+                # never looser than the product of the row 1-norms, which
+                # bounds the determinant's coefficients with no sign assumed,
+                # on the range k < m (at k = m a zero entry makes it 0)
                 if k < m:
-                    assert bound <= _det_coeff_bound(family, m, k), (family, m, k)
+                    assert bound <= prod(map(sum, norms)), (family, m, k)
 
     def test_covers_lgv_det_minors(self, monkeypatch):
         matrices = []
@@ -196,9 +193,9 @@ class TestMinorsBound:
                     lgv_det_route(family, m, k)
         assert len(matrices) == 4 * 66
         for matrix in matrices:
-            bound = coeffs._minors_bound(_norms(matrix))
+            bound = coeffs._minors_bound(matrix.norms())
             assert _largest_coeff(hessenberg_minors_poly(matrix.entries)) <= bound
-            assert bound <= prod(map(sum, _norms(matrix)))
+            assert bound <= prod(map(sum, matrix.norms()))
 
     def test_narrow_digits_fail_the_crosscheck(self, monkeypatch, cold_family_dets):
         # Half the digit width the bound asks for must wrap some digit: the
@@ -220,6 +217,14 @@ class TestForwardMatrices:
                 for j in idx:
                     if j > i:
                         assert forward_entry(family, i, j) == ZERO
+
+    def test_entries_are_polynomials(self):
+        # the invert route reads each entry's value at an integer as an integer
+        for family in "PQGH":
+            for i in _index_range(family, 16):
+                for j in _index_range(family, i):
+                    entry = forward_entry(family, i, j)
+                    assert entry.is_zero or entry.min_exp >= 0, (family, i, j)
 
     def test_diagonals(self):
         for k in range(7):
@@ -311,9 +316,11 @@ class TestInversePairs:
 
 class TestSamplePoints:
     def test_distinct_and_regular(self):
+        # consecutive integers from 2: no forward diagonal entry and no
+        # claimed-inverse denominator vanishes there
         pts = sample_points(40)
-        assert len(set(pts)) == 40
-        assert all(p > 0 and p != 1 for p in pts)
+        assert pts == list(range(2, 42))
+        assert all(type(p) is int for p in pts)
 
     def test_prefix_stability(self):
         assert sample_points(5) == sample_points(10)[:5]
@@ -376,13 +383,13 @@ class TestModularInterpolation:
                 cs[0], cs[-1] = -half, half
                 p = LaurentPoly(cs)
                 pts = sample_points(length)
-                vals = [coeffs._mod(p(x), modulus) for x in pts]
+                vals = [p(x).numerator % modulus for x in pts]
                 assert interpolate_poly(pts, vals, modulus) == p, (modulus, length)
 
     def test_non_unit_difference_raises(self):
         # 5 - 2 is 0 mod 3: the invert route moves on to the next prime
         with pytest.raises(ValueError):
-            interpolate_poly([Fraction(2), Fraction(5)], [0, 1], 3)
+            interpolate_poly([2, 5], [0, 1], 3)
 
     def test_next_prime(self):
         primes = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
@@ -391,6 +398,12 @@ class TestModularInterpolation:
         ]
         assert _next_prime((1 << 61) - 2) == (1 << 61) - 1  # a Mersenne prime
         assert _next_prime(561) == 563  # past a Carmichael number
+
+
+def _row_bound(family: str, m: int) -> int:
+    """The invert route's coefficient bound for row m: the (m, k) family
+    matrices are the trailing blocks of the (m, m - 1) one."""
+    return coeffs._minors_bound(family_matrix(family, m, m - 1).norms())
 
 
 class TestInvertRoute:
@@ -431,12 +444,13 @@ class TestInvertRoute:
     @pytest.mark.parametrize("family", "PQGH")
     def test_coefficient_bound_covers_polynomial(self, family):
         # The route lifts coefficients from (-M/2, M/2] with M > 2 * bound,
-        # so the recovered polynomial is proven only while the bound covers
-        # every coefficient.
+        # so the recovered row is proven only while the one bound covers
+        # every coefficient of every k.
         for m in range(1, 13):
+            bound = _row_bound(family, m)
             for k in range(m):
                 largest = max(map(abs, det_route(family, m, k).coeffs))
-                assert _det_coeff_bound(family, m, k) >= largest, (family, m, k)
+                assert bound >= largest, (family, m, k)
 
     def test_coefficient_bound_assumes_no_sign(self, monkeypatch):
         # -1 on the forward diagonal and 1 below it: each family matrix is
@@ -444,9 +458,9 @@ class TestInvertRoute:
         # of its determinant add up, which one entry per row cannot bound.
         monkeypatch.setattr(coeffs, "forward_entry", lambda family, r, c: (
             -ONE if c == r else ONE if c < r else ZERO))
+        assert _row_bound("P", 8) == 2 ** 6
         for k in range(1, 8):
             assert family_matrix("P", 8, k).det() == 2 ** (k - 1)
-            assert _det_coeff_bound("P", 8, k) >= 2 ** (k - 1), k
 
     @staticmethod
     def spy_moduli(monkeypatch):
@@ -471,8 +485,7 @@ class TestInvertRoute:
             row = invert_route_row(family, m)
             for k in range(m):
                 assert row[k] == det_route(family, m, k), (family, m, k)
-            bound = max(_det_coeff_bound(family, m, k) for k in range(m))
-            assert moduli[0] == _next_prime(2 * bound), (family, m)
+            assert moduli[0] == _next_prime(2 * _row_bound(family, m)), (family, m)
 
     def test_failed_inverse_moves_to_the_next_prime(self, monkeypatch):
         # P(1, 0): bound 1, so M = 3, where the forward entry 1 + q is 0 at
@@ -482,18 +495,28 @@ class TestInvertRoute:
         assert moduli == [3, 5]
 
     @pytest.mark.parametrize("family", "QH")
-    def test_rows_past_one_machine_word(self, family):
-        # m = 16 has wider coefficients than any other cross-check reaches
+    def test_rows_past_one_machine_word(self, family, monkeypatch):
+        # m = 16 has wider coefficients than any other cross-check reaches;
+        # every modulus but H(12)'s (a 64-bit bound) is past 2^64
+        moduli = []
+
+        def spy(n):
+            moduli.append(_next_prime(n))
+            return moduli[-1]
+
+        monkeypatch.setattr(coeffs, "_next_prime", spy)
         for m in (12, 16):
+            moduli.clear()
             row = invert_route_row(family, m)
-            assert max(_det_coeff_bound(family, m, k) for k in range(m)) >= 1 << 64
+            assert (moduli[0] > 1 << 64) == ((family, m) != ("H", 12)), (family, m)
             for k in range(m):
                 assert row[k] == det_route(family, m, k), (family, m, k)
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_denominator_fault_fails_the_crosscheck(self, family, monkeypatch):
-        # Mod M a wrong clearing factor cannot show as a non-integer
-        # coefficient; it must show as a row that differs from the det route.
+        # The route reads no claimed-inverse factor, so a wrong denominator
+        # leaves its rows alone; the inverse-pair check must catch it.
+        rows = {m: invert_route_row(family, m) for m in range(1, 5)}
         factors = coeffs._inverse_factors
 
         def faulty(family, k, m):
@@ -501,13 +524,52 @@ class TestInvertRoute:
             return prefactor, denominator + 1
 
         monkeypatch.setattr(coeffs, "_inverse_factors", faulty)
-        for m in range(1, 5):
-            try:
-                row = invert_route_row(family, m)
-            except ArithmeticError:
-                continue
-            for k in range(m):
+        for n in range(1, 5):
+            assert not verify_inverse_pair(family, n), (family, n)
+            assert invert_route_row(family, n) == rows[n], (family, n)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_narrow_bound_fails_the_crosscheck(self, family, monkeypatch):
+        # With no floor under M, a bound cut to its square root must wrap a
+        # coefficient's lift somewhere: the bound is load-bearing.  The det
+        # rows come first, as the det route reads the bound too.
+        rows = {m: [det_route(family, m, k) for k in range(m)] for m in range(1, 7)}
+        bound = coeffs._minors_bound
+        monkeypatch.setattr(coeffs, "_minors_bound", lambda norms: isqrt(bound(norms)))
+        monkeypatch.setattr(coeffs, "_MODULUS_FLOOR", 0)
+        wrong = [m for m, row in rows.items()
+                 if [invert_route_row(family, m)[k] for k in range(m)] != row]
+        assert wrong, family
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_diagonal_fault_fails_the_crosscheck(self, family, monkeypatch):
+        # Cramer's factor missing A[m-1][m-1] scales every k >= 1 by a value
+        # that is no unit at the sample points: each of those rows is wrong.
+        products = coeffs._trailing_products
+
+        def faulty(diagonal, modulus):
+            return products([*diagonal[:-2], 1, diagonal[-1]], modulus)
+
+        monkeypatch.setattr(coeffs, "_trailing_products", faulty)
+        for m in range(2, 6):
+            row = invert_route_row(family, m)
+            assert row[0] == ONE
+            for k in range(1, m):
                 assert row[k] != det_route(family, m, k), (family, m, k)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_reads_neither_det_route_nor_claimed_inverse(self, family, monkeypatch):
+        rows = [det_route(family, 6, k) for k in range(6)]
+
+        def unread(*args):
+            raise AssertionError("the invert route read the det route or the claimed inverse")
+
+        for name in ("_family_det", "_family_row", "_inverse_factors"):
+            monkeypatch.setattr(coeffs, name, unread)
+        for name in ("minors", "det"):
+            monkeypatch.setattr(PolyMatrix, name, unread)
+        row = invert_route_row(family, 6)
+        assert [row[k] for k in range(6)] == rows
 
     def test_vanishing_diagonal_raises(self, monkeypatch):
         # q - 2 is 0 at the first sample point, so no modulus can invert it;

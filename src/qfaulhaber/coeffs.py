@@ -12,7 +12,8 @@ q = 2^B, and each minor read back as signed base-2^B digits, with B above
 the largest trailing permanent of the entry coefficient 1-norms
 (`_minors_bound`), which bounds every coefficient of every minor.  Each
 family's prefactor and denominator of the claimed inverse entry live in
-`_inverse_factors` alone, which only the inverse-pair check reads.
+`_inverse_factors` alone, which the inverse-pair check and the boundary sum
+read through `_inverse_entry`, and no route reads.
 Polynomial statements are checked at more integer sample points 2, 3, 4, ...
 than their degree bound (interpolation completeness), so pointwise agreement
 is a proof; the inverse-pair check compares exact rational values there.
@@ -232,6 +233,15 @@ def _index_range(family: str, n: int) -> range:
     return range(0, n + 1) if family == "P" else range(1, n + 1)
 
 
+def _lower_triangle(entry, family: str, n: int) -> list[list]:
+    """The lower-triangular matrix of entry(family, r, c) over the indices r,
+    c in `_index_range(family, n)`, row r stopping at c = r.  With
+    `forward_entry` it is the forward matrix A, with `_inverse_entry` the
+    claimed inverse B."""
+    idx = _index_range(family, n)
+    return [[entry(family, r, c) for c in idx[: i + 1]] for i, r in enumerate(idx)]
+
+
 def _inverse_factors(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Prefactor and denominator of the claimed inverse entry (k, m), m <= k:
 
@@ -254,9 +264,10 @@ def _inverse_factors(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentP
 
 
 def _inverse_entry(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Unsigned numerator and denominator of the claimed inverse entry (k, m)."""
+    """Signed numerator and denominator of the claimed inverse entry (k, m)."""
     prefactor, denominator = _inverse_factors(family, k, m)
-    return prefactor * _family_det(family, k, k - m), denominator
+    numerator = prefactor * _family_det(family, k, k - m)
+    return (-numerator if (k - m) % 2 else numerator), denominator
 
 
 def sample_points(count: int) -> list[int]:
@@ -267,28 +278,24 @@ def sample_points(count: int) -> list[int]:
     return list(range(2, count + 2))
 
 
-def _pair_degree_bound(family: str, n: int) -> int:
-    """Degree bound for the denominator-cleared inverse-pair identity.
+def _pair_degree_bound(fwd: list[list[LaurentPoly]], inv: list[list[tuple]]) -> int:
+    """Degree bound for the denominator-cleared inverse-pair identity of the
+    forward rows `fwd` and the claimed inverse rows `inv` of (numerator,
+    denominator) pairs, both as `_lower_triangle` builds them.
 
     Clearing sum_t A[i][t] B[t][j] = delta_ij by the product of den(t, j) over
     t = j..i leaves the summands A[i][t] num(t, j) prod_{mid != t} den(mid, j).
     Over the integers the degree of a product is the sum of the degrees, so
     the bound is the largest such sum over the nonzero summands.
     """
-    idx = list(_index_range(family, n))
-    fwd = {(i, t): forward_entry(family, i, t) for i in idx for t in idx if t <= i}
-    entries = {(k, m): _inverse_entry(family, k, m) for k in idx for m in idx if m <= k}
-    den = {key: denominator.max_exp for key, (_, denominator) in entries.items()}
     bound = 0
-    for j in idx:
-        for i in idx[idx.index(j):]:
-            den_sum = sum(den[mid, j] for mid in range(j, i + 1))
-            for t in range(j, i + 1):
-                a, numerator = fwd[i, t], entries[t, j][0]
+    for i, row in enumerate(fwd):
+        for j in range(i + 1):
+            column = [inv[t][j] for t in range(j, i + 1)]
+            den_sum = sum(den.max_exp for _, den in column)
+            for a, (numerator, den) in zip(row[j:], column):
                 if a and numerator:
-                    bound = max(
-                        bound, a.max_exp + numerator.max_exp + den_sum - den[t, j]
-                    )
+                    bound = max(bound, a.max_exp + numerator.max_exp + den_sum - den.max_exp)
     return bound
 
 
@@ -296,29 +303,18 @@ def verify_inverse_pair(family: str, n: int) -> bool:
     """Check forward * claimed-inverse == identity at the integer sample points.
 
     The number of points exceeds the degree bound of the cleared identity, so
-    success proves the polynomial statement.
+    success proves the polynomial statement.  Both factors are lower
+    triangular, so only the entries on or below the diagonal are compared.
     """
-    idx = list(_index_range(family, n))
-    points = sample_points(_pair_degree_bound(family, n) + 1)
-    fwd = [[forward_entry(family, k, m) for m in idx] for k in idx]
-    size = len(idx)
-    # numerators and denominators of the claimed inverse entries (k, m), m <= k
-    entries = [
-        [_inverse_entry(family, k, m) for m in idx[: i + 1]] for i, k in enumerate(idx)
-    ]
-    for q0 in points:
-        a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
-        b = [[Fraction(0)] * size for _ in range(size)]
-        for i, row in enumerate(entries):
-            for j, (num, den) in enumerate(row):
-                den_val = den(q0)
-                if den_val == 0:
-                    raise SingularSampleError(f"denominator vanishes at q0={q0}")
-                b[i][j] = (-1) ** (i - j) * num(q0) / den_val
-        for i in range(size):
-            for j in range(size):
-                val = sum(a[i][t] * b[t][j] for t in range(j, i + 1)) if j <= i else 0
-                if val != (1 if i == j else 0):
+    fwd = _lower_triangle(forward_entry, family, n)
+    inv = _lower_triangle(_inverse_entry, family, n)
+    for q0 in sample_points(_pair_degree_bound(fwd, inv) + 1):
+        a = [[e(q0) for e in row] for row in fwd]
+        # no denominator vanishes at these points: see sample_points
+        b = [[num(q0) / den(q0) for num, den in row] for row in inv]
+        for i, row in enumerate(a):
+            for j in range(i + 1):
+                if sum(row[t] * b[t][j] for t in range(j, i + 1)) != (i == j):
                     return False
     return True
 
@@ -434,9 +430,12 @@ def _invert_degree_bound(family: str, m: int, k: int) -> int:
     return best
 
 
-def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
-    """All family polynomials with first index m, recovered from the inverse
-    B of the forward matrix A by interpolation modulo one odd modulus M.
+def invert_route_row(
+    family: str, m: int, ks: tuple[int, ...] | None = None
+) -> dict[int, LaurentPoly]:
+    """The family polynomials (m, k) for k in `ks` (default: every k < m),
+    recovered from the inverse B of the forward matrix A by interpolation
+    modulo one odd modulus M.
 
     By Cramer's rule, (-1)^k B[m][m-k] * A[m-k][m-k] ... A[m][m] is
     det A[m-k+1..m][m-k..m-1] = D(m, k).  Each forward entry is a
@@ -444,7 +443,8 @@ def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     and then reduced mod M; only the last row of the inverse is solved, by
     back substitution mod M, its entries are multiplied by the running
     diagonal products, and D(m, k) is interpolated mod M on its first
-    bound_k + 1 points.  Neither the det route nor `_inverse_factors` is read.
+    bound_k + 1 points.  The route evaluates at the largest of those counts
+    over `ks` alone.  Neither the det route nor `_inverse_factors` is read.
 
     The (m, k) family matrices are the trailing blocks of the (m, m - 1)
     one, so C = `_minors_bound` of its 1-norms bounds every coefficient of
@@ -460,11 +460,10 @@ def invert_route_row(family: str, m: int) -> dict[int, LaurentPoly]:
     """
     if m < 1:
         raise BadIndexError("m must be at least 1")
-    ks = range(0, m)
-    bounds = [_invert_degree_bound(family, m, k) for k in ks]
-    points = sample_points(max(bounds) + 1)
-    idx = list(_index_range(family, m))
-    fwd = [[forward_entry(family, r, c) for c in idx[: i + 1]] for i, r in enumerate(idx)]
+    ks = range(0, m) if ks is None else ks
+    bounds = {k: _invert_degree_bound(family, m, k) for k in ks}
+    points = sample_points(max(bounds.values()) + 1)
+    fwd = _lower_triangle(forward_entry, family, m)
     bound = _minors_bound(family_matrix(family, m, m - 1).norms())
     modulus = _next_prime(max(2 * bound, _MODULUS_FLOOR))
     while True:
@@ -492,7 +491,7 @@ def invert_route(family: str, m: int, k: int) -> LaurentPoly:
     _check_index(m, k)
     if m == 0:
         return ONE
-    return invert_route_row(family, m)[k]
+    return invert_route_row(family, m, (k,))[k]
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +499,14 @@ def invert_route(family: str, m: int, k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def verify_dstr_vanishing(m: int, t0: Fraction) -> bool:
-    """The alternating boundary sum of d- and H-values is exactly zero."""
+    """The boundary sum of the H family is exactly zero at t0: for m >= 2 it
+    is the entry (m, 1) of A B, the d-values of forward row m against the
+    claimed inverse's column 1 (`_inverse_entry`)."""
     t0 = Fraction(t0)
     if t0 <= 0 or t0 == 1:
         raise ValueError("t0 must be positive and distinct from 1")
     total = Fraction(0)
-    for j in range(1, m + 1):  # j = m - k
-        d_val = d_poly(m, j)(t0)
-        if j == 1:
-            h_val = Fraction(1)
-        else:
-            h_val = _family_det("H", j, j - 1)(t0)
-        den = _inverse_factors("H", j, 1)[1](t0)
-        sign = -1 if j % 2 else 1
-        total += sign * d_val * h_val / den
+    for j in range(1, m + 1):
+        numerator, denominator = _inverse_entry("H", j, 1)
+        total += d_poly(m, j)(t0) * numerator(t0) / denominator(t0)
     return total == 0

@@ -1,25 +1,18 @@
 import pytest
 
-from qfaulhaber import coeffs, lgv
+from qfaulhaber import coeffs, identities, lgv
 
 
 @pytest.fixture
-def cold_pair_sums():
-    """Clear lgv-det's pair-sum memo before and after the test, so a test
-    that patches an lgv weight or path helper neither reads sums made
-    without the patch nor leaves its own behind for later tests."""
-    lgv._pair_sum.cache_clear()
+def cold_memos():
+    """Clear every memo of the package (the det route's rows and
+    determinants, lgv-det's pair sums, ...) before and after the test, so a
+    test that patches any layer computes every value under the patch and
+    leaves none of its values behind."""
+    memos = [f for module in (coeffs, identities, lgv)
+             for f in vars(module).values() if hasattr(f, "cache_clear")]
+    for memo in memos:
+        memo.cache_clear()
     yield
-    lgv._pair_sum.cache_clear()
-
-
-@pytest.fixture
-def cold_family_dets():
-    """Clear the det route's row and determinant memos before and after the
-    test, so a test that patches the determinant kernel computes every row
-    under the patch and leaves none of its rows behind."""
-    coeffs._family_row.cache_clear()
-    coeffs._family_det.cache_clear()
-    yield
-    coeffs._family_row.cache_clear()
-    coeffs._family_det.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

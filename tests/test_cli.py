@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from qfaulhaber import cli, lgv
-from qfaulhaber.coeffs import det_route
+from qfaulhaber import cli, coeffs, lgv
+from qfaulhaber.coeffs import det_route, verify_dstr_vanishing, verify_inverse_pair
 from qfaulhaber.laurent import LaurentPoly
 
 
@@ -122,7 +122,7 @@ class TestCompute:
             "(limit 1000000); use --method det"
         )
 
-    @pytest.mark.usefixtures("cold_pair_sums")
+    @pytest.mark.usefixtures("cold_memos")
     def test_lgv_det_for_p_lists_no_path(self, monkeypatch):
         # P's pair sums are a column DP, so no size is refused and no path listed
         monkeypatch.setattr(lgv, "paths_between", None)
@@ -135,7 +135,7 @@ class TestCompute:
         assert json.loads(out)["coefficients"] == expected
 
     @pytest.mark.parametrize("family", "QGH")
-    @pytest.mark.usefixtures("cold_pair_sums")
+    @pytest.mark.usefixtures("cold_memos")
     def test_path_count_is_what_lgv_det_lists(self, family, monkeypatch):
         # exact for one call on a cold pair-sum memo; a repeated call lists
         # nothing
@@ -309,6 +309,19 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS ") for line in out.splitlines())
 
+    @pytest.mark.parametrize("suite", ["inverse", "all"])
+    def test_n_cap_refuses_before_any_case(self, suite, monkeypatch, capsys):
+        # the inverse-pair cases cost about n^5.5: --n 40 would run for hours
+        ran = []
+        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
+        assert run_cli("verify", "--suite", suite, "--n", "10") == (0, "")
+        assert len(ran) == 1
+        for n in ("11", "40"):
+            assert run_cli("verify", "--suite", suite, "--n", n) == (2, "")
+            assert capsys.readouterr().err.strip() == (
+                f"error: --n {n} exceeds the inverse suite's cap of 10")
+        assert len(ran) == 1
+
     def test_size_at_cap_runs(self):
         code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "5",
                             "--max-n", "1")
@@ -347,6 +360,93 @@ class TestVerify:
             "PASS theorem1 which=t2mnq m=1 n=1",
         ]
         assert "raises_at_qmn_1_1" in capsys.readouterr().err  # the traceback
+
+
+# Each suite at a size that runs in well under a second.
+SMALL_SUITES = {
+    "theorem1": ("--max-m", "2", "--max-n", "2"),
+    "lemma1": ("--max-l", "2"),
+    "lemma2": ("--max-m", "3", "--max-l", "3"),
+    "inverse": ("--n", "3"),
+    "lgv": ("--max-m", "4"),
+    "symmetry": ("--max-m", "4"),
+    "classical": ("--max-m", "2", "--max-n", "4"),
+}
+
+
+def failing_suites() -> set[str]:
+    """The suites that exit 1 at their small size; every other one must pass."""
+    codes = {suite: run_cli("verify", "--suite", suite, *argv)[0]
+             for suite, argv in SMALL_SUITES.items()}
+    assert set(codes.values()) <= {0, 1}, codes
+    return {suite for suite, code in codes.items() if code == 1}
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestFaultMatrix:
+    """Fault-matrix rows: one deliberate fault in one layer, and the suites
+    that fail and pass under it.  A suite that passes names what it does not
+    read; a fault that no suite could fail would name an unchecked layer."""
+
+    def test_suites_pass_without_a_fault(self):
+        assert failing_suites() == set()
+
+    def test_forward_entry_fault(self, monkeypatch):
+        # +1 on the off-diagonal entry (lo + 2, lo + 1), lo the first index
+        entry = coeffs.forward_entry
+
+        def faulty(family, i, j):
+            lo = 0 if family == "P" else 1
+            value = entry(family, i, j)
+            return value + 1 if (i, j) == (lo + 2, lo + 1) else value
+
+        monkeypatch.setattr(coeffs, "forward_entry", faulty)
+        # Blind spot: the claimed inverse is built by Cramer's rule from the
+        # same faulty minors (D(k, k - m) = det of forward entries), so the
+        # pair A B = I still holds and the inverse-pair cases cannot fail.
+        for family in "PQGH":
+            for n in range(1, 7):
+                assert verify_inverse_pair(family, n), (family, n)
+        # the lgv-det route reads no forward entry
+        for family, first in (("P", (2, 1)), ("Q", (3, 1)), ("G", (3, 1)), ("H", (3, 1))):
+            differ = [(m, k) for m in range(2, 5) for k in range(1, m)
+                      if lgv.lgv_det_route(family, m, k) != det_route(family, m, k)]
+            assert differ[0] == first, family
+        # the boundary sum weighs d_poly's row, which carries no fault,
+        # against the claimed inverse's column, whose minors do
+        assert not verify_dstr_vanishing(3, 2)
+        assert run_cli("verify", "--suite", "lgv", "--max-m", "4")[0] == 1
+        # lemma1 and lemma2 read the generators and the series alone
+        assert failing_suites() == {"theorem1", "inverse", "lgv", "symmetry", "classical"}
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_brute_weight_fault(self, family, monkeypatch):
+        # every path family of one scheme weighs q times too much; only the
+        # lgv suite reads brute_route
+        terms = lgv._FAMILY_TERMS[family]
+
+        def faulty(fam, cache):
+            a, exps = terms(fam, cache)
+            return a, {b + 1: c for b, c in exps.items()}
+
+        monkeypatch.setitem(lgv._FAMILY_TERMS, family, faulty)
+        assert failing_suites() == {"lgv"}
+
+    def test_long_operand_multiply_fault(self, monkeypatch):
+        # +1 on every product of two polynomials of 8 or more terms.  The det
+        # and lgv-det routes read their minors on integers, and at these
+        # sizes the brute weights, lemma1 and classical multiply no operands
+        # that long, so lgv, symmetry, lemma1 and classical stay PASS.
+        mul = LaurentPoly.__mul__
+
+        def faulty(self, other):
+            product = mul(self, other)
+            long = isinstance(other, LaurentPoly) and min(len(self.coeffs),
+                                                          len(other.coeffs)) >= 8
+            return product + 1 if long else product
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", faulty)
+        assert failing_suites() == {"theorem1", "lemma2", "inverse"}
 
 
 class TestShape:

@@ -15,6 +15,7 @@ from qfaulhaber.coeffs import (
     _inverse_entry,
     _inverse_factors,
     _invert_degree_bound,
+    _lower_triangle,
     _next_prime,
     _pair_degree_bound,
     det_route,
@@ -197,7 +198,7 @@ class TestMinorsBound:
             assert _largest_coeff(hessenberg_minors_poly(matrix.entries)) <= bound
             assert bound <= prod(map(sum, matrix.norms()))
 
-    def test_narrow_digits_fail_the_crosscheck(self, monkeypatch, cold_family_dets):
+    def test_narrow_digits_fail_the_crosscheck(self, monkeypatch, cold_memos):
         # Half the digit width the bound asks for must wrap some digit: the
         # width is load-bearing, and a wrapped digit shows as a wrong row.
         bound = coeffs._minors_bound
@@ -264,13 +265,32 @@ class TestInversePairs:
                     diagonal = diagonal * forward_entry(family, j, j)
                 assert prefactor * diagonal == denominator, (family, k, m)
 
+    def test_builds_each_claimed_entry_once(self, monkeypatch):
+        # one _inverse_factors call per entry on or below the diagonal
+        # (P: 28 at n = 6, Q/G/H: 21 each), and the proof's point counts
+        factors, points = coeffs._inverse_factors, coeffs.sample_points
+        calls, counts = [], []
+        monkeypatch.setattr(coeffs, "_inverse_factors",
+                            lambda *index: calls.append(index) or factors(*index))
+        monkeypatch.setattr(coeffs, "sample_points",
+                            lambda count: counts.append(count) or points(count))
+        for family in "PQGH":
+            assert verify_inverse_pair(family, 6)
+        assert len(calls) == len(set(calls)) == 91
+        assert counts == [52, 124, 52, 103]
+
+    @staticmethod
+    def pair_bound(family, n):
+        return _pair_degree_bound(_lower_triangle(forward_entry, family, n),
+                                  _lower_triangle(_inverse_entry, family, n))
+
     @pytest.mark.parametrize("family", "PQGH")
     def test_pair_degree_bound_covers_cleared_terms(self, family):
         # Clearing sum_t A[i][t] B[t][j] = delta_ij by the product of den(t, j)
         # over t = j..i gives summands A[i][t] num(t, j) prod_{mid != t} den(mid, j);
         # verify_inverse_pair is a proof only while the bound covers them all.
         for n in range(1, 5):
-            bound = _pair_degree_bound(family, n)
+            bound = self.pair_bound(family, n)
             idx = list(_index_range(family, n))
             entries = {(k, m): _inverse_entry(family, k, m)
                        for k in idx for m in idx if m <= k}
@@ -302,7 +322,7 @@ class TestInversePairs:
                                 term = term * _inverse_entry(family, mid, j)[1]
                         if not term.is_zero:
                             largest = max(largest, term.max_exp)
-            assert _pair_degree_bound(family, n) == largest, (family, n)
+            assert self.pair_bound(family, n) == largest, (family, n)
 
     def test_dstr_vanishing(self):
         for m in range(2, 7):
@@ -527,6 +547,9 @@ class TestInvertRoute:
         for n in range(1, 5):
             assert not verify_inverse_pair(family, n), (family, n)
             assert invert_route_row(family, n) == rows[n], (family, n)
+        # the boundary sum reads H's claimed inverse column too
+        for m in range(2, 7):
+            assert not verify_dstr_vanishing(m, Fraction(2)), m
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_narrow_bound_fails_the_crosscheck(self, family, monkeypatch):
@@ -587,6 +610,18 @@ class TestInvertRoute:
         monkeypatch.setattr(coeffs, "_next_prime", bounded)
         with pytest.raises(ZeroDivisionError):
             invert_route_row("G", 3)
+
+    def test_one_k_evaluates_at_its_own_bound(self, monkeypatch):
+        # Q(14, 1) has degree bound 24; the whole row would need 157 points
+        counts = []
+        points = coeffs.sample_points
+        monkeypatch.setattr(coeffs, "sample_points",
+                            lambda count: counts.append(count) or points(count))
+        assert invert_route("Q", 14, 1) == det_route("Q", 14, 1)
+        assert counts == [25]
+        assert invert_route_row("Q", 14, (1, 3)) == {
+            k: det_route("Q", 14, k) for k in (1, 3)}
+        assert counts[1] == _invert_degree_bound("Q", 14, 3) + 1
 
     def test_single_entry(self):
         assert invert_route("G", 4, 2) == C(10, 24, 24, 10)

@@ -321,7 +321,7 @@ class TestPathStatistics:
         assert odd_start == (((1, 1), (2, 1)), 1, True, False)
 
     @pytest.mark.parametrize("family", "PQGH")
-    @pytest.mark.usefixtures("cold_pair_sums")
+    @pytest.mark.usefixtures("cold_memos")
     def test_brute_route_reads_each_path_once(self, family, monkeypatch):
         m, k = 6, 3
         fams = enumerate_nonintersecting(*family_config(family, m, k))
@@ -369,7 +369,7 @@ class TestPairSums:
                     family, m, k)
 
     @pytest.mark.parametrize("family", "PQGH")
-    @pytest.mark.usefixtures("cold_pair_sums")
+    @pytest.mark.usefixtures("cold_memos")
     def test_memo_matches_step_products(self, family):
         # every start/end pair of every configuration with m <= 8, as placed,
         # moved to an odd start column, and moved by (2s, t); the moved
@@ -401,7 +401,7 @@ class TestPairSums:
                     family, m, k)
 
     @pytest.mark.parametrize("family", "GH")
-    @pytest.mark.usefixtures("cold_pair_sums")
+    @pytest.mark.usefixtures("cold_memos")
     def test_each_pair_listed_once_and_each_path_read_once(self, family, monkeypatch):
         m, k = 7, 4
         pairs, yielded, read = [], [], []
@@ -434,7 +434,7 @@ class TestPairSums:
         assert len(pairs) == k * k
 
     @pytest.mark.parametrize("family", "PQGH")
-    @pytest.mark.usefixtures("cold_pair_sums")
+    @pytest.mark.usefixtures("cold_memos")
     def test_step_weight_fault_fails_the_crosscheck(self, family, monkeypatch):
         # fault-matrix row: one more unit in every path weight of the pair
         # sums (Q, G, H), or in P's even-column step weight, changes every

@@ -2,16 +2,28 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 index error.  A size flag below 1, a `verify` size flag that no selected suite
-reads, a `verify` size flag above the cap of a suite it selects (`--max-m`:
-theorem1 5, classical 4; `--n`: inverse 10, whose cases cost about n^5.5 and
-take 4.9 s at --n 10 and 12.9 s at 12 on one core of a 2-vCPU host, Python
-3.11), or a `--max-m` below the least a selected suite needs to build any
-case (lgv: 2), is refused with exit 2 before any case runs.  So are requests
-that would enumerate more than 1,000,000 objects: a `compute --method lgv`
-case with that many path families, a `compute --method lgv-det` case for Q,
-G or H with that many lattice paths over its start/end pairs (P's pair sums
-are a column DP and list no path), and a `verify --suite lgv --max-m` whose
-cases together hold that many path families.
+reads, and a `verify` size flag outside the range of a suite it selects are
+refused with exit 2 before any case runs.  Each suite's table (`_SUITES`)
+gives every flag it reads a default, a least value (the least that leaves the
+suite a case: lgv `--max-m` 2, every other flag 1) and a cap: the largest
+value at which the suite alone, its other flags at their caps, runs in about
+10 s.  Cold single-process runs at the caps, one core of a 2-vCPU host,
+Python 3.11 (the host's speed varied by about a third between runs):
+
+    theorem1   --max-m 5, --max-n 30      7.2-8.6 s   (32: 7.7-12.9 s)
+    lemma1     --max-l 350                6.5-9.0 s   (400: 8.0-12.7 s)
+    lemma2     --max-m 16, --max-l 16     7.3-11.0 s  (17: 8.9-12.6 s)
+    inverse    --n 10                     4.9-5.8 s   (12: 12.9 s; about n^5.5)
+    lgv        --max-m 6                  0.8 s
+    symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
+    classical  --max-m 4, --max-n 2500    6.2-8.0 s   (3000: 8.1-13.6 s)
+
+The lgv cap is the largest `--max-m` whose cases hold at most 1,000,000 path
+families in all (90,864 up to m = 6, 3,553,512 up to m = 7).  `compute`
+refuses a request that would enumerate more than 1,000,000 objects: a
+`--method lgv` case with that many path families, or a `--method lgv-det`
+case for Q, G or H with that many lattice paths over its start/end pairs
+(P's pair sums are a column DP and list no path).
 Verification output is sorted by case key; a case that raises prints a FAIL
 line naming the exception, and the remaining cases still run.
 """
@@ -22,12 +34,11 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import count
 from math import comb
 from typing import Callable, NamedTuple
 
 from . import coeffs, identities, lgv
-from .laurent import FAMILIES, CoeffRecord, shape_report
+from .laurent import CoeffRecord, shape_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,11 +46,11 @@ EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
-# Most path families one `compute --method lgv` case, or one `verify --suite
-# lgv` run in all, enumerates, and most lattice paths one Q/G/H `compute
-# --method lgv-det` case lists.  P(8,4) has 1,531,152 families and takes
-# 8.6-9.8 s with a 144 MB peak RSS; Q(19,7) lists 973,752 paths in 10.8 s
-# with a 16 MB peak (one core of a 2-vCPU host, Python 3.11).
+# Most path families one `compute --method lgv` case enumerates, and most
+# lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(8,4) has
+# 1,531,152 families and takes 8.6-9.8 s with a 144 MB peak RSS; Q(19,7)
+# lists 973,752 paths in 10.8 s with a 16 MB peak (one core of a 2-vCPU
+# host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 
 
@@ -217,23 +228,22 @@ def _suite_classical(max_m: int, max_n: int) -> list:
 
 
 class _Suite(NamedTuple):
-    """A verify suite: its case builder, the size flags (argparse dests) it
-    reads with their defaults, in the order the builder takes them, and the
-    largest value it accepts for each capped flag (larger values cost too
-    much)."""
+    """A verify suite: its case builder and, for each size flag (argparse
+    dest) it reads, in the order the builder takes them, the flag's
+    (default, least, cap): the least value that leaves the suite a case and
+    the largest it accepts (see the module docstring for what a cap costs)."""
     build: Callable[..., list]
-    sizes: dict[str, int]
-    caps: dict[str, int] = {}
+    sizes: dict[str, tuple[int, int, int]]
 
 
 _SUITES = {
-    "theorem1": _Suite(_suite_theorem1, {"max_m": 5, "max_n": 6}, {"max_m": 5}),
-    "lemma1": _Suite(_suite_lemma1, {"max_l": 5}),
-    "lemma2": _Suite(_suite_lemma2, {"max_m": 8, "max_l": 8}),
-    "inverse": _Suite(_suite_inverse, {"n": 6}, {"n": 10}),
-    "lgv": _Suite(_suite_lgv, {"max_m": 6}),
-    "symmetry": _Suite(_suite_symmetry, {"max_m": 8}),
-    "classical": _Suite(_suite_classical, {"max_m": 4, "max_n": 20}, {"max_m": 4}),
+    "theorem1": _Suite(_suite_theorem1, {"max_m": (5, 1, 5), "max_n": (6, 1, 30)}),
+    "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 350)}),
+    "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 16), "max_l": (8, 1, 16)}),
+    "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
+    "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 6)}),
+    "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 35)}),
+    "classical": _Suite(_suite_classical, {"max_m": (4, 1, 4), "max_n": (20, 1, 2500)}),
 }
 
 
@@ -307,42 +317,26 @@ def cmd_verify(args, out) -> int:
         if value is None:
             continue
         option = "--" + flag.replace("_", "-")
-        if not any(flag in _SUITES[name].sizes for name in names):
+        readers = [name for name in names if flag in _SUITES[name].sizes]
+        if not readers:
             print(f"error: {option} is not read by the {args.suite} suite", file=sys.stderr)
             return EXIT_USAGE
-        for name in names:
-            cap = _SUITES[name].caps.get(flag, value)
+        for name in readers:
+            _, least, cap = _SUITES[name].sizes[flag]
             if value > cap:
                 print(f"error: {option} {value} exceeds the {name} suite's cap of {cap}",
                       file=sys.stderr)
                 return EXIT_USAGE
-    if "lgv" in names and args.max_m is not None:
-        # The budget is the whole run's.  Stopping at the first m that takes
-        # the running total over the limit keeps this check cheap however
-        # large --max-m is.
-        total = 0
-        for m in range(2, args.max_m + 1):
-            total += sum(_family_count(f, m, k) for f in FAMILIES for k in range(1, m))
-            if total > _LGV_FAMILY_LIMIT:
-                least = "at least " if m < args.max_m else ""
-                print(f"error: --max-m {args.max_m} would make the lgv suite enumerate "
-                      f"{least}{total} path families in all (limit {_LGV_FAMILY_LIMIT})",
-                      file=sys.stderr)
+            if value < least:
+                print(f"error: {option} {value} leaves the {name} suite with no case "
+                      f"(it needs {option} {least} or more)", file=sys.stderr)
                 return EXIT_USAGE
     cases = []
     for name in names:
         suite = _SUITES[name]
         # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
-        sizes = {flag: getattr(args, flag) or default for flag, default in suite.sizes.items()}
-        built = suite.build(*sizes.values())
-        if not built:
-            # only --max-m can leave a suite empty (lgv starts at m = 2)
-            least = next(v for v in count(sizes["max_m"] + 1)
-                         if suite.build(*{**sizes, "max_m": v}.values()))
-            print(f"error: --max-m {sizes['max_m']} leaves the {name} suite with no case "
-                  f"(it needs --max-m {least} or more)", file=sys.stderr)
-            return EXIT_USAGE
-        cases += built
+        cases += suite.build(*(getattr(args, flag) or default
+                               for flag, (default, _, _) in suite.sizes.items()))
     return EXIT_OK if _run_cases(cases, out) else EXIT_FAIL
 
 

@@ -17,11 +17,12 @@ read through `_inverse_entry`, and no route reads.
 Polynomial statements are checked at more integer sample points 2, 3, 4, ...
 than their degree bound (interpolation completeness), so pointwise agreement
 is a proof; the inverse-pair check compares exact rational values there.
-The invert route evaluates every forward entry exactly at those points,
-solves only the last row of the inverse modulo one prime above twice the
-row's `_minors_bound`, clears each entry by Cramer's rule (a product of
-forward diagonal values) and interpolates on the degree bound that the
-minors recurrence gives on forward-entry degrees.
+The invert route evaluates the forward entries of the trailing block it
+needs exactly at those points, solves only the last row of that block's
+inverse modulo one prime above twice the block's `_minors_bound`, clears
+each entry by Cramer's rule (a product of forward diagonal values) and
+interpolates on the degree bound that the minors recurrence gives on
+forward-entry degrees.
 """
 from __future__ import annotations
 
@@ -233,12 +234,11 @@ def _index_range(family: str, n: int) -> range:
     return range(0, n + 1) if family == "P" else range(1, n + 1)
 
 
-def _lower_triangle(entry, family: str, n: int) -> list[list]:
+def _lower_triangle(entry, family: str, idx: range) -> list[list]:
     """The lower-triangular matrix of entry(family, r, c) over the indices r,
-    c in `_index_range(family, n)`, row r stopping at c = r.  With
-    `forward_entry` it is the forward matrix A, with `_inverse_entry` the
+    c in `idx`, row r stopping at c = r.  With `forward_entry` it is (a
+    trailing block of) the forward matrix A, with `_inverse_entry` the
     claimed inverse B."""
-    idx = _index_range(family, n)
     return [[entry(family, r, c) for c in idx[: i + 1]] for i, r in enumerate(idx)]
 
 
@@ -306,8 +306,9 @@ def verify_inverse_pair(family: str, n: int) -> bool:
     success proves the polynomial statement.  Both factors are lower
     triangular, so only the entries on or below the diagonal are compared.
     """
-    fwd = _lower_triangle(forward_entry, family, n)
-    inv = _lower_triangle(_inverse_entry, family, n)
+    idx = _index_range(family, n)
+    fwd = _lower_triangle(forward_entry, family, idx)
+    inv = _lower_triangle(_inverse_entry, family, idx)
     for q0 in sample_points(_pair_degree_bound(fwd, inv) + 1):
         a = [[e(q0) for e in row] for row in fwd]
         # no denominator vanishes at these points: see sample_points
@@ -438,18 +439,20 @@ def invert_route_row(
     modulo one odd modulus M.
 
     By Cramer's rule, (-1)^k B[m][m-k] * A[m-k][m-k] ... A[m][m] is
-    det A[m-k+1..m][m-k..m-1] = D(m, k).  Each forward entry is a
-    polynomial, evaluated exactly to an integer at each integer sample point
-    and then reduced mod M; only the last row of the inverse is solved, by
-    back substitution mod M, its entries are multiplied by the running
-    diagonal products, and D(m, k) is interpolated mod M on its first
-    bound_k + 1 points.  The route evaluates at the largest of those counts
-    over `ks` alone.  Neither the det route nor `_inverse_factors` is read.
+    det A[m-k+1..m][m-k..m-1] = D(m, k); for k <= K = max(ks), B[m][m-k]
+    is also an entry of the inverse of A's trailing block on m-K..m, the one
+    part built.  Each block entry is a polynomial, evaluated exactly to an
+    integer at each integer sample point and then reduced mod M; only the
+    last row of the block's inverse is solved, by back substitution mod M,
+    its entries are multiplied by the running diagonal products, and D(m, k)
+    is interpolated mod M on its first bound_k + 1 points.  The route
+    evaluates at the largest of those counts over `ks` alone.  Neither the
+    det route nor `_inverse_factors` is read.
 
-    The (m, k) family matrices are the trailing blocks of the (m, m - 1)
-    one, so C = `_minors_bound` of its 1-norms bounds every coefficient of
-    the row; M is the first prime above max(2C, 2^61).  The result is a
-    proof:
+    The (m, k) family matrices for k <= K are the trailing blocks of the
+    (m, K) one, so C = `_minors_bound` of its 1-norms bounds every
+    coefficient the route recovers; M is the first prime above
+    max(2C, 2^61).  The result is a proof:
 
     - bound_k (`_invert_degree_bound`) is exact, so D(m, k) mod M is the one
       polynomial of degree <= bound_k through those values;
@@ -463,8 +466,9 @@ def invert_route_row(
     ks = range(0, m) if ks is None else ks
     bounds = {k: _invert_degree_bound(family, m, k) for k in ks}
     points = sample_points(max(bounds.values()) + 1)
-    fwd = _lower_triangle(forward_entry, family, m)
-    bound = _minors_bound(family_matrix(family, m, m - 1).norms())
+    top = max(ks)
+    fwd = _lower_triangle(forward_entry, family, range(m - top, m + 1))
+    bound = _minors_bound(family_matrix(family, m, top).norms())
     modulus = _next_prime(max(2 * bound, _MODULUS_FLOOR))
     while True:
         try:

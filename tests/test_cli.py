@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qfaulhaber import cli, coeffs, lgv
+from qfaulhaber import cli, coeffs, homog, identities, lgv
 from qfaulhaber.coeffs import det_route, verify_dstr_vanishing, verify_inverse_pair
 from qfaulhaber.laurent import LaurentPoly
 
@@ -210,31 +210,34 @@ class TestVerify:
         assert all(line.startswith("PASS ") for line in lines)
 
     @pytest.mark.parametrize("max_m", ["8", "50"])
-    def test_lgv_refuses_runaway_enumeration(self, max_m, capsys):
+    def test_lgv_refuses_runaway_enumeration(self, max_m, monkeypatch, capsys):
         # The cases up to m = 7 already hold 3,553,512 families in all; the
-        # counts are taken first, m by m, and the run refused at m = 7.
-        start = time.perf_counter()
+        # cap refuses the run at once, counting none of them.
+        monkeypatch.setattr(cli, "_family_count", None)
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", max_m)
-        assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            f"error: --max-m {max_m} would make the lgv suite enumerate at least "
-            "3553512 path families in all (limit 1000000)"
-        )
+            f"error: --max-m {max_m} exceeds the lgv suite's cap of 6")
 
-    def test_lgv_budget_is_the_whole_run(self, capsys):
-        # No case of m = 7 reaches the limit (the largest has 705,600
+    def test_lgv_budget_is_the_whole_run(self, monkeypatch):
+        # The lgv range 2..6 accepts exactly the --max-m whose cases hold
+        # some case and at most _LGV_FAMILY_LIMIT path families in all.  No
+        # case of m = 7 reaches the limit (the largest has 705,600
         # families), but together the run's cases hold 3,553,512.
-        code, out = run_cli("verify", "--suite", "lgv", "--max-m", "7")
-        assert code == 2
-        assert out == ""
-        assert capsys.readouterr().err.strip() == (
-            "error: --max-m 7 would make the lgv suite enumerate 3553512 "
-            "path families in all (limit 1000000)"
-        )
+        totals = {}
+        for max_m in range(1, 9):
+            totals[max_m] = totals.get(max_m - 1, 0) + sum(
+                cli._family_count(f, max_m, k) for f in "PQGH" for k in range(1, max_m))
+        assert (totals[6], totals[7]) == (90864, 3553512)
         assert max(cli._family_count(f, 7, k) for f in "PQGH" for k in range(1, 7)) \
             < cli._LGV_FAMILY_LIMIT
+        budget = {m for m, total in totals.items() if 0 < total <= cli._LGV_FAMILY_LIMIT}
+        monkeypatch.setattr(cli, "_family_count", None)
+        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: True)
+        accepted = {m for m in totals
+                    if run_cli("verify", "--suite", "lgv", "--max-m", str(m))[0] == 0}
+        assert accepted == budget == set(range(2, 7))
 
     def test_lgv_at_max_m_6_runs_every_case(self):
         # 90,864 families in all, under the limit
@@ -320,6 +323,30 @@ class TestVerify:
             assert run_cli("verify", "--suite", suite, "--n", n) == (2, "")
             assert capsys.readouterr().err.strip() == (
                 f"error: --n {n} exceeds the inverse suite's cap of 10")
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("suite, flag", [
+        (suite, flag) for suite, entry in cli._SUITES.items() for flag in entry.sizes])
+    def test_size_table_refuses_before_any_case(self, suite, flag, monkeypatch, capsys):
+        # the cap runs; cap + 1, and least - 1 where least > 1, exit 2 with
+        # the table's message before any case runs, and no path family is
+        # counted for either
+        default, least, cap = cli._SUITES[suite].sizes[flag]
+        assert 1 <= least <= default <= cap
+        option = "--" + flag.replace("_", "-")
+        ran = []
+        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
+        monkeypatch.setattr(cli, "_family_count", None)
+        assert run_cli("verify", "--suite", suite, option, str(cap)) == (0, "")
+        assert len(ran) == 1 and ran[0]
+        assert run_cli("verify", "--suite", suite, option, str(cap + 1)) == (2, "")
+        assert capsys.readouterr().err.strip() == (
+            f"error: {option} {cap + 1} exceeds the {suite} suite's cap of {cap}")
+        if least > 1:
+            assert run_cli("verify", "--suite", suite, option, str(least - 1)) == (2, "")
+            assert capsys.readouterr().err.strip() == (
+                f"error: {option} {least - 1} leaves the {suite} suite with no case "
+                f"(it needs {option} {least} or more)")
         assert len(ran) == 1
 
     def test_size_at_cap_runs(self):
@@ -431,6 +458,23 @@ class TestFaultMatrix:
 
         monkeypatch.setitem(lgv._FAMILY_TERMS, family, faulty)
         assert failing_suites() == {"lgv"}
+
+    def test_h_spec_fault(self, monkeypatch):
+        # +1 on the constant coefficient of every nonzero h_spec value, in
+        # every namespace that binds it: the c/g/d generators (homog), P's
+        # forward entries (coeffs) and lemma1 and lemma2 (identities).
+        h_spec = homog.h_spec
+
+        def faulty(n, r, s):
+            value = h_spec(n, r, s)
+            return value if value.is_zero else value + 1
+
+        for module in (homog, coeffs, identities):
+            monkeypatch.setattr(module, "h_spec", faulty)
+        # No suite stays PASS: lemma1 and lemma2 read h_spec (or c/g/d)
+        # directly, and theorem1, inverse, lgv, symmetry and classical read
+        # det_route or the forward entries, which every family builds from it.
+        assert failing_suites() == set(SMALL_SUITES)
 
     def test_long_operand_multiply_fault(self, monkeypatch):
         # +1 on every product of two polynomials of 8 or more terms.  The det

@@ -281,8 +281,9 @@ class TestInversePairs:
 
     @staticmethod
     def pair_bound(family, n):
-        return _pair_degree_bound(_lower_triangle(forward_entry, family, n),
-                                  _lower_triangle(_inverse_entry, family, n))
+        idx = _index_range(family, n)
+        return _pair_degree_bound(_lower_triangle(forward_entry, family, idx),
+                                  _lower_triangle(_inverse_entry, family, idx))
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_pair_degree_bound_covers_cleared_terms(self, family):
@@ -622,6 +623,21 @@ class TestInvertRoute:
         assert invert_route_row("Q", 14, (1, 3)) == {
             k: det_route("Q", 14, k) for k in (1, 3)}
         assert counts[1] == _invert_degree_bound("Q", 14, 3) + 1
+
+    def test_one_k_evaluates_only_its_trailing_block(self, monkeypatch):
+        # B[40][39] needs only the trailing block on rows 39..40: three
+        # forward entries at each of Q(40, 1)'s 77 points, not the whole
+        # triangle's 820
+        expected = det_route("Q", 40, 1)
+        evaluated = []
+        call = LaurentPoly.__call__
+        monkeypatch.setattr(LaurentPoly, "__call__",
+                            lambda self, x: evaluated.append(self) or call(self, x))
+        assert invert_route("Q", 40, 1) == expected
+        assert _invert_degree_bound("Q", 40, 1) + 1 == 77
+        assert len(evaluated) == 3 * 77
+        assert set(evaluated) == {forward_entry("Q", r, c)
+                                  for r, c in ((39, 39), (40, 39), (40, 40))}
 
     def test_single_entry(self):
         assert invert_route("G", 4, 2) == C(10, 24, 24, 10)

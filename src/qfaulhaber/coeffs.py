@@ -19,9 +19,9 @@ than their degree bound (interpolation completeness), so pointwise agreement
 is a proof; the inverse-pair check compares exact rational values there.
 The invert route evaluates the forward entries of the trailing block it
 needs exactly at those points, solves only the last row of that block's
-inverse modulo one prime above twice the block's `_minors_bound`, clears
-each entry by Cramer's rule (a product of forward diagonal values) and
-interpolates on the degree bound that the minors recurrence gives on
+adjugate by fraction-free back substitution, which is each family
+polynomial's value up to sign (Cramer's rule), and interpolates over the
+integers on the degree bound that the minors recurrence gives on
 forward-entry degrees.
 """
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
@@ -38,10 +37,6 @@ from .laurent import FAMILIES, LaurentPoly, ONE, Q, q_fact
 
 class BadIndexError(ValueError):
     """Raised for (m, k) outside a family's defined range."""
-
-
-class SingularSampleError(ArithmeticError):
-    """Raised when a denominator factor vanishes at a sample point."""
 
 
 def _hessenberg_minors(a: list[list[int]]) -> list[int]:
@@ -271,10 +266,10 @@ def _inverse_entry(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPol
 
 
 def sample_points(count: int) -> list[int]:
-    """The integers 2, 3, ..., count + 1.  Every forward diagonal entry is a
-    q-integer or a product of factors 1 + q^j, and every denominator of
-    `_inverse_factors` a product of q-integers and factors 1 +- q^j (j >= 1):
-    none of them vanishes at an integer q >= 2."""
+    """The integers 2, 3, ..., count + 1.  Every denominator of
+    `_inverse_factors` is a product of q-integers and factors 1 +- q^j
+    (j >= 1), none of which vanishes at an integer q >= 2, so the inverse-pair
+    check can divide by it there.  The invert route divides by no value."""
     return list(range(2, count + 2))
 
 
@@ -324,84 +319,55 @@ def verify_inverse_pair(family: str, n: int) -> bool:
 # polynomial extraction via inversion + interpolation (the "invert" route)
 # ---------------------------------------------------------------------------
 
-_MODULUS_FLOOR = 1 << 61
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+def _adjugate_last_row(a: list[list[int]]) -> list[int]:
+    """Last row y of adj(A) for a lower-triangular integer matrix A, i.e.
+    y A = det(A) e_last, by fraction-free back substitution (Horner form):
 
+        y[n-1] = 1,
+        y[j]   = -sum over t > j of y[t] A[t][j] A[j+1][j+1] ... A[t-1][t-1].
 
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the first thirteen prime bases: exact below 3.3e24."""
-    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
-        return n in _PRIME_BASES
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _next_prime(n: int) -> int:
-    """The least probable prime above n."""
-    n += 1
-    while not _is_probable_prime(n):
-        n += 1
-    return n
-
-
-def _inverse_last_row_mod(a: list[list[int]], modulus: int) -> list[int]:
-    """Last row x of the inverse of a lower-triangular matrix mod `modulus`,
-    i.e. the solution of x A = e_last, by back substitution in O(n^2).
-
-    Row i of `a` may stop at the diagonal; entries right of it are not read.
-    Raises ValueError when a diagonal entry is not a unit.
+    y[j] is the inverse's x[j] times A[j][j] ... A[n-1][n-1]; the diagonal
+    enters only through those running products, and nothing is divided, so
+    a singular A needs no guard.  Rows of `a` may stop at the diagonal.
     """
     n = len(a)
-    x = [0] * n
-    for j in range(n - 1, -1, -1):
-        rhs = (j == n - 1) - sum(x[t] * a[t][j] for t in range(j + 1, n))
-        x[j] = rhs * pow(a[j][j], -1, modulus) % modulus
-    return x
+    y = [1] * n
+    for j in range(n - 2, -1, -1):
+        acc = y[n - 1] * a[n - 1][j]
+        for t in range(n - 2, j, -1):
+            acc = acc * a[t][t] + y[t] * a[t][j]
+        y[j] = -acc
+    return y
 
 
-def _trailing_products(diagonal: list[int], modulus: int) -> list[int]:
-    """Cramer's factors of a lower-triangular matrix's last inverse row:
-    entry k is the product of the last k + 1 diagonal values mod `modulus`."""
-    return list(accumulate(reversed(diagonal), lambda acc, v: acc * v % modulus))
-
-
-def interpolate_poly(points: list[int], values: list[int], modulus: int) -> LaurentPoly:
+def interpolate_poly(points: list[int], values: list[int]) -> LaurentPoly:
     """The polynomial of degree < len(points) through the integer points
-    (points[i], values[i]) mod `modulus`, by Newton interpolation, each
-    coefficient lifted into the symmetric range (-modulus/2, modulus/2].
+    (points[i], values[i]), by Newton interpolation over the integers.
 
-    Raises ValueError when a difference of two points is not a unit mod
-    `modulus`.
+    Newton's basis polynomials (x - x_0)...(x - x_(i-1)) are monic with
+    integer coefficients, so the interpolant has integer coefficients iff
+    every divided difference is an integer; each is then an exact quotient.
+    Raises ArithmeticError on a remainder: the values are those of no
+    integer polynomial of degree < len(points).
     """
-    xs = [p % modulus for p in points]
-    n = len(xs)
+    n = len(points)
     divided = list(values)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            step = pow(xs[i] - xs[i - level], -1, modulus)
-            divided[i] = (divided[i] - divided[i - 1]) * step % modulus
+            step, remainder = divmod(divided[i] - divided[i - 1],
+                                     points[i] - points[i - level])
+            if remainder:
+                raise ArithmeticError("the values are those of no integer polynomial")
+            divided[i] = step
     # Horner expansion of the Newton form, in place:
-    # coeffs <- coeffs * (x - xs[i]) + divided[i], whose degree is n-1-i
+    # coeffs <- coeffs * (x - points[i]) + divided[i], whose degree is n-1-i
     coeffs = [0] * n
     for i in reversed(range(n)):
-        x = xs[i]
+        x = points[i]
         for j in range(n - 1 - i, 0, -1):
-            coeffs[j] = (coeffs[j - 1] - x * coeffs[j]) % modulus
-        coeffs[0] = (divided[i] - x * coeffs[0]) % modulus
-    half = modulus // 2
-    return LaurentPoly([c - modulus if c > half else c for c in coeffs])
+            coeffs[j] = coeffs[j - 1] - x * coeffs[j]
+        coeffs[0] = divided[i] - x * coeffs[0]
+    return LaurentPoly(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -436,59 +402,38 @@ def invert_route_row(
 ) -> dict[int, LaurentPoly]:
     """The family polynomials (m, k) for k in `ks` (default: every k < m),
     recovered from the inverse B of the forward matrix A by interpolation
-    modulo one odd modulus M.
+    over the integers.
 
     By Cramer's rule, (-1)^k B[m][m-k] * A[m-k][m-k] ... A[m][m] is
     det A[m-k+1..m][m-k..m-1] = D(m, k); for k <= K = max(ks), B[m][m-k]
     is also an entry of the inverse of A's trailing block on m-K..m, the one
     part built.  Each block entry is a polynomial, evaluated exactly to an
-    integer at each integer sample point and then reduced mod M; only the
-    last row of the block's inverse is solved, by back substitution mod M,
-    its entries are multiplied by the running diagonal products, and D(m, k)
-    is interpolated mod M on its first bound_k + 1 points.  The route
-    evaluates at the largest of those counts over `ks` alone.  Neither the
-    det route nor `_inverse_factors` is read.
+    integer at each integer sample point; entry j of the last row of the
+    block's adjugate (`_adjugate_last_row`) is B[m][j] * A[j][j] ... A[m][m],
+    so (-1)^k times its entry for column m-k is D(m, k) at the point, found
+    with no division.  D(m, k) is interpolated on its first bound_k + 1
+    points, and the route evaluates at the largest of those counts over
+    `ks` alone.  Neither the det route, its minors recurrence nor
+    `_inverse_factors` is read.
 
-    The (m, k) family matrices for k <= K are the trailing blocks of the
-    (m, K) one, so C = `_minors_bound` of its 1-norms bounds every
-    coefficient the route recovers; M is the first prime above
-    max(2C, 2^61).  The result is a proof:
-
-    - bound_k (`_invert_degree_bound`) is exact, so D(m, k) mod M is the one
-      polynomial of degree <= bound_k through those values;
-    - every inverse taken exists mod M, because a `pow(x, -1, M)` that fails
-      moves on to the next prime, so each value mod M is the image of the
-      exact one and the interpolant is unique, whether or not M is prime;
-    - every coefficient c has |c| <= C < M/2, so the symmetric lift is c.
+    The result is a proof: bound_k (`_invert_degree_bound`) bounds the
+    degree of D(m, k), so D(m, k) is the one polynomial of degree <= bound_k
+    through those exact values, and its integer coefficients make every
+    divided difference an exact quotient.
     """
     if m < 1:
         raise BadIndexError("m must be at least 1")
     ks = range(0, m) if ks is None else ks
     bounds = {k: _invert_degree_bound(family, m, k) for k in ks}
     points = sample_points(max(bounds.values()) + 1)
-    top = max(ks)
-    fwd = _lower_triangle(forward_entry, family, range(m - top, m + 1))
-    bound = _minors_bound(family_matrix(family, m, top).norms())
-    modulus = _next_prime(max(2 * bound, _MODULUS_FLOOR))
-    while True:
-        try:
-            values: dict[int, list[int]] = {k: [] for k in ks}
-            for p, q0 in enumerate(points):
-                # a polynomial at an integer: the value is an integer Fraction
-                a = [[e(q0).numerator for e in row] for row in fwd]
-                # an exact zero is no unit mod any modulus: fail, not retry
-                if not all(row[-1] for row in a):
-                    raise ZeroDivisionError("singular triangular matrix")
-                a = [[v % modulus for v in row] for row in a]
-                last = _inverse_last_row_mod(a, modulus)[::-1]  # last[k] = B[m][m-k]
-                diagonal = _trailing_products([row[-1] for row in a], modulus)
-                for k in ks:
-                    if p <= bounds[k]:
-                        values[k].append((-1) ** k * last[k] * diagonal[k] % modulus)
-            return {k: interpolate_poly(points[: bounds[k] + 1], values[k], modulus)
-                    for k in ks}
-        except ValueError:  # pow(x, -1, modulus) found x not a unit
-            modulus = _next_prime(modulus)
+    fwd = _lower_triangle(forward_entry, family, range(m - max(ks), m + 1))
+    # a polynomial at an integer: the value is an integer Fraction
+    rows = [_adjugate_last_row([[e(q0).numerator for e in row] for row in fwd])
+            for q0 in points]
+    # row[-1 - k] is the entry for column m - k: (-1)^k D(m, k)
+    return {k: interpolate_poly(points[: bounds[k] + 1],
+                                [(-1) ** k * row[-1 - k] for row in rows[: bounds[k] + 1]])
+            for k in ks}
 
 
 def invert_route(family: str, m: int, k: int) -> LaurentPoly:

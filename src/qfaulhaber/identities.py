@@ -25,9 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffs import SingularSampleError, _family_det, det_route
+from .coeffs import _family_det, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
 from .laurent import LaurentPoly, ONE, ZERO, q_int
+
+
+class SingularSampleError(ArithmeticError):
+    """Raised when a denominator factor vanishes at a sample point."""
 
 
 def _sign(n: int) -> int:

@@ -21,12 +21,12 @@ from itertools import combinations
 
 from qfaulhaber.coeffs import (
     PolyMatrix,
-    SingularSampleError,
     _check_index,
     _index_range,
     forward_entry,
     sample_points,
 )
+from qfaulhaber.identities import SingularSampleError
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     _ONE_PLUS_Q,

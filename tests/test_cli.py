@@ -291,48 +291,32 @@ class TestVerify:
         assert out == ""
         assert "is not read by" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["lgv", "all"])
-    def test_suite_with_no_case_exits_2(self, suite, monkeypatch, capsys):
-        # the lgv suite starts at m = 2: at --max-m 1 it would pass vacuously
-        def no_run(cases, out):
-            raise AssertionError("a case ran")
-
-        monkeypatch.setattr(cli, "_run_cases", no_run)
-        code, out = run_cli("verify", "--suite", suite, "--max-m", "1")
-        assert code == 2
-        assert out == ""
-        assert capsys.readouterr().err.strip() == (
-            "error: --max-m 1 leaves the lgv suite with no case "
-            "(it needs --max-m 2 or more)"
-        )
-
     def test_all_reads_every_size_flag(self):
         code, out = run_cli("verify", "--suite", "all", "--max-m", "2",
                             "--max-n", "1", "--max-l", "1", "--n", "1")
         assert code == 0
         assert all(line.startswith("PASS ") for line in out.splitlines())
 
-    @pytest.mark.parametrize("suite", ["inverse", "all"])
-    def test_n_cap_refuses_before_any_case(self, suite, monkeypatch, capsys):
-        # the inverse-pair cases cost about n^5.5: --n 40 would run for hours
-        ran = []
-        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
-        assert run_cli("verify", "--suite", suite, "--n", "10") == (0, "")
-        assert len(ran) == 1
-        for n in ("11", "40"):
-            assert run_cli("verify", "--suite", suite, "--n", n) == (2, "")
-            assert capsys.readouterr().err.strip() == (
-                f"error: --n {n} exceeds the inverse suite's cap of 10")
-        assert len(ran) == 1
-
     @pytest.mark.parametrize("suite, flag", [
-        (suite, flag) for suite, entry in cli._SUITES.items() for flag in entry.sizes])
+        (suite, flag) for suite, entry in cli._SUITES.items() for flag in entry.sizes
+    ] + [("all", flag) for flag in dict.fromkeys(
+        flag for entry in cli._SUITES.values() for flag in entry.sizes)])
     def test_size_table_refuses_before_any_case(self, suite, flag, monkeypatch, capsys):
         # the cap runs; cap + 1, and least - 1 where least > 1, exit 2 with
         # the table's message before any case runs, and no path family is
-        # counted for either
-        default, least, cap = cli._SUITES[suite].sizes[flag]
-        assert 1 <= least <= default <= cap
+        # counted for either.  Under `all` a flag's least is the largest and
+        # its cap the smallest over the suites that read it, and the message
+        # names the first of those in table order (the lgv suite starts at
+        # m = 2: at --max-m 1 it would pass vacuously; the inverse-pair cases
+        # cost about n^5.5: --n 40 would run for hours).
+        sizes = {name: entry.sizes[flag] for name, entry in cli._SUITES.items()
+                 if suite in (name, "all") and flag in entry.sizes}
+        assert all(1 <= least <= default <= cap for default, least, cap in sizes.values())
+        least = max(least for _, least, _ in sizes.values())
+        cap = min(cap for _, _, cap in sizes.values())
+        assert least <= cap
+        capped = next(name for name, (_, _, c) in sizes.items() if c == cap)
+        emptied = next(name for name, (_, lo, _) in sizes.items() if lo == least)
         option = "--" + flag.replace("_", "-")
         ran = []
         monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
@@ -341,11 +325,11 @@ class TestVerify:
         assert len(ran) == 1 and ran[0]
         assert run_cli("verify", "--suite", suite, option, str(cap + 1)) == (2, "")
         assert capsys.readouterr().err.strip() == (
-            f"error: {option} {cap + 1} exceeds the {suite} suite's cap of {cap}")
+            f"error: {option} {cap + 1} exceeds the {capped} suite's cap of {cap}")
         if least > 1:
             assert run_cli("verify", "--suite", suite, option, str(least - 1)) == (2, "")
             assert capsys.readouterr().err.strip() == (
-                f"error: {option} {least - 1} leaves the {suite} suite with no case "
+                f"error: {option} {least - 1} leaves the {emptied} suite with no case "
                 f"(it needs {option} {least} or more)")
         assert len(ran) == 1
 

@@ -16,7 +16,6 @@ from qfaulhaber.coeffs import (
     _inverse_factors,
     _invert_degree_bound,
     _lower_triangle,
-    _next_prime,
     _pair_degree_bound,
     det_route,
     family_matrix,
@@ -209,6 +208,16 @@ class TestMinorsBound:
         ), None)
         assert wrong is not None
 
+    def test_coefficient_bound_assumes_no_sign(self, monkeypatch):
+        # -1 on the forward diagonal and 1 below it: each family matrix is
+        # lower Hessenberg with -1 on its superdiagonal, and all 2^(k-1) terms
+        # of its determinant add up, which one entry per row cannot bound.
+        monkeypatch.setattr(coeffs, "forward_entry", lambda family, r, c: (
+            -ONE if c == r else ONE if c < r else ZERO))
+        assert coeffs._minors_bound(family_matrix("P", 8, 7).norms()) == 2 ** 6
+        for k in range(1, 8):
+            assert family_matrix("P", 8, k).det() == 2 ** (k - 1)
+
 
 class TestForwardMatrices:
     def test_lower_triangular(self):
@@ -392,39 +401,22 @@ class TestRationalLinearAlgebra:
             rational_interpolate(pts, [Fraction(1, 2), Fraction(1, 3)])
 
 
-class TestModularInterpolation:
-    def test_roundtrip_lifts_symmetric_coefficients(self):
-        # a word-sized prime, and a small one whose every residue is a
-        # coefficient of (-M/2, M/2], the ends included
+class TestIntegerInterpolation:
+    def test_roundtrip_wide_coefficients(self):
+        # coefficients of 200 bits come back exactly: nothing bounds their size
         rng = random.Random(17)
-        for modulus in (101, _next_prime(coeffs._MODULUS_FLOOR)):
-            half = modulus // 2
-            for length in (1, 2, 3, 6, 11, 17, 25, 32, 39, 40):
-                cs = [rng.randint(-half, half) for _ in range(length)]
-                cs[0], cs[-1] = -half, half
-                p = LaurentPoly(cs)
-                pts = sample_points(length)
-                vals = [p(x).numerator % modulus for x in pts]
-                assert interpolate_poly(pts, vals, modulus) == p, (modulus, length)
+        for length in range(1, 41):
+            cs = [rng.randint(-(1 << 200), 1 << 200) for _ in range(length)]
+            p = LaurentPoly(cs)
+            pts = sample_points(length)
+            assert interpolate_poly(pts, [p(x).numerator for x in pts]) == p, length
 
-    def test_non_unit_difference_raises(self):
-        # 5 - 2 is 0 mod 3: the invert route moves on to the next prime
-        with pytest.raises(ValueError):
-            interpolate_poly([2, 5], [0, 1], 3)
-
-    def test_next_prime(self):
-        primes = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
-        assert [_next_prime(n) for n in range(1, 1990)] == [
-            next(p for p in primes if p > n) for n in range(1, 1990)
-        ]
-        assert _next_prime((1 << 61) - 2) == (1 << 61) - 1  # a Mersenne prime
-        assert _next_prime(561) == 563  # past a Carmichael number
-
-
-def _row_bound(family: str, m: int) -> int:
-    """The invert route's coefficient bound for row m: the (m, k) family
-    matrices are the trailing blocks of the (m, m - 1) one."""
-    return coeffs._minors_bound(family_matrix(family, m, m - 1).norms())
+    def test_values_of_no_integer_polynomial_raise(self):
+        # q(q - 1)/2 takes integer values at every integer, yet its second
+        # divided difference is 1/2; a slope of 1/2 fails at the first level
+        for points, values in (([2, 3, 4], [1, 3, 6]), ([2, 4], [0, 1])):
+            with pytest.raises(ArithmeticError):
+                interpolate_poly(points, values)
 
 
 class TestInvertRoute:
@@ -451,9 +443,9 @@ class TestInvertRoute:
     def test_each_k_interpolates_on_its_bound(self, family, monkeypatch):
         calls = []
 
-        def spy(points, values, modulus):
+        def spy(points, values):
             calls.append(list(points))
-            return interpolate_poly(points, values, modulus)
+            return interpolate_poly(points, values)
 
         monkeypatch.setattr(coeffs, "interpolate_poly", spy)
         invert_route_row(family, 8)
@@ -462,76 +454,15 @@ class TestInvertRoute:
             assert len(points) == _invert_degree_bound(family, 8, k) + 1, (family, k)
             assert points == sample_points(len(points))
 
-    @pytest.mark.parametrize("family", "PQGH")
-    def test_coefficient_bound_covers_polynomial(self, family):
-        # The route lifts coefficients from (-M/2, M/2] with M > 2 * bound,
-        # so the recovered row is proven only while the one bound covers
-        # every coefficient of every k.
-        for m in range(1, 13):
-            bound = _row_bound(family, m)
-            for k in range(m):
-                largest = max(map(abs, det_route(family, m, k).coeffs))
-                assert bound >= largest, (family, m, k)
-
-    def test_coefficient_bound_assumes_no_sign(self, monkeypatch):
-        # -1 on the forward diagonal and 1 below it: each family matrix is
-        # lower Hessenberg with -1 on its superdiagonal, and all 2^(k-1) terms
-        # of its determinant add up, which one entry per row cannot bound.
-        monkeypatch.setattr(coeffs, "forward_entry", lambda family, r, c: (
-            -ONE if c == r else ONE if c < r else ZERO))
-        assert _row_bound("P", 8) == 2 ** 6
-        for k in range(1, 8):
-            assert family_matrix("P", 8, k).det() == 2 ** (k - 1)
-
-    @staticmethod
-    def spy_moduli(monkeypatch):
-        """Drop the modulus floor and record every modulus the route picks."""
-        moduli = []
-
-        def spy(n):
-            moduli.append(_next_prime(n))
-            return moduli[-1]
-
-        monkeypatch.setattr(coeffs, "_MODULUS_FLOOR", 0)
-        monkeypatch.setattr(coeffs, "_next_prime", spy)
-        return moduli
-
-    @pytest.mark.parametrize("family", "PQGH")
-    def test_bound_alone_sizes_the_modulus(self, family, monkeypatch):
-        # With no floor, M is the first prime above 2 * bound, and the rows
-        # still come out exact.
-        moduli = self.spy_moduli(monkeypatch)
-        for m in range(1, 9):
-            moduli.clear()
-            row = invert_route_row(family, m)
-            for k in range(m):
-                assert row[k] == det_route(family, m, k), (family, m, k)
-            assert moduli[0] == _next_prime(2 * _row_bound(family, m)), (family, m)
-
-    def test_failed_inverse_moves_to_the_next_prime(self, monkeypatch):
-        # P(1, 0): bound 1, so M = 3, where the forward entry 1 + q is 0 at
-        # q = 2; the route retries mod 5.
-        moduli = self.spy_moduli(monkeypatch)
-        assert invert_route_row("P", 1) == {0: ONE}
-        assert moduli == [3, 5]
-
     @pytest.mark.parametrize("family", "QH")
-    def test_rows_past_one_machine_word(self, family, monkeypatch):
-        # m = 16 has wider coefficients than any other cross-check reaches;
-        # every modulus but H(12)'s (a 64-bit bound) is past 2^64
-        moduli = []
-
-        def spy(n):
-            moduli.append(_next_prime(n))
-            return moduli[-1]
-
-        monkeypatch.setattr(coeffs, "_next_prime", spy)
+    def test_rows_past_one_machine_word(self, family):
+        # m = 16 has wider coefficients than any other cross-check reaches:
+        # 93 bits for Q, 88 for H
         for m in (12, 16):
-            moduli.clear()
             row = invert_route_row(family, m)
-            assert (moduli[0] > 1 << 64) == ((family, m) != ("H", 12)), (family, m)
             for k in range(m):
                 assert row[k] == det_route(family, m, k), (family, m, k)
+        assert _largest_coeff(row.values()) > 1 << 64, family
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_denominator_fault_fails_the_crosscheck(self, family, monkeypatch):
@@ -553,33 +484,25 @@ class TestInvertRoute:
             assert not verify_dstr_vanishing(m, Fraction(2)), m
 
     @pytest.mark.parametrize("family", "PQGH")
-    def test_narrow_bound_fails_the_crosscheck(self, family, monkeypatch):
-        # With no floor under M, a bound cut to its square root must wrap a
-        # coefficient's lift somewhere: the bound is load-bearing.  The det
-        # rows come first, as the det route reads the bound too.
-        rows = {m: [det_route(family, m, k) for k in range(m)] for m in range(1, 7)}
-        bound = coeffs._minors_bound
-        monkeypatch.setattr(coeffs, "_minors_bound", lambda norms: isqrt(bound(norms)))
-        monkeypatch.setattr(coeffs, "_MODULUS_FLOOR", 0)
-        wrong = [m for m, row in rows.items()
-                 if [invert_route_row(family, m)[k] for k in range(m)] != row]
-        assert wrong, family
-
-    @pytest.mark.parametrize("family", "PQGH")
     def test_diagonal_fault_fails_the_crosscheck(self, family, monkeypatch):
-        # Cramer's factor missing A[m-1][m-1] scales every k >= 1 by a value
-        # that is no unit at the sample points: each of those rows is wrong.
-        products = coeffs._trailing_products
+        # The substitution reads the diagonal only in its running products,
+        # so setting A[m-1][m-1] to 1 drops that factor from each of them.
+        # Every k >= 2 goes wrong but (3, 2).  k = 0 and k = 1 stay right:
+        # y[m] = 1 and y[m-1] = -A[m][m-1] have empty running products.
+        # (3, 2) stays right because its one term carrying the factor is
+        # A[3][1] A[2][2], and A[i][j] = 0 for i > 2j in every family.
+        solve = coeffs._adjugate_last_row
 
-        def faulty(diagonal, modulus):
-            return products([*diagonal[:-2], 1, diagonal[-1]], modulus)
+        def faulty(a):
+            if len(a) > 1:
+                a[-2][-1] = 1  # rows stop at the diagonal
+            return solve(a)
 
-        monkeypatch.setattr(coeffs, "_trailing_products", faulty)
-        for m in range(2, 6):
-            row = invert_route_row(family, m)
-            assert row[0] == ONE
-            for k in range(1, m):
-                assert row[k] != det_route(family, m, k), (family, m, k)
+        monkeypatch.setattr(coeffs, "_adjugate_last_row", faulty)
+        wrong = {(m, k) for m in range(1, 7)
+                 for k, poly in invert_route_row(family, m).items()
+                 if poly != det_route(family, m, k)}
+        assert wrong == {(m, k) for m in range(1, 7) for k in range(2, m)} - {(3, 2)}
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_reads_neither_det_route_nor_claimed_inverse(self, family, monkeypatch):
@@ -588,29 +511,25 @@ class TestInvertRoute:
         def unread(*args):
             raise AssertionError("the invert route read the det route or the claimed inverse")
 
-        for name in ("_family_det", "_family_row", "_inverse_factors"):
+        for name in ("_family_det", "_family_row", "_inverse_factors",
+                     "_hessenberg_minors", "_minors_bound"):
             monkeypatch.setattr(coeffs, name, unread)
         for name in ("minors", "det"):
             monkeypatch.setattr(PolyMatrix, name, unread)
         row = invert_route_row(family, 6)
         assert [row[k] for k in range(6)] == rows
 
-    def test_vanishing_diagonal_raises(self, monkeypatch):
-        # q - 2 is 0 at the first sample point, so no modulus can invert it;
-        # the route must raise rather than try prime after prime
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_vanishing_diagonal_needs_no_guard(self, family, monkeypatch, cold_memos):
+        # q - 2 on the forward diagonal is 0 at the first sample point: the
+        # substitution divides by no value, so the route still equals the
+        # det route under the same patch
         entry = coeffs.forward_entry
-        moduli = []
-
-        def bounded(n):
-            moduli.append(_next_prime(n))
-            assert len(moduli) < 50, "retried prime after prime"
-            return moduli[-1]
-
         monkeypatch.setattr(coeffs, "forward_entry", lambda family, i, j: (
             LaurentPoly([-2, 1]) if i == j else entry(family, i, j)))
-        monkeypatch.setattr(coeffs, "_next_prime", bounded)
-        with pytest.raises(ZeroDivisionError):
-            invert_route_row("G", 3)
+        for m in range(1, 7):
+            row = invert_route_row(family, m)
+            assert row == {k: det_route(family, m, k) for k in range(m)}, (family, m)
 
     def test_one_k_evaluates_at_its_own_bound(self, monkeypatch):
         # Q(14, 1) has degree bound 24; the whole row would need 157 points

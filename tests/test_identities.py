@@ -5,6 +5,7 @@ import pytest
 
 from qfaulhaber import identities
 from qfaulhaber.identities import (
+    SingularSampleError,
     classical_check,
     s_sum,
     t_sum,
@@ -13,7 +14,6 @@ from qfaulhaber.identities import (
     verify_theorem1,
     x_poly,
 )
-from qfaulhaber.coeffs import SingularSampleError
 from qfaulhaber.laurent import LaurentPoly, ONE, q_int
 
 

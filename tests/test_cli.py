@@ -297,6 +297,34 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS ") for line in out.splitlines())
 
+    @pytest.mark.parametrize("suite", ["lgv", "all"])
+    def test_suite_with_no_case_exits_2(self, suite, monkeypatch, capsys):
+        # the lgv suite starts at m = 2: at --max-m 1 it would pass vacuously
+        def no_run(cases, out):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(cli, "_run_cases", no_run)
+        code, out = run_cli("verify", "--suite", suite, "--max-m", "1")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.strip() == (
+            "error: --max-m 1 leaves the lgv suite with no case "
+            "(it needs --max-m 2 or more)"
+        )
+
+    @pytest.mark.parametrize("suite", ["inverse", "all"])
+    def test_n_cap_refuses_before_any_case(self, suite, monkeypatch, capsys):
+        # the inverse-pair cases cost about n^5.5: --n 40 would run for hours
+        ran = []
+        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
+        assert run_cli("verify", "--suite", suite, "--n", "10") == (0, "")
+        assert len(ran) == 1
+        for n in ("11", "40"):
+            assert run_cli("verify", "--suite", suite, "--n", n) == (2, "")
+            assert capsys.readouterr().err.strip() == (
+                f"error: --n {n} exceeds the inverse suite's cap of 10")
+        assert len(ran) == 1
+
     @pytest.mark.parametrize("suite, flag", [
         (suite, flag) for suite, entry in cli._SUITES.items() for flag in entry.sizes
     ] + [("all", flag) for flag in dict.fromkeys(

@@ -454,6 +454,18 @@ class TestInvertRoute:
             assert len(points) == _invert_degree_bound(family, 8, k) + 1, (family, k)
             assert points == sample_points(len(points))
 
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_coefficient_bound_covers_polynomial(self, family):
+        # The route reads no coefficient bound, but its rows are the det
+        # route's minors: the det route's one bound for row m (the (m, k)
+        # matrices are the trailing blocks of the (m, m - 1) one) must cover
+        # every coefficient the route recovers, for every k.
+        for m in range(1, 13):
+            bound = coeffs._minors_bound(family_matrix(family, m, m - 1).norms())
+            row = invert_route_row(family, m)
+            for k in range(m):
+                assert bound >= _largest_coeff([row[k]]), (family, m, k)
+
     @pytest.mark.parametrize("family", "QH")
     def test_rows_past_one_machine_word(self, family):
         # m = 16 has wider coefficients than any other cross-check reaches:
@@ -482,6 +494,20 @@ class TestInvertRoute:
         # the boundary sum reads H's claimed inverse column too
         for m in range(2, 7):
             assert not verify_dstr_vanishing(m, Fraction(2)), m
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_narrow_bound_fails_the_crosscheck(self, family, monkeypatch, cold_memos):
+        # A bound cut to its square root wraps some digit of the det route's
+        # minors, and the invert route, which reads no bound, keeps its rows:
+        # the two disagree somewhere, so the cross-check catches the cut.
+        rows = {m: invert_route_row(family, m) for m in range(1, 7)}
+        bound = coeffs._minors_bound
+        monkeypatch.setattr(coeffs, "_minors_bound", lambda norms: isqrt(bound(norms)))
+        for m, row in rows.items():
+            assert invert_route_row(family, m) == row, (family, m)
+        wrong = [m for m, row in rows.items()
+                 if [det_route(family, m, k) for k in range(m)] != [row[k] for k in range(m)]]
+        assert wrong, family
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_diagonal_fault_fails_the_crosscheck(self, family, monkeypatch):

@@ -13,8 +13,8 @@ Python 3.11 (the host's speed varied by about a third between runs):
     theorem1   --max-m 5, --max-n 30      7.2-8.6 s   (32: 7.7-12.9 s)
     lemma1     --max-l 350                6.5-9.0 s   (400: 8.0-12.7 s)
     lemma2     --max-m 16, --max-l 16     7.3-11.0 s  (17: 8.9-12.6 s)
-    inverse    --n 10                     4.9-5.8 s   (12: 12.9 s; about n^5.5)
-    lgv        --max-m 6                  0.8 s
+    inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
+    lgv        --max-m 6                  0.35-0.6 s
     symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
     classical  --max-m 4, --max-n 2500    6.2-8.0 s   (3000: 8.1-13.6 s)
 
@@ -48,7 +48,7 @@ _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
 # Most path families one `compute --method lgv` case enumerates, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(8,4) has
-# 1,531,152 families and takes 8.6-9.8 s with a 144 MB peak RSS; Q(19,7)
+# 1,531,152 families and takes 5.1-5.6 s with a 145 MB peak RSS; Q(19,7)
 # lists 973,752 paths in 10.8 s with a 16 MB peak (one core of a 2-vCPU
 # host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000

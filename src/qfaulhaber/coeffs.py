@@ -16,7 +16,8 @@ family's prefactor and denominator of the claimed inverse entry live in
 read through `_inverse_entry`, and no route reads.
 Polynomial statements are checked at more integer sample points 2, 3, 4, ...
 than their degree bound (interpolation completeness), so pointwise agreement
-is a proof; the inverse-pair check compares exact rational values there.
+is a proof; the inverse-pair check evaluates every polynomial there by
+Horner's rule on ints and compares the denominator-cleared identity on ints.
 The invert route evaluates the forward entries of the trailing block it
 needs exactly at those points, solves only the last row of that block's
 adjugate by fraction-free back substitution, which is each family
@@ -294,23 +295,48 @@ def _pair_degree_bound(fwd: list[list[LaurentPoly]], inv: list[list[tuple]]) -> 
     return bound
 
 
+def _int_values(e: LaurentPoly, points: list[int]) -> list[int]:
+    """The polynomial e at each integer point, by Horner's rule on ints:
+    one pass over e's coefficients for all points, and no Fraction."""
+    if e.min_exp < 0:
+        raise ValueError("a negative exponent has no integer value")
+    values = [0] * len(points)
+    for c in reversed(e.coeffs):
+        values = [v * x + c for v, x in zip(values, points)]
+    if e.min_exp:
+        values = [v * x ** e.min_exp for v, x in zip(values, points)]
+    return values
+
+
 def verify_inverse_pair(family: str, n: int) -> bool:
     """Check forward * claimed-inverse == identity at the integer sample points.
 
     The number of points exceeds the degree bound of the cleared identity, so
     success proves the polynomial statement.  Both factors are lower
     triangular, so only the entries on or below the diagonal are compared.
+    Every forward entry, claimed-inverse numerator and denominator is a
+    polynomial with integer coefficients, so at an integer point each value
+    is an integer.  Column j is cleared by the product D of its denominator
+    values, which no sample point makes vanish (see sample_points):
+    sum_t A[i][t] num(t, j) (D // den(t, j)) == delta_ij D, every quotient
+    exact, is then the rational identity at that point, on ints alone.
     """
     idx = _index_range(family, n)
     fwd = _lower_triangle(forward_entry, family, idx)
     inv = _lower_triangle(_inverse_entry, family, idx)
-    for q0 in sample_points(_pair_degree_bound(fwd, inv) + 1):
-        a = [[e(q0) for e in row] for row in fwd]
-        # no denominator vanishes at these points: see sample_points
-        b = [[num(q0) / den(q0) for num, den in row] for row in inv]
-        for i, row in enumerate(a):
-            for j in range(i + 1):
-                if sum(row[t] * b[t][j] for t in range(j, i + 1)) != (i == j):
+    points = sample_points(_pair_degree_bound(fwd, inv) + 1)
+    # each entry's values at all the points, a[i][t][p] the entry at points[p]
+    a = [[_int_values(e, points) for e in row] for row in fwd]
+    num = [[_int_values(e, points) for e, _ in row] for row in inv]
+    den = [[_int_values(e, points) for _, e in row] for row in inv]
+    size = len(idx)
+    for p in range(len(points)):
+        for j in range(size):
+            d = prod(den[t][j][p] for t in range(j, size))
+            cleared = [num[t][j][p] * (d // den[t][j][p]) for t in range(j, size)]
+            for i in range(j, size):
+                total = sum(a[i][t][p] * cleared[t - j] for t in range(j, i + 1))
+                if total != (d if i == j else 0):
                     return False
     return True
 

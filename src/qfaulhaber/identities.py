@@ -158,21 +158,28 @@ def _odd_x(n: int, power: int) -> LaurentPoly:
     return q_int(2 * n + 1, 1) * LaurentPoly.term(1, -n) * x_poly(n, power)
 
 
+@lru_cache(maxsize=None)
+def _y_power(l: int, e: int) -> LaurentPoly:
+    """y^e with y = [l]_{t^2} t^(-l), e >= 0, memoised like x_poly: each
+    power from the one below by one multiply by y, once per process."""
+    if e == 0:
+        return ONE
+    if e == 1:
+        return q_int(l, 2) * LaurentPoly.term(1, -l)
+    return _y_power(l, e - 1) * _y_power(l, 1)
+
+
 def _y_series(l: int, m: int, shift: int, gen) -> LaurentPoly:
     """Sum over j = 0..m of gen(j) y^(2j - shift), y = [l]_{t^2} t^(-l), shift
-    0 or 1; each power from the previous by one multiply by y^2.  y^(-1) is no
-    Laurent polynomial, so a nonzero gen(0) with shift 1 raises."""
-    y = q_int(l, 2) * LaurentPoly.term(1, -l)
-    square = y * y
-    power = ONE if shift == 0 else None  # y^(2j - shift), None for y^(-1)
+    0 or 1 (`_y_power`).  y^(-1) is no Laurent polynomial, so a nonzero
+    gen(0) with shift 1 raises."""
     total = ZERO
     for j in range(m + 1):
         term = gen(j)
         if not term.is_zero:
-            if power is None:
+            if 2 * j < shift:
                 raise AssertionError("a j = 0 term needs y^(-1)")
-            total = total + term * power
-        power = y if power is None else power * square
+            total = total + term * _y_power(l, 2 * j - shift)
     return total
 
 

@@ -8,11 +8,13 @@ weights over every non-intersecting family and `lgv_det_route` takes the
 determinant of single-pair weighted sums, the fast route to the same totals.
 
 Each pair's paths are listed once; families are enumerated by depth-first
-placement from those lists with on-the-fly disjointness pruning.  Every
-family weight is (1+q)^a times a sum of powers q^b, read from step
-statistics summed over the family's paths; each path's statistics are
-computed once per `PathStatsCache`.  The brute route tallies all families in
-one (a, b) counter and builds one polynomial per distinct a at the end.
+placement from those lists, each lattice point of the case one bit and each
+path the int mask of its points, so a path is placed iff its mask misses the
+mask of the paths already placed.  Every family weight is (1+q)^a times a
+sum of powers q^b, read from step statistics summed over the family's paths;
+each path's statistics are computed once per `PathStatsCache`.  The brute
+route tallies all families in one (a, b) counter and builds one polynomial
+per distinct a at the end.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -79,22 +81,21 @@ def enumerate_nonintersecting(
     if n != len(ends):
         raise ValueError("starts and ends differ in length")
     choices = [list(paths_between(a, b)) for a, b in zip(starts, ends)]
+    # one bit per lattice point, a path's points as one int mask
+    bits: dict[LatticePoint, int] = {}
+    masks = [[sum(1 << bits.setdefault(p, len(bits)) for p in path) for path in paths]
+             for paths in choices]
     families: list[PathFamily] = []
 
-    def place(i: int, used: set[LatticePoint], chosen: list[LatticePath]):
+    def place(i: int, used: int, chosen: PathFamily):
         if i == n:
-            families.append(tuple(chosen))
+            families.append(chosen)
             return
-        for path in choices[i]:
-            if not used.isdisjoint(path):
-                continue
-            used.update(path)
-            chosen.append(path)
-            place(i + 1, used, chosen)
-            chosen.pop()
-            used.difference_update(path)
+        for path, mask in zip(choices[i], masks[i]):
+            if not used & mask:
+                place(i + 1, used | mask, chosen + (path,))
 
-    place(0, set(), [])
+    place(0, 0, ())
     return families
 
 

@@ -2,11 +2,11 @@
 
 Slow reference implementations: a dense Laplace determinant, the trailing
 minors of a Hessenberg matrix by its first-column recurrence on
-polynomials, the det(A+B)
-column-subset expansion behind the G/H entrywise split, rational
-back substitution and Newton interpolation, the submatrix-determinant
-formula for triangular inverses, and the literal subset
-weights and alternative placements of the G/H lattice-path model.  Literal walks of the lattice-path
+polynomials, the det(A+B) column-subset expansion behind the G/H entrywise
+split, rational back substitution and Newton interpolation, the
+submatrix-determinant formula for triangular inverses, the inverse-pair
+check on rational values, and the literal subset weights and alternative
+placements of the G/H lattice-path model.  Literal walks of the lattice-path
 layer: path listing step by step, step statistics read off each step, and
 the determinant route's single-pair sums as one polynomial product per
 vertical step under its step rules.  Reference values: the tabled
@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from qfaulhaber import coeffs
 from qfaulhaber.coeffs import (
     PolyMatrix,
     _check_index,
@@ -242,6 +243,25 @@ def verify_detinv_consistency(family: str, m: int, k: int) -> bool:
         sign = -1 if (row - col) % 2 else 1
         if last[col] != sign * fraction_det(sub) / diag:
             return False
+    return True
+
+
+def inverse_pair_by_fractions(family: str, n: int) -> bool:
+    """`coeffs.verify_inverse_pair` on exact rational values: at each of its
+    sample points, every forward entry times the claimed inverse's
+    numerator / denominator, summed, against the identity.  The claimed
+    inverse is read through `coeffs._inverse_entry` at call time, so a
+    fault patched into the library reaches this check too."""
+    idx = _index_range(family, n)
+    fwd = coeffs._lower_triangle(forward_entry, family, idx)
+    inv = coeffs._lower_triangle(coeffs._inverse_entry, family, idx)
+    for q0 in sample_points(coeffs._pair_degree_bound(fwd, inv) + 1):
+        a = [[e(q0) for e in row] for row in fwd]
+        b = [[num(q0) / den(q0) for num, den in row] for row in inv]
+        for i, row in enumerate(a):
+            for j in range(i + 1):
+                if sum(row[t] * b[t][j] for t in range(j, i + 1)) != (i == j):
+                    return False
     return True
 
 

@@ -31,7 +31,8 @@ from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
 from qfaulhaber.lgv import lgv_det_route
 from oracles import (
     C, TABLES, detsum_expansion, fraction_det, hessenberg_minors_poly,
-    inverse_last_row, laplace_det, rational_interpolate, verify_detinv_consistency,
+    inverse_last_row, inverse_pair_by_fractions, laplace_det, rational_interpolate,
+    verify_detinv_consistency,
 )
 
 
@@ -287,6 +288,57 @@ class TestInversePairs:
             assert verify_inverse_pair(family, 6)
         assert len(calls) == len(set(calls)) == 91
         assert counts == [52, 124, 52, 103]
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_integer_check_agrees_with_fractions(self, family, monkeypatch):
+        # the integer check and the rational oracle give the same verdict with
+        # no fault, with every denominator off by one, and with the sign of
+        # one claimed numerator flipped
+        for n in range(1, 7):
+            assert verify_inverse_pair(family, n) and inverse_pair_by_fractions(family, n)
+        factors, entry = coeffs._inverse_factors, coeffs._inverse_entry
+
+        def off_by_one(*index):
+            prefactor, denominator = factors(*index)
+            return prefactor, denominator + 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coeffs, "_inverse_factors", off_by_one)
+            for n in range(1, 7):
+                assert not verify_inverse_pair(family, n), n
+                assert not inverse_pair_by_fractions(family, n), n
+        for n in range(1, 7):
+            # the last row's subdiagonal entry, its diagonal one at n = 1: P's
+            # column 0 is zero below the diagonal (D(k, k) = 0 for k >= 1)
+            flipped = (n, max(n - 1, 1))
+
+            def flip(family, k, m, flipped=flipped):
+                numerator, denominator = entry(family, k, m)
+                return (-numerator if (k, m) == flipped else numerator), denominator
+
+            with monkeypatch.context() as patch:
+                patch.setattr(coeffs, "_inverse_entry", flip)
+                assert not verify_inverse_pair(family, n), n
+                assert not inverse_pair_by_fractions(family, n), n
+
+    def test_evaluates_no_fraction(self, monkeypatch):
+        # every value is an int from Horner's rule; LaurentPoly.__call__,
+        # which makes a Fraction, is never called
+        evaluate, calls = LaurentPoly.__call__, []
+        monkeypatch.setattr(LaurentPoly, "__call__",
+                            lambda poly, x: calls.append(x) or evaluate(poly, x))
+        assert inverse_pair_by_fractions("G", 2) and calls  # the spy sees calls
+        calls.clear()
+        for family in "PQGH":
+            assert verify_inverse_pair(family, 6)
+        assert calls == []
+
+    def test_int_values_are_the_polynomial_values(self):
+        e = LaurentPoly([3, 0, -5, 7], 2)
+        assert coeffs._int_values(e, [2, 3, -4]) == [e(x) for x in (2, 3, -4)]
+        assert coeffs._int_values(ZERO, [2, 3]) == [0, 0]
+        with pytest.raises(ValueError):  # q^(-1) has no integer value at q = 2
+            coeffs._int_values(LaurentPoly.term(1, -1), [2])
 
     @staticmethod
     def pair_bound(family, n):

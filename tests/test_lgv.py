@@ -2,11 +2,12 @@
 reference panel values and agreement with the determinant route."""
 from collections import Counter
 from functools import partial
+from itertools import product
 
 import pytest
 
 from qfaulhaber.coeffs import BadIndexError, det_route, invert_route
-from qfaulhaber import lgv
+from qfaulhaber import cli, lgv
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     LatticePoint,
@@ -176,6 +177,27 @@ class TestEnumeration:
                 assert enumerate_nonintersecting(starts, ends) == reference_enumeration(
                     starts, ends
                 ), (family, m, k)
+
+    @pytest.mark.parametrize("starts, ends, shared, at_end", [
+        # two paths crossing at (1, 1), inside both
+        ([(0, 1), (1, 0)], [(1, 2), (2, 1)], (1, 1), False),
+        # path 0 running through (1, 0), where path 1 ends
+        ([(0, 0), (1, -1)], [(1, 2), (1, 0)], (1, 0), True),
+    ], ids=["interior", "end-point"])
+    def test_drops_families_sharing_one_vertex(self, starts, ends, shared, at_end,
+                                               monkeypatch):
+        starts = [LatticePoint(*p) for p in starts]
+        ends = [LatticePoint(*p) for p in ends]
+        everything = list(product(*(paths_between(a, b) for a, b in zip(starts, ends))))
+        touching = [fam for fam in everything if set(fam[0]) & set(fam[1]) == {shared}]
+        assert touching and (shared in starts + ends) == at_end
+        disjoint = [fam for fam in everything if not set(fam[0]) & set(fam[1])]
+        fams = enumerate_nonintersecting(starts, ends)
+        assert fams == disjoint == reference_enumeration(starts, ends)
+        assert not set(touching) & set(fams)
+        # the unit-weight LGV determinant counts the same families
+        monkeypatch.setattr(lgv, "family_config", lambda *case: (starts, ends))
+        assert cli._family_count("G", 0, 0) == len(fams)
 
     def test_lgv_determinant_counts_families(self):
         # with unit weights the determinant counts non-intersecting families

@@ -48,7 +48,7 @@ _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
 # Most path families one `compute --method lgv` case enumerates, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(8,4) has
-# 1,531,152 families and takes 5.1-5.6 s with a 145 MB peak RSS; Q(19,7)
+# 1,531,152 families and takes 3.0-3.2 s with a 144 MB peak RSS; Q(19,7)
 # lists 973,752 paths in 10.8 s with a 16 MB peak (one core of a 2-vCPU
 # host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000

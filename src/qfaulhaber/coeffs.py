@@ -81,6 +81,30 @@ def _at_power_of_two(e: LaurentPoly, shift: int, bits: int) -> int:
     return value << bits * (e.min_exp - shift) if e else 0
 
 
+def _digit_width(bound: int) -> int:
+    """Bytes per digit of `_from_power_of_two` that read back every
+    coefficient c with |c| <= bound: 2^(B-1) > bound, B = 8 * width."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _from_power_of_two(value: int, shift: int, width: int) -> LaurentPoly:
+    """The polynomial q^shift * sum c_j q^j whose sum is `value` at q = X =
+    2^B, B = 8 * width, read back as signed base-X digits: it is the one
+    with that value and every |c_j| < 2^(B-1).  Biasing every digit by
+    2^(B-1) makes each c_j + 2^(B-1) an unsigned digit of `width` bytes; a
+    value of fewer than B * digits - 1 bits keeps the biased value within
+    `digits` digits, so every int reads back, exact or not."""
+    half = 1 << (8 * width - 1)
+    digits = (abs(value).bit_length() + 1) // (8 * width) + 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * digits, "little")
+    raw = (value + bias).to_bytes(digits * width, "little")
+    return LaurentPoly(
+        [int.from_bytes(raw[j:j + width], "little") - half
+         for j in range(0, len(raw), width)],
+        shift,
+    )
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
@@ -117,37 +141,23 @@ class PolyMatrix:
         i is divided by q^e_i, e_i its lowest exponent, which leaves
         polynomials in q, and every entry is evaluated at q = X = 2^B.  Each
         minor then comes out as the value at X of a polynomial in q; its
-        coefficients are read back as signed base-X digits and its rows'
-        e_i added to every exponent.  The digits are exact while every
-        coefficient c of every trailing minor has |c| < 2^(B-1), which B
-        secures: see `_minors_bound`.  One evaluation and O(n^2) integer
-        multiplies in all.
+        coefficients are read back as signed base-X digits
+        (`_from_power_of_two`) and its rows' e_i added to every exponent.
+        The digits are exact while every coefficient c of every trailing
+        minor has |c| < 2^(B-1), which B secures: see `_minors_bound`.  One
+        evaluation and O(n^2) integer multiplies in all.
         """
         m, n = self.entries, self.dim
         if any(m[i][j] for i in range(n) for j in range(i + 2, n)):
             raise ValueError("matrix is not lower Hessenberg")
-        width = (_minors_bound(self.norms()).bit_length() + 8) // 8  # bytes per digit
+        width = _digit_width(_minors_bound(self.norms()))
         bits = 8 * width  # B
         shifts = [min((e.min_exp for e in row if e), default=0) for row in m]
         values = _hessenberg_minors(
             [[_at_power_of_two(e, e_i, bits) for e in row] for row, e_i in zip(m, shifts)]
         )
-        half = 1 << (bits - 1)
-        half_digit = half.to_bytes(width, "little")
-        minors = []
-        for s, value in enumerate(values):
-            # |c| < 2^(B-1) puts a value of degree d above X^d / 2, so it
-            # has at least B d bits; bias every digit by 2^(B-1), so each
-            # c + 2^(B-1) reads as an unsigned digit
-            digits = abs(value).bit_length() // bits + 1
-            bias = int.from_bytes(half_digit * digits, "little")
-            raw = (value + bias).to_bytes(digits * width, "little")
-            minors.append(LaurentPoly(
-                [int.from_bytes(raw[j:j + width], "little") - half
-                 for j in range(0, len(raw), width)],
-                sum(shifts[n - s:]),
-            ))
-        return minors
+        return [_from_power_of_two(value, sum(shifts[n - s:]), width)
+                for s, value in enumerate(values)]
 
     def det(self) -> LaurentPoly:
         """Exact determinant of a lower-Hessenberg matrix."""

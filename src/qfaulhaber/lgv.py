@@ -10,11 +10,13 @@ determinant of single-pair weighted sums, the fast route to the same totals.
 Each pair's paths are listed once; families are enumerated by depth-first
 placement from those lists, each lattice point of the case one bit and each
 path the int mask of its points, so a path is placed iff its mask misses the
-mask of the paths already placed.  Every family weight is (1+q)^a times a
-sum of powers q^b, read from step statistics summed over the family's paths;
-each path's statistics are computed once per `PathStatsCache`.  The brute
-route tallies all families in one (a, b) counter and builds one polynomial
-per distinct a at the end.
+mask of the paths already placed.  Every family weight is a polynomial in q
+with nonnegative coefficients, weighed as its value at q = X = 2^B, a Python
+int (Kronecker substitution): each path's value is computed once per call,
+each family's weight is a product of those values (P, Q) or of one factor
+per column pair (G, H), and the brute route sums the ints and reads the sum
+back once as base-X digits.  B covers len(families) * 4^k, which bounds the
+sum's value at q = 1 and so every coefficient.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -31,11 +33,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, combinations, repeat
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
-from .coeffs import PolyMatrix, _check_index
+from .coeffs import PolyMatrix, _check_index, _digit_width, _from_power_of_two
 
 
 class LatticePoint(NamedTuple):
@@ -88,14 +91,18 @@ def enumerate_nonintersecting(
     families: list[PathFamily] = []
 
     def place(i: int, used: int, chosen: PathFamily):
-        if i == n:
-            families.append(chosen)
+        if i == n - 1:  # the last pair completes every family its path fits
+            families.extend(chosen + (path,) for path, mask in zip(choices[i], masks[i])
+                            if not used & mask)
             return
         for path, mask in zip(choices[i], masks[i]):
             if not used & mask:
                 place(i + 1, used | mask, chosen + (path,))
 
-    place(0, 0, ())
+    if n:
+        place(0, 0, ())
+    else:
+        families.append(())
     return families
 
 
@@ -197,124 +204,90 @@ def path_stats(path: LatticePath) -> PathStats:
     )
 
 
-class PathStatsCache(dict):
-    """path -> PathStats, each path's statistics computed on first lookup."""
+# ---------------------------------------------------------------------------
+# family weights and the brute-force route
+# ---------------------------------------------------------------------------
+# Every family weight is a polynomial in q with nonnegative coefficients, so
+# it is weighed as its value at q = X = 2^B, a Python int (Kronecker
+# substitution): X^e is 1 << B e, and no polynomial is built until the sum
+# over families is read back once.
 
-    def __missing__(self, path: LatticePath) -> PathStats:
-        stats = self[path] = path_stats(path)
-        return stats
+def _path_value(family: str, path: LatticePath, bits: int):
+    """What a family weight at X = 2^bits reads of one path.
+
+    P: X^even.  Q: (1+X)^opens_even X^(2 even - opens_even), q^2 per
+    even-column vertical step with the path-opening one weighing q + q^2.
+    G and H: each column's vertical steps as an exponent in bits (doubled
+    for H), and for H whether the path opens with a vertical step.
+    """
+    s = path_stats(path)
+    if family == "P":
+        return 1 << bits * s.even
+    if family == "Q":
+        return ((1 << bits) + 1) ** s.opens_even << bits * (2 * s.even - s.opens_even)
+    scale = bits if family == "G" else 2 * bits
+    return tuple((x, scale * c) for x, c in s.columns), family == "H" and s.opens
 
 
-def _column_sums(stats: Sequence[PathStats]) -> dict[int, int]:
-    """Vertical steps per column of a family, summed over its paths.  A column
-    without vertical steps is absent, so read columns with .get(x, 0)."""
+def _pair_product(values: Sequence, bits: int) -> int:
+    """A G or H family's weight at X = 2^bits from its paths' `_path_value`s:
+    with s(x) the family's vertical steps in column x (s(-1) = 0), G weighs
+    X^s(2k) times, over paths i = 0..k-1, the pair factor X^s(2i-1) +
+    X^s(2i); H weighs X^2s(2k) times the pair factor
+    (X^2s(2i-1) + X^(2s(2i) - opens_i)) (1+X)^opens_i.  These are the closed
+    product forms of the subset-summed weights."""
     sigma: dict[int, int] = {}
-    for path in stats:
-        for x, c in path.columns:
-            sigma[x] = sigma.get(x, 0) + c
-    return sigma
+    for columns, _ in values:
+        for x, shift in columns:
+            sigma[x] = sigma.get(x, 0) + shift
+    weight = 1 << sigma.get(2 * len(values), 0)
+    for i, (_, opens) in enumerate(values):
+        factor = (1 << sigma.get(2 * i - 1, 0)) + (1 << sigma.get(2 * i, 0) - bits * opens)
+        weight *= factor + (factor << bits) if opens else factor
+    return weight
 
 
-# ---------------------------------------------------------------------------
-# family weights
-# ---------------------------------------------------------------------------
-# A family's weight is (1+q)^a * sum_b count_b q^b; the term functions return
-# a and the exponent -> count map, and family_weight and brute_route build the
-# polynomial from them.
-
-WeightTerms = tuple[int, dict[int, int]]
-
-
-def _expand_pairs(base: int, pairs: Sequence[tuple[int, int]]) -> dict[int, int]:
-    """Exponent -> count map of q^base * prod (q^u + q^v) over (u, v) in
-    pairs, merging equal exponents after each factor."""
-    exps = {base: 1}
-    for u, v in pairs:
-        nxt: dict[int, int] = {}
-        for e, c in exps.items():
-            nxt[e + u] = nxt.get(e + u, 0) + c
-            nxt[e + v] = nxt.get(e + v, 0) + c
-        exps = nxt
-    return exps
+def _family_values(family: str, path_values: Iterable[Sequence], bits: int) -> Iterator[int]:
+    """Each family's weight at X = 2^bits, from the `_path_value`s of its
+    paths: their product for P and Q, `_pair_product` for G and H.  At q = 1
+    a family weighs 1 (P), at most 2^k (Q), 2^k (G) or at most 4^k (H)."""
+    if family in ("P", "Q"):
+        return map(prod, path_values)
+    return map(_pair_product, path_values, repeat(bits))
 
 
-def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
-    return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
+def _weight_sum(family: str, families: Sequence[PathFamily], k: int) -> LaurentPoly:
+    """Sum of the weights of `families`, each of k paths.
 
-
-def _poly_from_tally(tally: Mapping[tuple[int, int], int]) -> LaurentPoly:
-    """Sum of count * (1+q)^a q^b over the tally's (a, b) -> count entries,
-    one polynomial per distinct a."""
-    by_a: dict[int, dict[int, int]] = {}
-    for (a, b), c in tally.items():
-        by_a.setdefault(a, {})[b] = c
-    return sum((_poly_from_terms(a, exps) for a, exps in by_a.items()), ZERO)
-
-
-def _terms_P(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
-    """q per vertical step in an even column."""
-    return 0, {sum(cache[path].even for path in family): 1}
-
-
-def _terms_Q(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
-    """q^2 per vertical step in an even column, with the path-opening
-    vertical step weighing q^2 + q = q(1+q) instead."""
-    stats = [cache[path] for path in family]
-    e = sum(path.even for path in stats)
-    f = sum(path.opens_even for path in stats)
-    return f, {2 * e - f: 1}
-
-
-def _terms_G(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
-    """Closed product form of the subset-summed weights for the G family."""
-    k = len(family)
-    sigma = _column_sums([cache[path] for path in family])
-    pairs = [(sigma.get(2 * i - 1, 0), sigma.get(2 * i, 0)) for i in range(k)]
-    return 0, _expand_pairs(sigma.get(2 * k, 0), pairs)
-
-
-def _terms_H(family: PathFamily, cache: PathStatsCache) -> WeightTerms:
-    """Closed product form of the subset-summed weights for the H family."""
-    k = len(family)
-    stats = [cache[path] for path in family]
-    sigma = _column_sums(stats)
-    pairs = [
-        (2 * sigma.get(2 * i - 1, 0), 2 * sigma.get(2 * i, 0) - stats[i].opens)
-        for i in range(k)
-    ]
-    f = sum(path.opens for path in stats)
-    return f, _expand_pairs(2 * sigma.get(2 * k, 0), pairs)
-
-
-_FAMILY_TERMS = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
+    Every coefficient of the sum is at most its value at q = 1, at most
+    len(families) * 4^k, which sizes the digits read back."""
+    width = _digit_width(len(families) << 2 * k)
+    bits = 8 * width
+    # each pair's paths are listed once, so a path object's id names it
+    # (and, unlike a tuple's hash, costs nothing to compute)
+    paths = {id(path): path for fam in families for path in fam}
+    value = {key: _path_value(family, path, bits) for key, path in paths.items()}.__getitem__
+    # every family's path values, k at a time from one stream
+    stream = map(value, map(id, chain.from_iterable(families)))
+    path_values = zip(*[stream] * k) if k else [()] * len(families)
+    return _from_power_of_two(sum(_family_values(family, path_values, bits)), 0, width)
 
 
 def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
-    """Weight of one path family under the P, Q, G or H scheme."""
-    return _poly_from_terms(*_FAMILY_TERMS[family](fam, PathStatsCache()))
+    """Weight of one path family under the P, Q, G or H scheme; path i
+    starts in column 2i, as `family_config` places it."""
+    return _weight_sum(family, [fam], len(fam))
 
-
-# ---------------------------------------------------------------------------
-# brute-force and determinant routes per family
-# ---------------------------------------------------------------------------
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
-    """Family polynomial as the weighted count of non-intersecting families.
-
-    Each path's statistics are computed once per call, and every family's
-    weight terms (1+q)^a q^b are tallied in one (a, b) counter; one
-    polynomial per distinct a is built at the end."""
-    starts, ends = family_config(family, m, k)
-    terms = _FAMILY_TERMS[family]
-    cache = PathStatsCache()
-    tally: Counter = Counter()
-    for fam in enumerate_nonintersecting(starts, ends):
-        a, exps = terms(fam, cache)
-        for b, c in exps.items():
-            tally[a, b] += c
-    return _poly_from_tally(tally)
+    """Family polynomial as the weighted count of non-intersecting families,
+    each path's value computed once per call and the sum read back once."""
+    return _weight_sum(family, enumerate_nonintersecting(*family_config(family, m, k)), k)
 
 
+# ---------------------------------------------------------------------------
+# determinant route
+# ---------------------------------------------------------------------------
 # Single-pair step weights of lgv_det_route.  Each is (1+q)^a q^b and reads
 # only the column's parity and whether the step opens the path, so a path's
 # weight follows from its PathStats; odd = vertical steps in odd columns.
@@ -342,6 +315,19 @@ def _pair_terms_H(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
 
 
 _PAIR_TERMS = {"Q": _pair_terms_Q, "G": _pair_terms_G, "H": _pair_terms_H}
+
+
+def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
+    return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
+
+
+def _poly_from_tally(tally: Mapping[tuple[int, int], int]) -> LaurentPoly:
+    """Sum of count * (1+q)^a q^b over the tally's (a, b) -> count entries,
+    one polynomial per distinct a."""
+    by_a: dict[int, dict[int, int]] = {}
+    for (a, b), c in tally.items():
+        by_a.setdefault(a, {})[b] = c
+    return sum((_poly_from_terms(a, exps) for a, exps in by_a.items()), ZERO)
 
 
 def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, path_terms) -> LaurentPoly:

@@ -5,7 +5,8 @@ minors of a Hessenberg matrix by its first-column recurrence on
 polynomials, the det(A+B) column-subset expansion behind the G/H entrywise
 split, rational back substitution and Newton interpolation, the
 submatrix-determinant formula for triangular inverses, the inverse-pair
-check on rational values, and the literal subset weights and alternative
+check on rational values, and the literal subset weights, the
+exponent-by-exponent expansion of the product forms and alternative
 placements of the G/H lattice-path model.  Literal walks of the lattice-path
 layer: path listing step by step, step statistics read off each step, and
 the determinant route's single-pair sums as one polynomial product per
@@ -35,7 +36,6 @@ from qfaulhaber.lgv import (
     LatticePoint,
     PathFamily,
     PathStats,
-    _expand_pairs,
     _poly_from_terms,
 )
 
@@ -363,6 +363,19 @@ def pair_sum_by_steps(a, b, family: str) -> LaurentPoly:
 
 def ends_vertically(family: PathFamily) -> list[bool]:
     return [len(path) > 1 and path[-1].x == path[-2].x for path in family]
+
+
+def _expand_pairs(base: int, pairs) -> dict[int, int]:
+    """Exponent -> count map of q^base * prod (q^u + q^v) over (u, v) in
+    pairs, merging equal exponents after each factor."""
+    exps = {base: 1}
+    for u, v in pairs:
+        nxt: dict[int, int] = {}
+        for e, c in exps.items():
+            nxt[e + u] = nxt.get(e + u, 0) + c
+            nxt[e + v] = nxt.get(e + v, 0) + c
+        exps = nxt
+    return exps
 
 
 def weight_alt(family: PathFamily, scheme: str) -> LaurentPoly:

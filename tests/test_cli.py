@@ -460,15 +460,15 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_weight_fault(self, family, monkeypatch):
-        # every path family of one scheme weighs q times too much; only the
-        # lgv suite reads brute_route
-        terms = lgv._FAMILY_TERMS[family]
+        # every path family of one scheme weighs q times too much (its value
+        # at q = 2^B shifted by B); only the lgv suite reads brute_route
+        family_values = lgv._family_values
 
-        def faulty(fam, cache):
-            a, exps = terms(fam, cache)
-            return a, {b + 1: c for b, c in exps.items()}
+        def faulty(name, path_values, bits):
+            weights = family_values(name, path_values, bits)
+            return (w << bits for w in weights) if name == family else weights
 
-        monkeypatch.setitem(lgv._FAMILY_TERMS, family, faulty)
+        monkeypatch.setattr(lgv, "_family_values", faulty)
         assert failing_suites() == {"lgv"}
 
     def test_h_spec_fault(self, monkeypatch):

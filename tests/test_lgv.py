@@ -11,13 +11,7 @@ from qfaulhaber import cli, lgv
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     LatticePoint,
-    PathStatsCache,
-    _column_sums,
-    _expand_pairs,
-    _terms_G,
-    _terms_H,
-    _terms_P,
-    _terms_Q,
+    _poly_from_terms,
     brute_route,
     enumerate_nonintersecting,
     family_config,
@@ -33,6 +27,7 @@ from oracles import (
     C,
     G_4_2_PANELS,
     H_4_2_PANELS,
+    _expand_pairs,
     ends_vertically,
     pair_sum_by_steps,
     path_stats_walk,
@@ -293,20 +288,21 @@ class TestReferenceFamily:
 
 class TestPathStatistics:
     def test_per_path_sums_match_literal_walk(self):
-        terms = {"P": _terms_P, "Q": _terms_Q, "G": _terms_G, "H": _terms_H}
         last_column_used = False
         for family in "PG":  # the two end-point geometries
             for m in range(2, 6):
                 for k in range(1, m):
-                    cache = PathStatsCache()
                     for fam in enumerate_nonintersecting(*family_config(family, m, k)):
-                        stats = [cache[path] for path in fam]
-                        assert _column_sums(stats) == dict(vertical_columns(fam))
+                        stats = [lgv.path_stats(path) for path in fam]
+                        columns = Counter()
+                        for s in stats:
+                            columns.update(dict(s.columns))
+                        assert columns == vertical_columns(fam)
                         assert [s.opens for s in stats] == starts_vertically(fam)
                         expected = literal_terms(fam)
-                        for name, term in terms.items():
-                            assert term(fam, cache) == expected[name], (name, fam)
-                            assert term(fam, PathStatsCache()) == expected[name], (name, fam)
+                        for name in "PQGH":
+                            assert family_weight(name, fam) == _poly_from_terms(
+                                *expected[name]), (name, fam)
                         if family == "G" and vertical_columns(fam)[2 * k]:
                             last_column_used = True
         # A G/H family with a vertical step in column 2k tells column -1
@@ -473,6 +469,68 @@ class TestPairSums:
         assert unchanged == ([(2, 1)] if family == "P" else [])
 
 
+class TestIntegerWeights:
+    # brute_route weighs each family as its value at q = 2^B and reads the
+    # sum back once, as signed base-2^B digits (coeffs._from_power_of_two)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_digits_hold_every_coefficient(self, family, monkeypatch):
+        # each family weighs at most 4^k at q = 1 (P exactly 1, Q at most
+        # 2^k, G exactly 2^k), so a sum over N families has no coefficient
+        # above N * 4^k, and the route's B leaves every one below 2^(B-1)
+        widths = []
+        read = lgv._from_power_of_two
+
+        def spy(value, shift, width):
+            widths.append(width)
+            return read(value, shift, width)
+
+        monkeypatch.setattr(lgv, "_from_power_of_two", spy)
+        cap = {"P": 1, "Q": 2, "G": 2, "H": 4}[family]
+        for m in range(2, 7):
+            for k in range(1, m):
+                fams = enumerate_nonintersecting(*family_config(family, m, k))
+                for fam in fams:
+                    w = family_weight(family, fam)
+                    assert min(w.coeffs) >= 0 and sum(w.coeffs) <= cap ** k, fam
+                    if family in "PG":
+                        assert sum(w.coeffs) == cap ** k, fam
+                widths.clear()
+                total = brute_route(family, m, k)
+                assert len(widths) == 1
+                assert max(total.coeffs) <= len(fams) << 2 * k
+                assert max(total.coeffs) < 2 ** (8 * widths[0] - 1), (m, k)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    @pytest.mark.usefixtures("cold_memos")
+    def test_narrow_digits_fail_the_crosscheck(self, family, monkeypatch):
+        # fault-matrix row: 8-bit digits hold coefficients below 2^7 only, so
+        # brute_route goes wrong exactly where det_route has a larger one,
+        # which every family has at m = 6 (12, 14, 14 and 16 bits)
+        monkeypatch.setattr(lgv, "_digit_width", lambda bound: 1)
+        cases = [(m, k) for m in range(2, 7) for k in range(1, m)]
+        wide = [(m, k) for m, k in cases if max(det_route(family, m, k).coeffs) >= 2 ** 7]
+        wrong = [(m, k) for m, k in cases if brute_route(family, m, k) != det_route(family, m, k)]
+        assert wrong == wide
+        assert any(m == 6 for m, k in wrong)
+        largest = max(max(det_route(family, 6, k).coeffs) for k in range(1, 6))
+        assert largest.bit_length() == {"P": 12, "Q": 14, "G": 14, "H": 16}[family]
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_adds_and_multiplies_no_polynomial(self, family, monkeypatch):
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            method = getattr(LaurentPoly, name)
+            monkeypatch.setattr(LaurentPoly, name, lambda a, b, method=method, name=name: (
+                calls.append(name) or method(a, b)))
+        assert (ONE + Q) * Q and calls  # the spy sees calls
+        calls.clear()
+        total = brute_route(family, 6, 3)
+        assert calls == []
+        monkeypatch.undo()
+        assert total == det_route(family, 6, 3)
+
+
 class TestPanelMultisets:
     def test_g_4_2_panels(self):
         starts, ends = family_config("G", 4, 2)
@@ -552,10 +610,11 @@ class TestRouteAgreement:
             )
         assert family_weight("G", fam) == product_g == subset_weight_total(fam, "G")
         assert family_weight("H", fam) == product_h == subset_weight_total(fam, "H")
-        for terms in (_terms_G, _terms_H):
-            _, exps = terms(fam, PathStatsCache())
-            assert sum(exps.values()) == 2 ** k
-            assert len(exps) < 2 ** k
+        # the coefficients count the 2^8 subset terms, equal exponents merged
+        g = family_weight("G", fam)
+        assert sum(g.coeffs) == 2 ** k
+        assert sum(1 for c in g.coeffs if c) < 2 ** k
+        assert sum(family_weight("H", fam).coeffs) == 2 ** k * 2 ** sum(flags)
 
     def test_alt_weight_totals_agree(self):
         for m in range(2, 6):

@@ -16,7 +16,7 @@ Python 3.11 (the host's speed varied by about a third between runs):
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
     lgv        --max-m 6                  0.35-0.6 s
     symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
-    classical  --max-m 4, --max-n 2500    6.2-8.0 s   (3000: 8.1-13.6 s)
+    classical  --max-m 4, --max-n 2500    0.10-0.16 s (3000: 0.15-0.17 s)
 
 The lgv cap is the largest `--max-m` whose cases hold at most 1,000,000 path
 families in all (90,864 up to m = 6, 3,553,512 up to m = 7).  `compute`
@@ -49,7 +49,7 @@ _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 # Most path families one `compute --method lgv` case enumerates, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(8,4) has
 # 1,531,152 families and takes 3.0-3.2 s with a 144 MB peak RSS; Q(19,7)
-# lists 973,752 paths in 10.8 s with a 16 MB peak (one core of a 2-vCPU
+# lists 973,752 paths in 8.3-8.5 s with a 17 MB peak (one core of a 2-vCPU
 # host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 

@@ -187,8 +187,9 @@ def _family_det(family: str, m: int, k: int) -> LaurentPoly:
     """det of family_matrix(family, m, k), i.e. of A[r+1..m, r..m-1] with
     r = m - k and A[i][j] = forward_entry(family, i, j).
 
-    Internal: also defined at k == m, where the first determinant column
-    vanishes identically for P and Q (needed by the summation identities).
+    Internal: also defined at k == m, where the first determinant column,
+    forward_entry(family, i, 0) for i >= 1, vanishes identically for every
+    family (needed by the summation identities).
     """
     # The row's minors hold k <= 1 too; going through det() keeps the det
     # route calling PolyMatrix.det, the boundary the benchmark's tracer wraps.

@@ -25,16 +25,17 @@ weight depends only on the column's parity and on whether the step opens the
 path, so a pair sum a -> b depends only on the family, b - a and a.x mod 2:
 `_pair_sum` sums each such translate once per process, from (a.x mod 2, 0),
 and every (m, k) matrix reads its entries from that memo.  P's pair sums are
-a column DP.  For Q, G and H each pair's paths are listed once, each path's
-statistics read once, and its (1+q)^a q^b terms (two for G and H, one per
-column weighting) tallied into one polynomial per pair.
+a column DP.  For Q, G and H each pair's paths are streamed once and each
+path's statistics read once; like the brute route, the pair sum weighs each
+path as an int at q = X = 2^B (Q's weight is the brute route's; G and H sum
+an odd-column and an even-column weighting) and reads the sum back once.
+B covers 4 times the pair's path count: a path weighs at most 4 at q = 1.
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, repeat
-from math import prod
+from math import comb, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
@@ -50,7 +51,6 @@ LatticePath = tuple[LatticePoint, ...]
 PathFamily = tuple[LatticePath, ...]
 
 _Q = LaurentPoly.term(1, 1)
-_ONE_PLUS_Q = ONE + _Q
 
 
 def paths_between(a: LatticePoint, b: LatticePoint) -> Iterator[LatticePath]:
@@ -288,59 +288,39 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # determinant route
 # ---------------------------------------------------------------------------
-# Single-pair step weights of lgv_det_route.  Each is (1+q)^a q^b and reads
-# only the column's parity and whether the step opens the path, so a path's
-# weight follows from its PathStats; odd = vertical steps in odd columns.
-# G and H weigh each pair by an odd-column and an even-column scheme, summed:
-# one path gives one (a, b) term per scheme.
 
-def _pair_terms_Q(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
-    """q^2 per even-column vertical step; an opening one weighs q + q^2."""
-    return ((s.opens_even, 2 * s.even - s.opens_even),)
+def _pair_value(family: str, path: LatticePath, north: int, bits: int) -> int:
+    """lgv_det_route's Q, G or H weight of one path climbing `north` steps,
+    at q = X = 2^bits; odd = vertical steps in odd columns.
 
-
-def _pair_terms_G(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
-    """q per odd-column vertical step in one weighting, q per even-column
-    one in the other."""
-    return ((0, odd), (0, s.even))
-
-
-def _pair_terms_H(s: PathStats, odd: int) -> tuple[tuple[int, int], ...]:
-    """q^2 per vertical step in the scheme's column parity; an opening step
-    weighs q + q^2 in that parity and 1 + q in the other."""
-    return (
-        (s.opens, 2 * odd - (s.opens and not s.opens_even)),
-        (s.opens, 2 * s.even - s.opens_even),
-    )
+    Q: the brute route's `_path_value`.  G: X^odd + X^even, one weighting
+    with q per odd-column vertical step and one with q per even-column one.
+    H: (X^(2 odd - [opens in an odd column]) + X^(2 even - opens_even))
+    (1+X)^opens, q^2 per vertical step in the weighting's column parity and
+    an opening step weighing q + q^2 in that parity and 1 + q in the other.
+    """
+    if family == "Q":
+        return _path_value("Q", path, bits)
+    s = path_stats(path)
+    odd = north - s.even
+    if family == "G":
+        return (1 << bits * odd) + (1 << bits * s.even)
+    value = ((1 << bits * (2 * odd - (s.opens and not s.opens_even)))
+             + (1 << bits * (2 * s.even - s.opens_even)))
+    return value + (value << bits) if s.opens else value
 
 
-_PAIR_TERMS = {"Q": _pair_terms_Q, "G": _pair_terms_G, "H": _pair_terms_H}
-
-
-def _poly_from_terms(a: int, exps: Mapping[int, int]) -> LaurentPoly:
-    return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
-
-
-def _poly_from_tally(tally: Mapping[tuple[int, int], int]) -> LaurentPoly:
-    """Sum of count * (1+q)^a q^b over the tally's (a, b) -> count entries,
-    one polynomial per distinct a."""
-    by_a: dict[int, dict[int, int]] = {}
-    for (a, b), c in tally.items():
-        by_a.setdefault(a, {})[b] = c
-    return sum((_poly_from_terms(a, exps) for a, exps in by_a.items()), ZERO)
-
-
-def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, path_terms) -> LaurentPoly:
-    """Single-pair sum a -> b of the weights path_terms(stats, odd) gives
-    each path: the pair's paths are listed once, their (a, b) terms tallied,
-    and one polynomial built per distinct a.  Zero when b is unreachable."""
-    north = b.y - a.y
-    tally: Counter = Counter()
-    for path in paths_between(a, b):
-        stats = path_stats(path)
-        for term in path_terms(stats, north - stats.even):
-            tally[term] += 1
-    return _poly_from_tally(tally)
+def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, family: str) -> LaurentPoly:
+    """Single-pair sum a -> b of the Q, G or H path weights of lgv_det_route:
+    the pair's paths are streamed once, each weighed as an int at X = 2^B
+    (`_pair_value`), and the sum read back once.  A path weighs at most 4
+    at q = 1, which sizes the digits.  Zero when b is unreachable."""
+    east, north = b.x - a.x, b.y - a.y
+    paths = comb(east + north, north) if east >= 0 and north >= 0 else 0
+    width = _digit_width(paths << 2)
+    bits = 8 * width
+    total = sum(_pair_value(family, path, north, bits) for path in paths_between(a, b))
+    return _from_power_of_two(total, 0, width)
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +332,7 @@ def _pair_sum(family: str, dx: int, dy: int, x0: int) -> LaurentPoly:
     if family == "P":
         weights = {x: _Q for x in range(0, x0 + dx + 1, 2)}
         return single_path_weight_sum(a, b, weights)
-    return _pair_sum_with_steps(a, b, _PAIR_TERMS[family])
+    return _pair_sum_with_steps(a, b, family)
 
 
 def lgv_det_route(family: str, m: int, k: int) -> LaurentPoly:

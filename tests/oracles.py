@@ -30,17 +30,16 @@ from qfaulhaber.coeffs import (
 )
 from qfaulhaber.identities import SingularSampleError
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
-from qfaulhaber.lgv import (
-    _ONE_PLUS_Q,
-    _Q,
-    LatticePoint,
-    PathFamily,
-    PathStats,
-    _poly_from_terms,
-)
+from qfaulhaber.lgv import _Q, LatticePoint, PathFamily, PathStats
 
 _Q2 = LaurentPoly.term(1, 2)
 _Q_PLUS_Q2 = _Q + _Q2
+_ONE_PLUS_Q = ONE + _Q
+
+
+def _poly_from_terms(a: int, exps) -> LaurentPoly:
+    """(1+q)^a times the sum of count * q^e over exps' e -> count entries."""
+    return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
 
 
 def C(*descending):

@@ -67,6 +67,13 @@ class TestReferenceTables:
             for m in range(1, 9):
                 assert det_route(family, m, 0) == ONE
 
+    def test_k_equal_m_vanishes(self):
+        # the first column, forward_entry(family, i, 0) for i >= 1, is zero
+        for family in "PQGH":
+            for m in range(1, 7):
+                assert all(forward_entry(family, i, 0).is_zero for i in range(1, m + 1))
+                assert _family_det(family, m, m).is_zero, (family, m)
+
     def test_row_recurrence_matches_matrix_determinant(self):
         # _family_det reads a row off the trailing minors of one Hessenberg
         # matrix; compare with an independent dense Laplace expansion.

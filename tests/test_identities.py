@@ -156,6 +156,16 @@ class TestSeriesIdentity:
 class TestClassicalSpecialization:
     def test_classical_check(self):
         assert classical_check(4, 20)
+        assert classical_check(10, 200)  # past the CLI cap, on ints
+
+    @pytest.mark.parametrize("family", "PG")
+    def test_classical_check_reads_each_family(self, family, monkeypatch):
+        # one more unit in the family's (3, 1) polynomial fails m = 3 only
+        det_route = identities.det_route
+        monkeypatch.setattr(identities, "det_route", lambda f, m, k: (
+            det_route(f, m, k) + int(f == family and (m, k) == (3, 1))))
+        assert classical_check(2, 20)
+        assert not classical_check(3, 20)
 
     def test_direct_faulhaber_examples(self):
         # independent pin: sum of cubes is the square of the triangular number

@@ -3,6 +3,7 @@ reference panel values and agreement with the determinant route."""
 from collections import Counter
 from functools import partial
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -11,7 +12,6 @@ from qfaulhaber import cli, lgv
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     LatticePoint,
-    _poly_from_terms,
     brute_route,
     enumerate_nonintersecting,
     family_config,
@@ -28,6 +28,7 @@ from oracles import (
     G_4_2_PANELS,
     H_4_2_PANELS,
     _expand_pairs,
+    _poly_from_terms,
     ends_vertically,
     pair_sum_by_steps,
     path_stats_walk,
@@ -59,6 +60,18 @@ REFERENCE_STEPS = ("NENE", "NNENE", "NENENN", "ENNENNN")
 
 # A family of family_config("G", 9, 8): eight paths, so 2^8 subset terms per weight.
 WIDE_STEPS = ("EE", "ENE", "NEEN", "NENNE", "NNNNEE", "ENNNNNE", "NNNENNEN", "NNENNENNN")
+
+
+def spy_polynomial_arithmetic(monkeypatch):
+    """Record every LaurentPoly add and multiply in the returned list."""
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        method = getattr(LaurentPoly, name)
+        monkeypatch.setattr(LaurentPoly, name, lambda a, b, method=method, name=name: (
+            calls.append(name) or method(a, b)))
+    assert (ONE + Q) * Q and calls  # the spy sees calls
+    calls.clear()
+    return calls
 
 
 def reference_enumeration(starts, ends):
@@ -371,10 +384,9 @@ class TestPairSums:
         for a in (LatticePoint(1, 0), LatticePoint(3, -2)):
             pairs.update((a, LatticePoint(a.x + dx, a.y + dy))
                          for dx in range(-1, 5) for dy in range(-1, 5))
-        terms = lgv._PAIR_TERMS[family]
         nonzero = 0
         for a, b in sorted(pairs):
-            got = lgv._pair_sum_with_steps(a, b, terms)
+            got = lgv._pair_sum_with_steps(a, b, family)
             assert got == pair_sum_by_steps(a, b, family), (family, a, b)
             nonzero += not got.is_zero
         assert 0 < nonzero < len(pairs)  # reachable and unreachable pairs
@@ -461,9 +473,8 @@ class TestPairSums:
         if family == "P":
             monkeypatch.setattr(lgv, "_Q", Q + ONE)
         else:
-            terms = lgv._PAIR_TERMS[family]
-            monkeypatch.setitem(lgv._PAIR_TERMS, family,
-                                lambda stats, odd: terms(stats, odd) + ((0, 0),))
+            pair_value = lgv._pair_value
+            monkeypatch.setattr(lgv, "_pair_value", lambda *args: pair_value(*args) + 1)
         unchanged = [(m, k) for m in range(2, 5) for k in range(1, m)
                      if lgv_det_route(family, m, k) == det_route(family, m, k)]
         assert unchanged == ([(2, 1)] if family == "P" else [])
@@ -518,17 +529,89 @@ class TestIntegerWeights:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_adds_and_multiplies_no_polynomial(self, family, monkeypatch):
-        calls = []
-        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-            method = getattr(LaurentPoly, name)
-            monkeypatch.setattr(LaurentPoly, name, lambda a, b, method=method, name=name: (
-                calls.append(name) or method(a, b)))
-        assert (ONE + Q) * Q and calls  # the spy sees calls
-        calls.clear()
+        calls = spy_polynomial_arithmetic(monkeypatch)
         total = brute_route(family, 6, 3)
         assert calls == []
         monkeypatch.undo()
         assert total == det_route(family, 6, 3)
+
+
+def pair_keys(family, max_m):
+    """The `_pair_sum` keys of every start/end pair of every configuration
+    with 2 <= m <= max_m."""
+    keys = set()
+    for m in range(2, max_m + 1):
+        for k in range(1, m):
+            starts, ends = family_config(family, m, k)
+            keys.update((b.x - a.x, b.y - a.y, a.x % 2) for a in starts for b in ends)
+    return keys
+
+
+class TestIntegerPairSums:
+    # lgv_det_route's Q, G and H pair sums weigh each path as an int at
+    # q = 2^B and read each sum back once, like brute_route
+
+    @pytest.mark.parametrize("family", "QGH")
+    @pytest.mark.usefixtures("cold_memos")
+    def test_digits_hold_every_pair_sum_coefficient(self, family, monkeypatch):
+        # a path weighs at most 4 at q = 1 (Q 1 or 2, G 2, H 2 or 4), so the
+        # route's B leaves every coefficient below 2^(B-1); the sum's value at
+        # q = 1 is counted from the paths and those opening with a north step
+        widths = []
+        read = lgv._from_power_of_two
+
+        def spy(value, shift, width):
+            widths.append(width)
+            return read(value, shift, width)
+
+        monkeypatch.setattr(lgv, "_from_power_of_two", spy)
+        largest = 0
+        for dx, dy, x0 in sorted(pair_keys(family, 12)):
+            widths.clear()
+            got = lgv._pair_sum(family, dx, dy, x0)
+            assert len(widths) == 1
+            if dx < 0 or dy < 0:  # unreachable
+                assert got.is_zero
+                continue
+            paths = comb(dx + dy, dy)
+            opening = comb(dx + dy - 1, dy - 1) if dy else 0
+            at_one = {"Q": paths + opening * (x0 == 0), "G": 2 * paths,
+                      "H": 2 * (paths + opening)}[family]
+            assert min(got.coeffs) >= 0 and sum(got.coeffs) == at_one, (dx, dy, x0)
+            assert max(got.coeffs) < 2 ** (8 * widths[0] - 1), (dx, dy, x0)
+            largest = max(largest, max(got.coeffs))
+        assert largest == 400
+
+    @pytest.mark.parametrize("family", "QGH")
+    @pytest.mark.usefixtures("cold_memos")
+    def test_narrow_digits_fail_the_crosscheck(self, family, monkeypatch):
+        # fault-matrix row: 8-bit digits hold coefficients below 2^7 only, so
+        # lgv_det_route goes wrong exactly where some pair sum of the case has
+        # a larger one, as some have at m <= 12 (pair sums reach 400)
+        cases = [(m, k) for m in range(2, 13) for k in range(1, m)]
+
+        def largest(m, k):
+            starts, ends = family_config(family, m, k)
+            return max(max(lgv._pair_sum(family, b.x - a.x, b.y - a.y, a.x % 2).coeffs,
+                           default=0) for a in starts for b in ends)
+
+        narrow = {case for case in cases if largest(*case) < 2 ** 7}
+        lgv._pair_sum.cache_clear()
+        monkeypatch.setattr(lgv, "_digit_width", lambda bound: 1)
+        wrong = {case for case in cases
+                 if lgv_det_route(family, *case) != det_route(family, *case)}
+        assert narrow and wrong
+        assert wrong == set(cases) - narrow
+
+    @pytest.mark.parametrize("family", "QGH")
+    def test_adds_and_multiplies_no_polynomial(self, family, monkeypatch):
+        starts, ends = family_config(family, 8, 4)
+        pairs = [(a, b) for a in starts for b in ends]
+        calls = spy_polynomial_arithmetic(monkeypatch)
+        sums = [lgv._pair_sum_with_steps(a, b, family) for a, b in pairs]
+        assert calls == []
+        monkeypatch.undo()
+        assert sums == [pair_sum_by_steps(a, b, family) for a, b in pairs]
 
 
 class TestPanelMultisets:

@@ -10,13 +10,13 @@ value at which the suite alone, its other flags at their caps, runs in about
 10 s.  Cold single-process runs at the caps, one core of a 2-vCPU host,
 Python 3.11 (the host's speed varied by about a third between runs):
 
-    theorem1   --max-m 5, --max-n 30      7.2-8.6 s   (32: 7.7-12.9 s)
+    theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
     lemma1     --max-l 350                6.5-9.0 s   (400: 8.0-12.7 s)
-    lemma2     --max-m 16, --max-l 16     7.3-11.0 s  (17: 8.9-12.6 s)
+    lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
     lgv        --max-m 6                  0.35-0.6 s
     symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
-    classical  --max-m 4, --max-n 2500    0.10-0.16 s (3000: 0.15-0.17 s)
+    classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
 
 The lgv cap is the largest `--max-m` whose cases hold at most 1,000,000 path
 families in all (90,864 up to m = 6, 3,553,512 up to m = 7).  `compute`
@@ -237,13 +237,13 @@ class _Suite(NamedTuple):
 
 
 _SUITES = {
-    "theorem1": _Suite(_suite_theorem1, {"max_m": (5, 1, 5), "max_n": (6, 1, 30)}),
+    "theorem1": _Suite(_suite_theorem1, {"max_m": (5, 1, 11), "max_n": (6, 1, 30)}),
     "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 350)}),
-    "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 16), "max_l": (8, 1, 16)}),
+    "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
     "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
     "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 6)}),
     "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 35)}),
-    "classical": _Suite(_suite_classical, {"max_m": (4, 1, 4), "max_n": (20, 1, 2500)}),
+    "classical": _Suite(_suite_classical, {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)}),
 }
 
 

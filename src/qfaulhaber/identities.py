@@ -15,19 +15,35 @@ in term_k are prefixes of the list, so every prefix is built once:
     t2m1   (1+t)(1 + t^(2j-1)), j=1..m partial: prefix k-1  clearing: prefix m
 
 (for t2m1 the (1+t)^m of the clearing product and the (1+t)^(k-1) of term k
-ride in the list).  Lemma 2 is checked exactly in the Laurent ring: with
-y = [l]_{t^2} t^(-l), every right side is a prefactor times one series
-sum_j gen_j y^(2j-s), gen_j being h, c, g or d and s being 0 or 1.
+ride in the list).  Lemma 2 needs no clearing: with y = [l]_{t^2} t^(-l),
+every right side is a prefactor times one series sum_j gen_j y^(2j-s),
+gen_j being h, c, g or d and s being 0 or 1, and both sides are Laurent
+polynomials.
+
+Both are proved at one point, on Python ints (Kronecker substitution used
+as a proof).  Each check is written once, as a function of its leaves (the
+power-sum series and family polynomials of Theorem 1, the generators of
+Lemma 2) and of a pass, and runs twice.  The norm pass (`_NormPass`) maps
+every leaf to its coefficient 1-norm; products multiply and sums and
+differences add, so lhs + rhs comes out as a bound N on ||lhs - rhs||_1.
+The value pass (`_ValuePass`) evaluates every leaf at t = X = 2^B with
+2^B > 2N (`_proof_bits`), each value an int with its lowest exponent, so
+t^(-l) needs no clearing factor.  Every coefficient of lhs - rhs is below X
+in size, so its lowest nonzero one would survive modulo X: lhs - rhs
+vanishes at X only if it is zero, and one comparison of ints proves the
+identity.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
+from operator import mul
 
-from .coeffs import _family_det, det_route
+from .coeffs import _at_power_of_two, _digit_width, _family_det, _from_power_of_two, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .laurent import LaurentPoly, ONE, ZERO, q_int
+from .laurent import LaurentPoly, q_int
 
 
 class SingularSampleError(ArithmeticError):
@@ -38,68 +54,190 @@ def _sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def s_sum(m: int, n: int) -> LaurentPoly:
-    """Power-sum series value: sum over k of ([2k]/[2]) [k]^(m-1) q^((m+1)(n-k)/2),
-    as a polynomial in t."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    total = ZERO
-    two = q_int(2, 2)
-    for k in range(1, n + 1):
-        head = q_int(2 * k, 2).divexact(two)
-        total = total + head * q_int(k, 2) ** (m - 1) * LaurentPoly.term(
-            1, (m + 1) * (n - k)
-        )
-    return total
-
-
-def t_sum(m: int, n: int) -> LaurentPoly:
-    """Alternating power-sum series value, as a polynomial in t."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    total = ZERO
-    for k in range(1, n + 1):
-        term = q_int(k, 2) ** m * LaurentPoly.term(_sign(n - k), m * (n - k))
-        total = total + term
-    return total
+def _qint_value(k: int, bits: int) -> int:
+    """[k]_q at q = 2^bits, k >= 0: the geometric sum as one quotient."""
+    return ((1 << bits * k) - 1) // ((1 << bits) - 1)
 
 
 @lru_cache(maxsize=None)
-def x_poly(n: int, power: int) -> LaurentPoly:
-    """([n][n+1]/q^n)^power as a Laurent polynomial in t, memoised: the
-    lemma2 cases ask for the same few (n, power) pairs many times."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    if power == 0:
-        return ONE
-    base = q_int(n, 2) * q_int(n + 1, 2) * LaurentPoly.term(1, -2 * n)
-    return base ** power
+def _half_qint(k: int) -> LaurentPoly:
+    """[2k]_{t^2} / [2]_{t^2}, as the exact quotient; memoised, since every
+    s_sum call asks for k = 1..n again."""
+    return q_int(2 * k, 2).divexact(q_int(2, 2))
 
 
-def _binom_factor(exp: int, sign: int) -> LaurentPoly:
-    """1 + sign * t^exp."""
-    return LaurentPoly.from_terms({0: 1, exp: sign})
+def s_sum(m: int, n: int) -> LaurentPoly:
+    """Power-sum series value: sum over k of ([2k]/[2]) [k]^(m-1) q^((m+1)(n-k)/2),
+    as a polynomial in t.
+
+    The terms are summed as one int at t = 2^B and read back once; the sum
+    at q = 1, sum_k k^m, bounds every coefficient, which are nonnegative."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    width = _digit_width(sum(k ** m for k in range(1, n + 1)))
+    bits = 8 * width
+    total = 0
+    for k in range(1, n + 1):
+        head = _at_power_of_two(_half_qint(k), 0, bits)
+        total += (head * _qint_value(k, 2 * bits) ** (m - 1)) << bits * (m + 1) * (n - k)
+    return _from_power_of_two(total, 0, width)
 
 
-def _prefix_products(factors: list) -> list:
-    """[1, f_0, f_0 f_1, ...]: every prefix product of factors, one multiply each."""
-    prefixes = [ONE]
-    for factor in factors:
-        prefixes.append(prefixes[-1] * factor)
-    return prefixes
+def t_sum(m: int, n: int) -> LaurentPoly:
+    """Alternating power-sum series value, as a polynomial in t.
+
+    Summed as one int at t = 2^B and read back once like `s_sum`; the
+    1-norm of every term [k]_{t^2}^m is k^m, so sum_k k^m bounds every
+    coefficient."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    width = _digit_width(sum(k ** m for k in range(1, n + 1)))
+    bits = 8 * width
+    total = 0
+    for k in range(1, n + 1):
+        total += (_sign(n - k) * _qint_value(k, 2 * bits) ** m) << bits * m * (n - k)
+    return _from_power_of_two(total, 0, width)
 
 
-def _alternating_sum(m: int, n: int, terms) -> LaurentPoly:
-    """Sum over (k, term) of (-1)^(m-k) t^(2n(m-k)) term: the shape shared by
-    the four right sides of Theorem 1."""
-    total = ZERO
-    for k, term in terms:
-        total = total + LaurentPoly.term(_sign(m - k), 2 * n * (m - k)) * term
-    return total
+class _NormPass:
+    """The leaves of the norm pass, each as its coefficient 1-norm (an int):
+    products multiply, and sums add, differences included, since a side
+    writes a difference as a sum with the monomial -1."""
+
+    one, zero = 1, 0
+
+    @staticmethod
+    def poly(p: LaurentPoly, stride: int = 1) -> int:
+        return sum(map(abs, p.coeffs))
+
+    @staticmethod
+    def qint(k: int, stride: int = 1) -> int:
+        return k
+
+    @staticmethod
+    def binom(e: int, sign: int) -> int:
+        return 2
+
+    @staticmethod
+    def mono(sign: int, e: int) -> int:
+        return 1
+
+
+class _At:
+    """A value-pass value: t^low f(t), f an integer polynomial, held as the
+    int f(X) at X = 2^bits and low.  A sum aligns the two lows by a shift."""
+
+    __slots__ = ("value", "low", "bits")
+
+    def __init__(self, value: int, low: int, bits: int):
+        self.value, self.low, self.bits = value, low, bits
+
+    def __mul__(self, other: "_At") -> "_At":
+        return _At(self.value * other.value, self.low + other.low, self.bits)
+
+    def __pow__(self, e: int) -> "_At":
+        return _At(self.value ** e, self.low * e, self.bits)
+
+    def _aligned(self, other: "_At") -> tuple[int, int]:
+        low = min(self.low, other.low)
+        return (self.value << (self.low - low) * self.bits,
+                other.value << (other.low - low) * self.bits)
+
+    def __add__(self, other: "_At") -> "_At":
+        return _At(sum(self._aligned(other)), min(self.low, other.low), self.bits)
+
+    def __eq__(self, other) -> bool:
+        """Equal values at X; equal polynomials when X exceeds every
+        coefficient of the difference (see the module docstring)."""
+        a, b = self._aligned(other)
+        return a == b
+
+
+class _ValuePass:
+    """The leaves of the value pass, each at t = X = 2^bits."""
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self.one, self.zero = _At(1, 0, bits), _At(0, 0, bits)
+
+    def poly(self, p: LaurentPoly, stride: int = 1) -> _At:
+        """p(t^stride)."""
+        return _At(_at_power_of_two(p, p.min_exp, stride * self.bits),
+                   stride * p.min_exp, self.bits)
+
+    def qint(self, k: int, stride: int = 1) -> _At:
+        """[k]_{t^stride}."""
+        return _At(_qint_value(k, stride * self.bits), 0, self.bits)
+
+    def binom(self, e: int, sign: int) -> _At:
+        """1 + sign * t^e, e >= 1."""
+        return _At((1 << e * self.bits) + sign, 0, self.bits)
+
+    def mono(self, sign: int, e: int) -> _At:
+        """sign * t^e."""
+        return _At(sign, e, self.bits)
+
+
+def _proof_bits(norm: int) -> int:
+    """B with 2^B > 2 * norm: one bit more than the zero test needs, so
+    lhs - rhs could also be read back as signed base-2^B digits."""
+    return (2 * norm).bit_length()
+
+
+def _prove(sides):
+    """Both sides of `sides(r)` in the value pass, at the X = 2^B that the
+    norm pass of the same function proves large enough."""
+    lhs, rhs = sides(_NormPass)
+    return sides(_ValuePass(_proof_bits(lhs + rhs)))
+
+
+def _prefix_products(first, factors: list) -> list:
+    """[first, first f_0, first f_0 f_1, ...]: every prefix product of
+    factors after first, one multiply each."""
+    return list(accumulate(factors, mul, initial=first))
+
+
+def _theorem1_sides(r, which: str, m: int, n: int, power_sum: LaurentPoly,
+                    fam: list) -> tuple:
+    """The cleared sides of one Theorem 1 identity in the pass r, from its
+    leaves: the power-sum series and fam[k], the family's (m, m - k)."""
+    xn = _prefix_products(r.one, [r.qint(n, 2) * r.qint(n + 1, 2)] * (m + 1))  # ([n][n+1])^k
+
+    def alternating(terms):
+        return sum((r.mono(_sign(m - k), 2 * n * (m - k)) * term for k, term in terms),
+                   r.zero)
+
+    if which == "p":
+        prefix = _prefix_products(r.one, [r.qint(i, 2) for i in range(1, m + 2)])
+        lhs = r.poly(power_sum) * r.qint(2, 2) * prefix[m + 1]
+        rhs = alternating((k, r.poly(fam[k], 2) * prefix[k] * xn[k + 1])
+                          for k in range(m + 1))
+    elif which == "qmn":
+        prefix = _prefix_products(r.one, [r.binom(2 * j + 1, -1) for j in range(m + 1)])
+        lhs = r.poly(power_sum) * r.qint(2, 2) * prefix[m + 1]
+        # Q's variable is substituted by t = q^(1/2)
+        rhs = r.binom(2 * n + 1, -1) * alternating(
+            (k, r.poly(fam[k]) * r.binom(1, -1) ** (m - k) * xn[k] * prefix[k])
+            for k in range(m + 1))
+    elif which == "t2mnq":
+        prefix = _prefix_products(r.one, [r.binom(2 * j, 1) for j in range(1, m + 1)])
+        lhs = r.poly(power_sum) * prefix[m]
+        rhs = alternating((k, r.poly(fam[k], 2) * xn[k] * prefix[k - 1])
+                          for k in range(1, m + 1))
+    else:  # t2m1
+        prefix = _prefix_products(
+            r.one, [r.binom(1, 1) * r.binom(2 * j - 1, 1) for j in range(1, m + 1)])
+        lhs = r.poly(power_sum) * prefix[m]
+        # H's variable is substituted by t = q^(1/2)
+        head = r.mono(_sign(m + n), (2 * m - 1) * n) * r.poly(fam[1])
+        rhs = head + r.qint(2 * n + 1) * alternating(
+            (k, r.poly(fam[k]) * xn[k - 1] * prefix[k - 1]) for k in range(1, m + 1))
+    return lhs, rhs
 
 
 def verify_theorem1(which: str, m: int, n: int) -> bool:
-    """Check one of the four summation identities after denominator clearing.
+    """Check one of the four summation identities after denominator clearing,
+    proved at one point (`_prove`).
 
     Each identity has one factor list; its clearing product and the partial
     product of term k are prefixes of that list (see the module docstring)."""
@@ -108,105 +246,73 @@ def verify_theorem1(which: str, m: int, n: int) -> bool:
     least_m = 0 if which == "p" else 1
     if m < least_m or n < 1:
         raise ValueError(f"need m >= {least_m} and n >= 1")
-    # xn[k] = ([n][n+1])^k in t
-    xn = _prefix_products([q_int(n, 2) * q_int(n + 1, 2)] * (m + 1))
     if which == "p":
-        prefix = _prefix_products([q_int(i, 2) for i in range(1, m + 2)])
-        lhs = s_sum(2 * m + 1, n) * q_int(2, 2) * prefix[m + 1]
-        rhs = _alternating_sum(m, n, (
-            (k, _family_det("P", m, m - k).stretch(2) * prefix[k] * xn[k + 1])
-            for k in range(m + 1)
-        ))
+        power_sum = s_sum(2 * m + 1, n)
+        fam = [_family_det("P", m, m - k) for k in range(m + 1)]
     elif which == "qmn":
-        prefix = _prefix_products([_binom_factor(2 * j + 1, -1) for j in range(m + 1)])
-        lhs = s_sum(2 * m, n) * q_int(2, 2) * prefix[m + 1]
-        one_minus_t = _binom_factor(1, -1)
-        rhs = _binom_factor(2 * n + 1, -1) * _alternating_sum(m, n, (
-            # Q's variable is substituted by t = q^(1/2)
-            (k, _family_det("Q", m, m - k) * one_minus_t ** (m - k) * xn[k] * prefix[k])
-            for k in range(m + 1)
-        ))
-    elif which == "t2mnq":
-        prefix = _prefix_products([_binom_factor(2 * j, 1) for j in range(1, m + 1)])
-        lhs = t_sum(2 * m, n) * prefix[m]
-        rhs = _alternating_sum(m, n, (
-            (k, det_route("G", m, m - k).stretch(2) * xn[k] * prefix[k - 1])
-            for k in range(1, m + 1)
-        ))
-    else:  # t2m1
-        one_plus_t = _binom_factor(1, 1)
-        prefix = _prefix_products(
-            [one_plus_t * _binom_factor(2 * j - 1, 1) for j in range(1, m + 1)]
-        )
-        lhs = t_sum(2 * m - 1, n) * prefix[m]
-        head = LaurentPoly.term(_sign(m + n), (2 * m - 1) * n) * det_route("H", m, m - 1)
-        rhs = head + q_int(2 * n + 1, 1) * _alternating_sum(m, n, (
-            # H's variable is substituted by t = q^(1/2)
-            (k, det_route("H", m, m - k) * xn[k - 1] * prefix[k - 1])
-            for k in range(1, m + 1)
-        ))
-    if not lhs.is_zero and lhs.min_exp < 0:
-        raise AssertionError("cleared left side is not polynomial")
-    if not rhs.is_zero and rhs.min_exp < 0:
-        raise AssertionError("cleared right side is not polynomial")
+        power_sum = s_sum(2 * m, n)
+        fam = [_family_det("Q", m, m - k) for k in range(m + 1)]
+    elif which == "t2mnq":  # these right sides start at k = 1
+        power_sum = t_sum(2 * m, n)
+        fam = [None] + [det_route("G", m, m - k) for k in range(1, m + 1)]
+    else:
+        power_sum = t_sum(2 * m - 1, n)
+        fam = [None] + [det_route("H", m, m - k) for k in range(1, m + 1)]
+    lhs, rhs = _prove(lambda r: _theorem1_sides(r, which, m, n, power_sum, fam))
+    for side, name in ((lhs, "left"), (rhs, "right")):
+        if side.value and side.low < 0:
+            raise AssertionError(f"cleared {name} side is not polynomial")
     return lhs == rhs
 
 
-def _odd_x(n: int, power: int) -> LaurentPoly:
-    """[2n+1]_t t^(-n) x_poly(n, power), the two terms of the inverseq and
-    sumd left sides (n = l and n = l - 1)."""
-    return q_int(2 * n + 1, 1) * LaurentPoly.term(1, -n) * x_poly(n, power)
+def _lemma2_sides(r, which: str, m: int, l: int, gens: list, stride: int,
+                  shift: int) -> tuple:
+    """Both sides of one Lemma 2 identity in the pass r, from its leaves:
+    gens holds (j, gen_j) for each nonzero gen_j, read with stride, and the
+    series runs over y^(2j - shift)."""
 
+    def x(n: int, power: int):  # ([n][n+1] / q^n)^power
+        return (r.qint(n, 2) * r.qint(n + 1, 2) * r.mono(1, -2 * n)) ** power
 
-@lru_cache(maxsize=None)
-def _y_power(l: int, e: int) -> LaurentPoly:
-    """y^e with y = [l]_{t^2} t^(-l), e >= 0, memoised like x_poly: each
-    power from the one below by one multiply by y, once per process."""
-    if e == 0:
-        return ONE
-    if e == 1:
-        return q_int(l, 2) * LaurentPoly.term(1, -l)
-    return _y_power(l, e - 1) * _y_power(l, 1)
+    def odd_x(n: int, power: int):  # [2n+1]_t t^(-n) x(n, power)
+        return r.qint(2 * n + 1) * r.mono(1, -n) * x(n, power)
 
-
-def _y_series(l: int, m: int, shift: int, gen) -> LaurentPoly:
-    """Sum over j = 0..m of gen(j) y^(2j - shift), y = [l]_{t^2} t^(-l), shift
-    0 or 1 (`_y_power`).  y^(-1) is no Laurent polynomial, so a nonzero
-    gen(0) with shift 1 raises."""
-    total = ZERO
-    for j in range(m + 1):
-        term = gen(j)
-        if not term.is_zero:
-            if 2 * j < shift:
-                raise AssertionError("a j = 0 term needs y^(-1)")
-            total = total + term * _y_power(l, 2 * j - shift)
-    return total
+    y = r.qint(l, 2) * r.mono(1, -l)
+    # powers[i] = y^(2i + shift), so gen_j takes powers[j - shift]
+    powers = _prefix_products(y if shift else r.one, [y * y] * m)
+    series = sum((r.poly(g, stride) * powers[j - shift] for j, g in gens), r.zero)
+    wide = r.qint(2 * l, 2) * r.mono(1, -2 * l)  # [2l]_{t^2} t^(-2l)
+    minus = r.mono(-1, 0)
+    if which == "diff1":
+        return x(l, m + 1) + minus * x(l - 1, m + 1), wide * series
+    if which == "inverseq":
+        return odd_x(l, m) + minus * odd_x(l - 1, m), wide * series
+    if which == "diff":
+        return x(l, m) + x(l - 1, m), series
+    return odd_x(l, m - 1) + odd_x(l - 1, m - 1), series  # sumd
 
 
 def verify_lemma2(which: str, m: int, l: int) -> bool:
-    """Check one of the four h/c/g/d difference identities exactly in the
-    Laurent ring (negative powers of t are retained, no clearing needed).
+    """Check one of the four h/c/g/d difference identities as Laurent
+    polynomials in t, proved at one point (`_prove`).
 
     Every right side is a prefactor times one series in y = [l]_{t^2} t^(-l)."""
     if m < 1 or l < 1:
         raise ValueError("need m >= 1 and l >= 1")
-    wide = q_int(2 * l, 2) * LaurentPoly.term(1, -2 * l)  # [2l]_{t^2} t^(-2l)
     if which == "diff1":
-        lhs = x_poly(l, m + 1) - x_poly(l - 1, m + 1)
-        rhs = wide * _y_series(
-            l, m, 0, lambda j: h_spec(2 * j - m, m - j + 1, m - j + 1).stretch(2)
-        )
+        gen, stride, shift = (lambda j: h_spec(2 * j - m, m - j + 1, m - j + 1)), 2, 0
     elif which == "inverseq":
-        lhs = _odd_x(l, m) - _odd_x(l - 1, m)
-        rhs = wide * _y_series(l, m, 1, lambda j: c_poly(m, j))
+        gen, stride, shift = (lambda j: c_poly(m, j)), 1, 1
     elif which == "diff":
-        lhs = x_poly(l, m) + x_poly(l - 1, m)
-        rhs = _y_series(l, m, 0, lambda j: g_poly(m, j).stretch(2))
+        gen, stride, shift = (lambda j: g_poly(m, j)), 2, 0
     elif which == "sumd":
-        lhs = _odd_x(l, m - 1) + _odd_x(l - 1, m - 1)
-        rhs = _y_series(l, m, 1, lambda j: d_poly(m, j))
+        gen, stride, shift = (lambda j: d_poly(m, j)), 1, 1
     else:
         raise ValueError(f"unknown identity {which!r}")
+    gens = [(j, g) for j in range(m + 1) if (g := gen(j))]
+    if gens and gens[0][0] < shift:
+        raise AssertionError("a j = 0 term needs y^(-1)")
+    lhs, rhs = _prove(lambda r: _lemma2_sides(r, which, m, l, gens, stride, shift))
     return lhs == rhs
 
 

@@ -41,17 +41,6 @@ class LaurentPoly:
     def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
         return cls((coeff,), exp)
 
-    @classmethod
-    def from_terms(cls, terms: dict[int, int]) -> "LaurentPoly":
-        if not terms:
-            return ZERO
-        lo = min(terms)
-        hi = max(terms)
-        coeffs = [0] * (hi - lo + 1)
-        for e, c in terms.items():
-            coeffs[e - lo] += c
-        return cls(coeffs, lo)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

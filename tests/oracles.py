@@ -7,11 +7,13 @@ split, rational back substitution and Newton interpolation, the
 submatrix-determinant formula for triangular inverses, the inverse-pair
 check on rational values, and the literal subset weights, the
 exponent-by-exponent expansion of the product forms and alternative
-placements of the G/H lattice-path model.  Literal walks of the lattice-path
-layer: path listing step by step, step statistics read off each step, and
-the determinant route's single-pair sums as one polynomial product per
-vertical step under its step rules.  Reference values: the tabled
-polynomials and the panel weights of G(4,2) and H(4,2).
+placements of the G/H lattice-path model.  The summation identities of
+Theorem 1 and Lemma 2 as products in the Laurent ring, and the power-sum
+series term by term.  Literal walks of the lattice-path layer: path listing
+step by step, step statistics read off each step, and the determinant
+route's single-pair sums as one polynomial product per vertical step under
+its step rules.  Reference values: the tabled polynomials and the panel
+weights of G(4,2) and H(4,2).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from qfaulhaber import coeffs
+from qfaulhaber import coeffs, identities
 from qfaulhaber.coeffs import (
     PolyMatrix,
     _check_index,
@@ -29,7 +31,7 @@ from qfaulhaber.coeffs import (
     sample_points,
 )
 from qfaulhaber.identities import SingularSampleError
-from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
+from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
 from qfaulhaber.lgv import _Q, LatticePoint, PathFamily, PathStats
 
 _Q2 = LaurentPoly.term(1, 2)
@@ -37,9 +39,20 @@ _Q_PLUS_Q2 = _Q + _Q2
 _ONE_PLUS_Q = ONE + _Q
 
 
+def from_terms(terms: dict[int, int]) -> LaurentPoly:
+    """The sum of c * q^e over terms' e -> c entries."""
+    if not terms:
+        return ZERO
+    lo = min(terms)
+    coeffs = [0] * (max(terms) - lo + 1)
+    for e, c in terms.items():
+        coeffs[e - lo] += c
+    return LaurentPoly(coeffs, lo)
+
+
 def _poly_from_terms(a: int, exps) -> LaurentPoly:
     """(1+q)^a times the sum of count * q^e over exps' e -> count entries."""
-    return _ONE_PLUS_Q ** a * LaurentPoly.from_terms(exps)
+    return _ONE_PLUS_Q ** a * from_terms(exps)
 
 
 def C(*descending):
@@ -448,3 +461,128 @@ def subset_weight_total(family: PathFamily, scheme: str) -> LaurentPoly:
         for subset in combinations(range(k), r):
             total = total + subset_weight(family, frozenset(subset), scheme)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the summation identities in the Laurent ring
+# ---------------------------------------------------------------------------
+
+def laurent_s_sum(m: int, n: int) -> LaurentPoly:
+    """`identities.s_sum` term by term in the Laurent ring."""
+    two = q_int(2, 2)
+    total = ZERO
+    for k in range(1, n + 1):
+        head = q_int(2 * k, 2).divexact(two)
+        total = total + head * q_int(k, 2) ** (m - 1) * LaurentPoly.term(
+            1, (m + 1) * (n - k))
+    return total
+
+
+def laurent_t_sum(m: int, n: int) -> LaurentPoly:
+    """`identities.t_sum` term by term in the Laurent ring."""
+    total = ZERO
+    for k in range(1, n + 1):
+        total = total + q_int(k, 2) ** m * LaurentPoly.term((-1) ** (n - k), m * (n - k))
+    return total
+
+
+def x_poly(n: int, power: int) -> LaurentPoly:
+    """([n][n+1]/q^n)^power as a Laurent polynomial in t."""
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    return (q_int(n, 2) * q_int(n + 1, 2) * LaurentPoly.term(1, -2 * n)) ** power
+
+
+def _binom_factor(exp: int, sign: int) -> LaurentPoly:
+    """1 + sign * t^exp."""
+    return from_terms({0: 1, exp: sign})
+
+
+def _prefix_products(factors: list) -> list:
+    """[1, f_0, f_0 f_1, ...]."""
+    prefixes = [ONE]
+    for factor in factors:
+        prefixes.append(prefixes[-1] * factor)
+    return prefixes
+
+
+def _alternating_sum(m: int, n: int, terms) -> LaurentPoly:
+    """Sum over (k, term) of (-1)^(m-k) t^(2n(m-k)) term."""
+    total = ZERO
+    for k, term in terms:
+        total = total + LaurentPoly.term((-1) ** (m - k), 2 * n * (m - k)) * term
+    return total
+
+
+def theorem1_sides(which: str, m: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Both cleared sides of one Theorem 1 identity as polynomials in t.
+    Every leaf is read through the `identities` namespace, so a test that
+    patches one there patches this oracle too."""
+    family_det, det = identities._family_det, identities.det_route
+    xn = _prefix_products([q_int(n, 2) * q_int(n + 1, 2)] * (m + 1))
+    if which == "p":
+        prefix = _prefix_products([q_int(i, 2) for i in range(1, m + 2)])
+        lhs = identities.s_sum(2 * m + 1, n) * q_int(2, 2) * prefix[m + 1]
+        rhs = _alternating_sum(m, n, (
+            (k, family_det("P", m, m - k).stretch(2) * prefix[k] * xn[k + 1])
+            for k in range(m + 1)))
+    elif which == "qmn":
+        prefix = _prefix_products([_binom_factor(2 * j + 1, -1) for j in range(m + 1)])
+        lhs = identities.s_sum(2 * m, n) * q_int(2, 2) * prefix[m + 1]
+        rhs = _binom_factor(2 * n + 1, -1) * _alternating_sum(m, n, (
+            (k, family_det("Q", m, m - k) * _binom_factor(1, -1) ** (m - k) * xn[k]
+             * prefix[k])
+            for k in range(m + 1)))
+    elif which == "t2mnq":
+        prefix = _prefix_products([_binom_factor(2 * j, 1) for j in range(1, m + 1)])
+        lhs = identities.t_sum(2 * m, n) * prefix[m]
+        rhs = _alternating_sum(m, n, (
+            (k, det("G", m, m - k).stretch(2) * xn[k] * prefix[k - 1])
+            for k in range(1, m + 1)))
+    else:
+        prefix = _prefix_products(
+            [_binom_factor(1, 1) * _binom_factor(2 * j - 1, 1) for j in range(1, m + 1)])
+        lhs = identities.t_sum(2 * m - 1, n) * prefix[m]
+        head = LaurentPoly.term((-1) ** (m + n), (2 * m - 1) * n) * det("H", m, m - 1)
+        rhs = head + q_int(2 * n + 1, 1) * _alternating_sum(m, n, (
+            (k, det("H", m, m - k) * xn[k - 1] * prefix[k - 1])
+            for k in range(1, m + 1)))
+    return lhs, rhs
+
+
+def _odd_x(n: int, power: int) -> LaurentPoly:
+    """[2n+1]_t t^(-n) x_poly(n, power)."""
+    return q_int(2 * n + 1, 1) * LaurentPoly.term(1, -n) * x_poly(n, power)
+
+
+def _y_series(l: int, m: int, shift: int, gen) -> LaurentPoly:
+    """Sum over j = 0..m of gen(j) y^(2j - shift), y = [l]_{t^2} t^(-l)."""
+    y = q_int(l, 2) * LaurentPoly.term(1, -l)
+    total = ZERO
+    for j in range(m + 1):
+        term = gen(j)
+        if not term.is_zero:
+            if 2 * j < shift:
+                raise AssertionError("a j = 0 term needs y^(-1)")
+            total = total + term * y ** (2 * j - shift)
+    return total
+
+
+def lemma2_sides(which: str, m: int, l: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Both sides of one Lemma 2 identity as Laurent polynomials in t, the
+    generators read through the `identities` namespace."""
+    wide = q_int(2 * l, 2) * LaurentPoly.term(1, -2 * l)
+    if which == "diff1":
+        lhs = x_poly(l, m + 1) - x_poly(l - 1, m + 1)
+        rhs = wide * _y_series(l, m, 0, lambda j: identities.h_spec(
+            2 * j - m, m - j + 1, m - j + 1).stretch(2))
+    elif which == "inverseq":
+        lhs = _odd_x(l, m) - _odd_x(l - 1, m)
+        rhs = wide * _y_series(l, m, 1, lambda j: identities.c_poly(m, j))
+    elif which == "diff":
+        lhs = x_poly(l, m) + x_poly(l - 1, m)
+        rhs = _y_series(l, m, 0, lambda j: identities.g_poly(m, j).stretch(2))
+    else:
+        lhs = _odd_x(l, m - 1) + _odd_x(l - 1, m - 1)
+        rhs = _y_series(l, m, 1, lambda j: identities.d_poly(m, j))
+    return lhs, rhs

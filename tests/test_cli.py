@@ -261,9 +261,9 @@ class TestVerify:
         assert "PASS" in out
 
     @pytest.mark.parametrize("argv", [
-        ("--suite", "theorem1", "--max-m", "9"),
-        ("--suite", "classical", "--max-m", "5"),
-        ("--suite", "all", "--max-m", "5"),
+        ("--suite", "theorem1", "--max-m", "12"),
+        ("--suite", "classical", "--max-m", "41"),
+        ("--suite", "all", "--max-m", "7"),
         ("--suite", "lgv", "--max-m", "0"),
         ("--suite", "lgv", "--max-m", "-1"),
         ("--suite", "lemma1", "--max-l", "0"),
@@ -362,10 +362,10 @@ class TestVerify:
         assert len(ran) == 1
 
     def test_size_at_cap_runs(self):
-        code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "5",
+        code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "11",
                             "--max-n", "1")
         assert code == 0
-        assert "PASS theorem1 which=p m=5 n=1" in out.splitlines()
+        assert "PASS theorem1 which=p m=11 n=1" in out.splitlines()
 
     def test_failure_exits_1(self, monkeypatch):
         forced = cli._SUITES["classical"]._replace(
@@ -490,9 +490,11 @@ class TestFaultMatrix:
 
     def test_long_operand_multiply_fault(self, monkeypatch):
         # +1 on every product of two polynomials of 8 or more terms.  The det
-        # and lgv-det routes read their minors on integers, and at these
-        # sizes the brute weights, lemma1 and classical multiply no operands
-        # that long, so lgv, symmetry, lemma1 and classical stay PASS.
+        # and lgv-det routes read their minors on integers, theorem1 and
+        # lemma2 prove their identities at one point on integers, and at
+        # these sizes the brute weights, lemma1 and classical multiply no
+        # operands that long, so only the inverse pairs fail.  The one-point
+        # proofs' own fault row is `TestOnePointProof` in test_identities.py.
         mul = LaurentPoly.__mul__
 
         def faulty(self, other):
@@ -502,7 +504,7 @@ class TestFaultMatrix:
             return product + 1 if long else product
 
         monkeypatch.setattr(LaurentPoly, "__mul__", faulty)
-        assert failing_suites() == {"theorem1", "lemma2", "inverse"}
+        assert failing_suites() == {"inverse"}
 
 
 class TestShape:

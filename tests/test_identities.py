@@ -12,9 +12,16 @@ from qfaulhaber.identities import (
     verify_lemma1,
     verify_lemma2,
     verify_theorem1,
-    x_poly,
 )
-from qfaulhaber.laurent import LaurentPoly, ONE, q_int
+from qfaulhaber.laurent import LaurentPoly, ONE, Q, q_int
+from oracles import laurent_s_sum, laurent_t_sum, lemma2_sides, theorem1_sides, x_poly
+
+THEOREM1 = ("p", "qmn", "t2mnq", "t2m1")
+LEMMA2 = ("diff1", "inverseq", "diff", "sumd")
+
+
+def norm(p: LaurentPoly) -> int:
+    return sum(map(abs, p.coeffs))
 
 
 class TestPowerSumSeries:
@@ -58,14 +65,51 @@ class TestPowerSumSeries:
         with pytest.raises(ValueError):
             x_poly(2, -1)
 
+    @pytest.mark.parametrize("series, oracle", [(s_sum, laurent_s_sum),
+                                                (t_sum, laurent_t_sum)])
+    def test_one_read_back_within_its_digits(self, series, oracle, monkeypatch):
+        # one int and one read-back per call, and every coefficient of the
+        # oracle's polynomial below 2^(B-1) at the width the call chose
+        read = identities._from_power_of_two
+        widths = []
+        monkeypatch.setattr(identities, "_from_power_of_two",
+                            lambda value, shift, width: widths.append(width)
+                            or read(value, shift, width))
+        for m in range(1, 14):
+            for n in range(1, 9):
+                widths.clear()
+                expected = oracle(m, n)
+                assert series(m, n) == expected, (m, n)
+                assert len(widths) == 1
+                assert max(map(abs, expected.coeffs)) < 2 ** (8 * widths[0] - 1)
+
+    @pytest.mark.parametrize("series, oracle", [(s_sum, laurent_s_sum),
+                                                (t_sum, laurent_t_sum)])
+    def test_narrow_digits_differ_exactly_where_they_wrap(self, series, oracle,
+                                                          monkeypatch):
+        # one-byte digits read back c in [-2^7, 2^7) and nothing else: the
+        # series differs from the oracle exactly where a coefficient leaves
+        # that range, so the width is load-bearing
+        monkeypatch.setattr(identities, "_digit_width", lambda bound: 1)
+        cases = [(m, n) for m in range(1, 14) for n in range(1, 9)]
+        wraps = {(m, n) for m, n in cases
+                 if any(not -2 ** 7 <= c < 2 ** 7 for c in oracle(m, n).coeffs)}
+        assert wraps and len(wraps) < len(cases)
+        assert {(m, n) for m, n in cases if series(m, n) != oracle(m, n)} == wraps
+
 
 class TestSummationIdentities:
     @pytest.mark.parametrize("which", ["p", "qmn", "t2mnq", "t2m1"])
     def test_identities_hold(self, which):
-        # m up to 8 runs the factor lists well past the CLI's cap of 5
+        # m up to 8 runs the factor lists past the CLI's default of 5
         for m in range(1, 9):
             for n in range(1, 7):
                 assert verify_theorem1(which, m, n), (which, m, n)
+
+    def test_side_with_negative_exponent_raises(self, monkeypatch):
+        monkeypatch.setattr(identities, "s_sum", lambda m, n: LaurentPoly.term(1, -1))
+        with pytest.raises(AssertionError, match="cleared left side is not polynomial"):
+            verify_theorem1("p", 1, 1)
 
     def test_odd_identity_at_m_zero(self):
         for n in range(1, 7):
@@ -133,6 +177,104 @@ class TestDifferenceIdentities:
             verify_lemma2("diff", 0, 1)
         with pytest.raises(ValueError):
             verify_lemma2("nope", 1, 1)
+
+
+def theorem1_cases(max_m, max_n):
+    """(which, m, n) of `verify --suite theorem1` at these sizes."""
+    return [("p", 0, n) for n in range(1, max_n + 1)] + [
+        (which, m, n) for which in THEOREM1
+        for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
+
+
+def lemma2_cases(max_m, max_l):
+    return [(which, m, l) for which in LEMMA2
+            for m in range(1, max_m + 1) for l in range(1, max_l + 1)]
+
+
+def agrees_with_oracle(check, sides, cases):
+    """The one-point check's verdict equals the Laurent oracle's on every case."""
+    for case in cases:
+        lhs, rhs = sides(*case)
+        if check(*case) != (lhs == rhs):
+            return False
+    return True
+
+
+def plus_one(source):
+    """`source` from the identities namespace with +1 on every nonzero value."""
+    leaf = getattr(identities, source)
+
+    def faulty(*args):
+        value = leaf(*args)
+        return value if value.is_zero else value + ONE
+    return faulty
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestOnePointProof:
+    """The one-point proofs of Theorem 1 and Lemma 2 against the Laurent
+    oracle of `tests/oracles.py`, which reads the same leaves."""
+
+    def test_theorem1_matches_the_oracle(self):
+        assert agrees_with_oracle(verify_theorem1, theorem1_sides, theorem1_cases(8, 6))
+
+    def test_lemma2_matches_the_oracle(self):
+        assert agrees_with_oracle(verify_lemma2, lemma2_sides, lemma2_cases(8, 8))
+
+    @pytest.mark.parametrize("which, source", [
+        ("p", "s_sum"), ("p", "_family_det"), ("qmn", "_family_det"),
+        ("t2mnq", "det_route"), ("t2m1", "det_route")])
+    def test_theorem1_matches_the_oracle_under_a_fault(self, which, source, monkeypatch):
+        monkeypatch.setattr(identities, source, plus_one(source))
+        cases = [(which, m, n) for m in range(1, 4) for n in range(1, 4)]
+        assert not any(verify_theorem1(*case) for case in cases)
+        assert agrees_with_oracle(verify_theorem1, theorem1_sides, cases)
+
+    @pytest.mark.parametrize("which, source", [
+        ("diff1", "h_spec"), ("inverseq", "c_poly"), ("diff", "g_poly"), ("sumd", "d_poly")])
+    def test_lemma2_matches_the_oracle_under_a_fault(self, which, source, monkeypatch):
+        monkeypatch.setattr(identities, source, plus_one(source))
+        cases = [(which, m, l) for m in range(1, 4) for l in range(1, 4)]
+        assert not any(verify_lemma2(*case) for case in cases)
+        assert agrees_with_oracle(verify_lemma2, lemma2_sides, cases)
+
+    @pytest.mark.parametrize("check, sides, cases", [
+        (verify_theorem1, theorem1_sides, theorem1_cases(5, 6)),
+        (verify_lemma2, lemma2_sides, lemma2_cases(8, 8))], ids=["theorem1", "lemma2"])
+    def test_norm_pass_bounds_both_sides(self, check, sides, cases, monkeypatch):
+        # on every default case of the suite: the norm pass's N bounds
+        # ||lhs||_1 + ||rhs||_1 of the oracle's polynomials (so 2N does, and
+        # N bounds ||lhs - rhs||_1), and the point X = 2^B exceeds 2N
+        proof_bits = identities._proof_bits
+        seen = []
+        monkeypatch.setattr(identities, "_proof_bits",
+                            lambda n: seen.append((n, proof_bits(n))) or seen[-1][1])
+        for case in cases:
+            seen.clear()
+            assert check(*case)
+            (bound, bits), = seen
+            lhs, rhs = sides(*case)
+            assert bound >= norm(lhs) + norm(rhs), case
+            assert 2 ** bits > 2 * bound, case
+
+    @pytest.mark.parametrize("check, which, source", [
+        (verify_theorem1, "qmn", "_family_det"), (verify_lemma2, "inverseq", "c_poly")])
+    def test_too_small_a_point_proves_nothing(self, check, which, source, monkeypatch):
+        # (t - 2) t^j added to a leaf read unstretched vanishes at X = 2, so
+        # pinned there the check passes the fault; at the proven X it fails
+        # on every case.  Zero values stay zero (a j = 0 c-term needs y^(-1)).
+        leaf = getattr(identities, source)
+        fault = (Q - 2) * Q ** 2
+
+        def faulty(*args):
+            value = leaf(*args)
+            return value + fault if value and (source == "c_poly" or args[0] == "Q") else value
+
+        monkeypatch.setattr(identities, source, faulty)
+        cases = [(which, m, n) for m in range(1, 4) for n in range(1, 4)]
+        assert not any(check(*case) for case in cases)
+        monkeypatch.setattr(identities, "_proof_bits", lambda n: 1)
+        assert all(check(*case) for case in cases)
 
 
 class TestSeriesIdentity:

@@ -14,16 +14,17 @@ Python 3.11 (the host's speed varied by about a third between runs):
     lemma1     --max-l 350                6.5-9.0 s   (400: 8.0-12.7 s)
     lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
-    lgv        --max-m 6                  0.35-0.6 s
+    lgv        --max-m 7                  0.34-0.44 s (8: 12.4 s)
     symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
     classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
 
-The lgv cap is the largest `--max-m` whose cases hold at most 1,000,000 path
-families in all (90,864 up to m = 6, 3,553,512 up to m = 7).  `compute`
-refuses a request that would enumerate more than 1,000,000 objects: a
-`--method lgv` case with that many path families, or a `--method lgv-det`
-case for Q, G or H with that many lattice paths over its start/end pairs
-(P's pair sums are a column DP and list no path).
+The lgv cap is the largest `--max-m` whose cases list at most 1,000,000 path
+families in all (90,888 up to m = 7, 3,553,540 up to m = 8): the brute route
+of (m, k) lists the families of its first k - 1 paths, those of (m - 1,
+k - 1).  `compute` refuses a request that would list more than 1,000,000
+objects: a `--method lgv` case with that many path families, or a
+`--method lgv-det` case for Q, G or H with that many lattice paths over its
+start/end pairs (P's pair sums are a column DP and list no path).
 Verification output is sorted by case key; a case that raises prints a FAIL
 line naming the exception, and the remaining cases still run.
 """
@@ -46,11 +47,12 @@ EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
-# Most path families one `compute --method lgv` case enumerates, and most
-# lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(8,4) has
-# 1,531,152 families and takes 3.0-3.2 s with a 144 MB peak RSS; Q(19,7)
-# lists 973,752 paths in 8.3-8.5 s with a 17 MB peak (one core of a 2-vCPU
-# host, Python 3.11).
+# Most path families one `compute --method lgv` case lists, and most lattice
+# paths one Q/G/H `compute --method lgv-det` case lists.  P(9,5) would list
+# 1,531,152 families and takes 4.3-4.5 s with a 145 MB peak RSS, P(8,5)
+# lists 201,040 in 0.41-0.42 s with a 33 MB peak; Q(19,7) lists 973,752
+# paths in 8.3-8.5 s with a 17 MB peak (one core of a 2-vCPU host,
+# Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 
 
@@ -241,7 +243,7 @@ _SUITES = {
     "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 350)}),
     "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
     "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
-    "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 6)}),
+    "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 7)}),
     "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 35)}),
     "classical": _Suite(_suite_classical, {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)}),
 }
@@ -252,10 +254,17 @@ _SUITES = {
 # ---------------------------------------------------------------------------
 
 def _family_count(family: str, m: int, k: int) -> int:
-    """Path families `lgv.brute_route(family, m, k)` would enumerate: with
-    unit weights the LGV determinant counts the disjoint families."""
+    """The non-intersecting path families of (m, k): with unit weights the
+    LGV determinant counts them."""
     unit = partial(lgv.single_path_weight_sum, per_column_weights={})
     return lgv.lgv_determinant(*lgv.family_config(family, m, k), unit)[0]
+
+
+def _listed_families(family: str, m: int, k: int) -> int:
+    """Path families `lgv.brute_route(family, m, k)` lists: those of its
+    first k - 1 paths, the families of (m - 1, k - 1), and none at k = 0."""
+    coeffs._check_index(m, k)
+    return _family_count(family, m - 1, k - 1) if k else 0
 
 
 def _path_count(family: str, m: int, k: int) -> int:
@@ -274,9 +283,9 @@ def _path_count(family: str, m: int, k: int) -> int:
 def cmd_compute(args, out) -> int:
     try:
         if args.method == "lgv":
-            count = _family_count(args.family, args.m, args.k)
+            count = _listed_families(args.family, args.m, args.k)
             if count > _LGV_FAMILY_LIMIT:
-                print(f"error: --method lgv would enumerate {count} path families "
+                print(f"error: --method lgv would list {count} path families "
                       f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",
                       file=sys.stderr)
                 return EXIT_USAGE

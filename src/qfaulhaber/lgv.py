@@ -13,10 +13,16 @@ path the int mask of its points, so a path is placed iff its mask misses the
 mask of the paths already placed.  Every family weight is a polynomial in q
 with nonnegative coefficients, weighed as its value at q = X = 2^B, a Python
 int (Kronecker substitution): each path's value is computed once per call,
-each family's weight is a product of those values (P, Q) or of one factor
-per column pair (G, H), and the brute route sums the ints and reads the sum
-back once as base-X digits.  B covers len(families) * 4^k, which bounds the
-sum's value at q = 1 and so every coefficient.
+and a family's weight is a product of those values (P, Q) or of one pair
+factor per path and a closing power of X (G, H).  The brute route lists only
+the families of the first k - 1 paths, which are the families of (m - 1,
+k - 1).  The last path starts in column 2k - 2, where of those paths only
+path k - 2 reaches, so it sums the last path from one table row per
+distinct path k - 2: the fitting last paths' values (P, Q), or their pair
+factor k - 1 times the closing (G, H).  It adds each listed family's weight
+times its row and reads the sum back once as base-X digits.  B covers the
+listed families times the last paths times 4^k, which bounds the sum's value
+at q = 1 and so every coefficient.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -34,7 +40,7 @@ B covers 4 times the pair's path count: a path weighs at most 4 at q = 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -229,21 +235,33 @@ def _path_value(family: str, path: LatticePath, bits: int):
     return tuple((x, scale * c) for x, c in s.columns), family == "H" and s.opens
 
 
+def _column_sums(values: Iterable[Sequence]) -> dict[int, int]:
+    """s(x) in bits: the G or H `_path_value`s' vertical steps per column."""
+    sigma: dict[int, int] = {}
+    for columns, _ in values:
+        for x, shift in columns:
+            sigma[x] = sigma.get(x, 0) + shift
+    return sigma
+
+
+def _pair_factor(sigma: Mapping[int, int], i: int, opens: bool, bits: int) -> int:
+    """Pair factor i of a G or H weight at X = 2^bits, s(x) = sigma[x] (0 when
+    absent): (X^s(2i-1) + X^(s(2i) - opens)) (1+X)^opens."""
+    factor = (1 << sigma.get(2 * i - 1, 0)) + (1 << sigma.get(2 * i, 0) - bits * opens)
+    return factor + (factor << bits) if opens else factor
+
+
 def _pair_product(values: Sequence, bits: int) -> int:
     """A G or H family's weight at X = 2^bits from its paths' `_path_value`s:
     with s(x) the family's vertical steps in column x (s(-1) = 0), G weighs
     X^s(2k) times, over paths i = 0..k-1, the pair factor X^s(2i-1) +
     X^s(2i); H weighs X^2s(2k) times the pair factor
-    (X^2s(2i-1) + X^(2s(2i) - opens_i)) (1+X)^opens_i.  These are the closed
-    product forms of the subset-summed weights."""
-    sigma: dict[int, int] = {}
-    for columns, _ in values:
-        for x, shift in columns:
-            sigma[x] = sigma.get(x, 0) + shift
+    (X^2s(2i-1) + X^(2s(2i) - opens_i)) (1+X)^opens_i (`_pair_factor`).
+    These are the closed product forms of the subset-summed weights."""
+    sigma = _column_sums(values)
     weight = 1 << sigma.get(2 * len(values), 0)
     for i, (_, opens) in enumerate(values):
-        factor = (1 << sigma.get(2 * i - 1, 0)) + (1 << sigma.get(2 * i, 0) - bits * opens)
-        weight *= factor + (factor << bits) if opens else factor
+        weight *= _pair_factor(sigma, i, opens, bits)
     return weight
 
 
@@ -256,33 +274,77 @@ def _family_values(family: str, path_values: Iterable[Sequence], bits: int) -> I
     return map(_pair_product, path_values, repeat(bits))
 
 
-def _weight_sum(family: str, families: Sequence[PathFamily], k: int) -> LaurentPoly:
-    """Sum of the weights of `families`, each of k paths.
-
-    Every coefficient of the sum is at most its value at q = 1, at most
-    len(families) * 4^k, which sizes the digits read back."""
-    width = _digit_width(len(families) << 2 * k)
-    bits = 8 * width
-    # each pair's paths are listed once, so a path object's id names it
-    # (and, unlike a tuple's hash, costs nothing to compute)
-    paths = {id(path): path for fam in families for path in fam}
-    value = {key: _path_value(family, path, bits) for key, path in paths.items()}.__getitem__
-    # every family's path values, k at a time from one stream
-    stream = map(value, map(id, chain.from_iterable(families)))
-    path_values = zip(*[stream] * k) if k else [()] * len(families)
-    return _from_power_of_two(sum(_family_values(family, path_values, bits)), 0, width)
-
-
 def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
     """Weight of one path family under the P, Q, G or H scheme; path i
-    starts in column 2i, as `family_config` places it."""
-    return _weight_sum(family, [fam], len(fam))
+    starts in column 2i, as `family_config` places it.  Its value at q = 1,
+    at most 4^k, sizes the digits read back."""
+    width = _digit_width(1 << 2 * len(fam))
+    bits = 8 * width
+    (weight,) = _family_values(family, [[_path_value(family, path, bits) for path in fam]], bits)
+    return _from_power_of_two(weight, 0, width)
+
+
+def _fitting(path: LatticePath, paths: Sequence[LatticePath]) -> list[LatticePath]:
+    """The paths of `paths` that share no lattice point with `path`."""
+    points = set(path)
+    return [p for p in paths if points.isdisjoint(p)]
 
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
-    """Family polynomial as the weighted count of non-intersecting families,
-    each path's value computed once per call and the sum read back once."""
-    return _weight_sum(family, enumerate_nonintersecting(*family_config(family, m, k)), k)
+    """Family polynomial as the weighted count of non-intersecting families.
+
+    Paths 0..k-2 of (m, k) are placed as the families of (m - 1, k - 1).
+    The last path starts in column 2k - 2, which of them only path k - 2
+    reaches, so each distinct path k - 2 gets one table row, a sum over the
+    last paths that fit it: their `_path_value`s (P, Q), or their pair
+    factor k - 1 times the closing X^s(2k) (G, H; of the prefix only path
+    k - 2 has steps in columns 2k - 3..2k).  The route adds each prefix's
+    weight times its row.  A G or H prefix's weight is first shifted right
+    by its own closing X^s(2k - 2), which path k - 2 alone sets, leaving its
+    pair factors.  Each path's value is computed once per call and the sum
+    read back once; B covers len(prefixes) * len(last paths) * 4^k, at
+    least the sum at q = 1.
+    """
+    starts, ends = family_config(family, m, k)
+    if not k:
+        return ONE
+    prefixes = enumerate_nonintersecting(*family_config(family, m - 1, k - 1))
+    last = list(paths_between(starts[-1], ends[-1]))
+    width = _digit_width(len(prefixes) * len(last) << 2 * k)
+    bits = 8 * width
+    values: dict[int, object] = {}
+
+    def value(path: LatticePath):
+        # each pair's paths are listed once, so a path object's id names it
+        key = id(path)
+        if key not in values:
+            values[key] = _path_value(family, path, bits)
+        return values[key]
+
+    def row(tail: LatticePath) -> tuple[int, int]:
+        """The table row of prefix path k - 2 (`()` when k = 1), and the
+        prefix closing's shift (0 for P and Q)."""
+        fits = _fitting(tail, last)
+        if family in ("P", "Q"):
+            return sum(map(value, fits)), 0
+        head = [value(tail)] if tail else []
+        total = 0
+        for path in fits:
+            last_value = value(path)
+            sigma = _column_sums(head + [last_value])
+            total += _pair_factor(sigma, k - 1, last_value[1], bits) << sigma.get(2 * k, 0)
+        return total, _column_sums(head).get(2 * k - 2, 0)
+
+    rows: dict[int, tuple[int, int]] = {}
+    total = 0
+    path_values = ([value(path) for path in fam] for fam in prefixes)
+    for fam, weight in zip(prefixes, _family_values(family, path_values, bits)):
+        tail = fam[-1] if fam else ()
+        if id(tail) not in rows:
+            rows[id(tail)] = row(tail)
+        table_row, closing = rows[id(tail)]
+        total += (weight >> closing) * table_row
+    return _from_power_of_two(total, 0, width)
 
 
 # ---------------------------------------------------------------------------

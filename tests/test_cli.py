@@ -93,19 +93,31 @@ class TestCompute:
         assert code == 2
 
     def test_lgv_refuses_runaway_enumeration(self, capsys):
-        # P(8,5) has 12,468,960 disjoint path families; brute force would run
-        # for minutes, so the count is taken first and the request refused.
+        # The brute route of P(9,5) would list the 1,531,152 families of
+        # P(8,4), its first four paths; the count is taken first and the
+        # request refused.  P(8,5) lists the 201,040 of P(7,4) and runs.
         start = time.perf_counter()
         code, out = run_cli(
-            "compute", "--family", "P", "--m", "8", "--k", "5", "--method", "lgv"
+            "compute", "--family", "P", "--m", "9", "--k", "5", "--method", "lgv"
         )
         assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            "error: --method lgv would enumerate 12468960 path families "
+            "error: --method lgv would list 1531152 path families "
             "(limit 1000000); use --method lgv-det"
         )
+        assert cli._listed_families("P", 8, 5) == 201040 <= cli._LGV_FAMILY_LIMIT
+
+    def test_lgv_count_checks_the_requested_index(self, capsys):
+        # k = 0 lists no family; a bad (m, k) is named as given, not as the
+        # (m - 1, k - 1) whose families the route would list
+        assert run_cli("compute", "--family", "H", "--m", "3", "--k", "0",
+                       "--method", "lgv") == (0, "1\n")
+        assert run_cli("compute", "--family", "P", "--m", "2", "--k", "5",
+                       "--method", "lgv") == (2, "")
+        assert capsys.readouterr().err.strip() == (
+            "error: k must satisfy 0 <= k < m (got m=2, k=5)")
 
     def test_lgv_det_refuses_runaway_path_listing(self, capsys):
         # Q(30,29) has 2,147,483,613 paths over its 841 start/end pairs; the
@@ -201,6 +213,14 @@ class TestTable:
         ]
 
 
+def above_cap(suite, flag):
+    """`verify` arguments one above the flag's cap under `suite` (under
+    `all`, the least cap of the suites that read the flag)."""
+    cap = min(entry.sizes[flag][2] for name, entry in cli._SUITES.items()
+              if suite in (name, "all") and flag in entry.sizes)
+    return ("--suite", suite, "--" + flag.replace("_", "-"), str(cap + 1))
+
+
 class TestVerify:
     def test_suite_passes_and_is_sorted(self):
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", "3")
@@ -211,33 +231,34 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_m", ["8", "50"])
     def test_lgv_refuses_runaway_enumeration(self, max_m, monkeypatch, capsys):
-        # The cases up to m = 7 already hold 3,553,512 families in all; the
+        # The cases up to m = 8 already list 3,553,540 families in all; the
         # cap refuses the run at once, counting none of them.
         monkeypatch.setattr(cli, "_family_count", None)
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", max_m)
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            f"error: --max-m {max_m} exceeds the lgv suite's cap of 6")
+            f"error: --max-m {max_m} exceeds the lgv suite's cap of 7")
 
     def test_lgv_budget_is_the_whole_run(self, monkeypatch):
-        # The lgv range 2..6 accepts exactly the --max-m whose cases hold
-        # some case and at most _LGV_FAMILY_LIMIT path families in all.  No
-        # case of m = 7 reaches the limit (the largest has 705,600
-        # families), but together the run's cases hold 3,553,512.
+        # The lgv range 2..7 accepts exactly the --max-m whose cases hold
+        # some case and list at most _LGV_FAMILY_LIMIT path families in all
+        # (the brute route of (m, k) lists the families of (m - 1, k - 1)).
+        # No case of m = 8 reaches the limit (the largest lists 705,600
+        # families), but together the run's cases list 3,553,540.
         totals = {}
         for max_m in range(1, 9):
             totals[max_m] = totals.get(max_m - 1, 0) + sum(
-                cli._family_count(f, max_m, k) for f in "PQGH" for k in range(1, max_m))
-        assert (totals[6], totals[7]) == (90864, 3553512)
-        assert max(cli._family_count(f, 7, k) for f in "PQGH" for k in range(1, 7)) \
-            < cli._LGV_FAMILY_LIMIT
+                cli._listed_families(f, max_m, k) for f in "PQGH" for k in range(1, max_m))
+        assert (totals[7], totals[8]) == (90888, 3553540)
+        assert max(cli._listed_families(f, 8, k) for f in "PQGH" for k in range(1, 8)) \
+            == 705600 < cli._LGV_FAMILY_LIMIT
         budget = {m for m, total in totals.items() if 0 < total <= cli._LGV_FAMILY_LIMIT}
         monkeypatch.setattr(cli, "_family_count", None)
         monkeypatch.setattr(cli, "_run_cases", lambda cases, out: True)
         accepted = {m for m in totals
                     if run_cli("verify", "--suite", "lgv", "--max-m", str(m))[0] == 0}
-        assert accepted == budget == set(range(2, 7))
+        assert accepted == budget == set(range(2, 8))
 
     def test_lgv_at_max_m_6_runs_every_case(self):
         # 90,864 families in all, under the limit
@@ -261,9 +282,9 @@ class TestVerify:
         assert "PASS" in out
 
     @pytest.mark.parametrize("argv", [
-        ("--suite", "theorem1", "--max-m", "12"),
-        ("--suite", "classical", "--max-m", "41"),
-        ("--suite", "all", "--max-m", "7"),
+        above_cap("theorem1", "max_m"),
+        above_cap("classical", "max_m"),
+        above_cap("all", "max_m"),
         ("--suite", "lgv", "--max-m", "0"),
         ("--suite", "lgv", "--max-m", "-1"),
         ("--suite", "lemma1", "--max-l", "0"),
@@ -460,8 +481,9 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_weight_fault(self, family, monkeypatch):
-        # every path family of one scheme weighs q times too much (its value
-        # at q = 2^B shifted by B); only the lgv suite reads brute_route
+        # every path family of one scheme that brute_route lists (its paths
+        # 0..k-2) weighs q times too much (its value at q = 2^B shifted by
+        # B); only the lgv suite reads brute_route
         family_values = lgv._family_values
 
         def faulty(name, path_values, bits):
@@ -469,6 +491,12 @@ class TestFaultMatrix:
             return (w << bits for w in weights) if name == family else weights
 
         monkeypatch.setattr(lgv, "_family_values", faulty)
+        assert failing_suites() == {"lgv"}
+
+    def test_last_path_mask_fault(self, monkeypatch):
+        # brute_route's last-path table drops its mask test, so every last
+        # path fits every prefix; only the lgv suite reads brute_route
+        monkeypatch.setattr(lgv, "_fitting", lambda path, paths: list(paths))
         assert failing_suites() == {"lgv"}
 
     def test_h_spec_fault(self, monkeypatch):

@@ -511,6 +511,8 @@ class TestIntegerWeights:
                 assert len(widths) == 1
                 assert max(total.coeffs) <= len(fams) << 2 * k
                 assert max(total.coeffs) < 2 ** (8 * widths[0] - 1), (m, k)
+                # the digits hold the bound itself, not just these coefficients
+                assert len(fams) << 2 * k < 2 ** (8 * widths[0] - 1), (m, k)
 
     @pytest.mark.parametrize("family", "PQGH")
     @pytest.mark.usefixtures("cold_memos")
@@ -534,6 +536,48 @@ class TestIntegerWeights:
         assert calls == []
         monkeypatch.undo()
         assert total == det_route(family, 6, 3)
+
+
+class TestLastPathTable:
+    # brute_route lists the families of paths 0..k-2, those of (m - 1, k - 1),
+    # and sums the last path from one table row per distinct path k - 2
+
+    def test_prefix_pairs_are_the_smaller_case(self):
+        for family in "PQGH":
+            for m in range(2, 9):
+                for k in range(1, m):
+                    starts, ends = family_config(family, m, k)
+                    assert (starts[:-1], ends[:-1]) == family_config(family, m - 1, k - 1)
+
+    @pytest.mark.parametrize("family", "PG")  # the two end-point geometries
+    def test_last_path_can_meet_path_k_minus_2_only(self, family):
+        # pairs 0..k-3 never reach column 2k - 2, where the last path starts;
+        # for G and H they have no point in columns 2k - 3..2k either, the
+        # columns the last pair factor and the closing read
+        for m in range(2, 9):
+            for k in range(3, m):
+                first_read = 2 * k - (2 if family == "P" else 3)
+                starts, ends = family_config(family, m, k)
+                for a, b in zip(starts[:k - 2], ends[:k - 2]):
+                    for path in paths_between(a, b):
+                        assert max(x for x, _ in path) < first_read, (m, k, path)
+
+    @pytest.mark.parametrize("family", "PQGH")
+    def test_dropped_mask_test_fails_the_crosscheck(self, family, monkeypatch):
+        # fault-matrix row: every last path fits every prefix, so brute_route
+        # goes wrong exactly where some prefix and last path meet, every
+        # k >= 2 case of m <= 6 but (3, 2)
+        monkeypatch.setattr(lgv, "_fitting", lambda path, paths: list(paths))
+        cases = [(m, k) for m in range(2, 7) for k in range(1, m)]
+        meeting = []
+        for m, k in cases:
+            starts, ends = family_config(family, m, k)
+            prefixes = enumerate_nonintersecting(starts[:-1], ends[:-1])
+            last = list(paths_between(starts[-1], ends[-1]))
+            if len(enumerate_nonintersecting(starts, ends)) < len(prefixes) * len(last):
+                meeting.append((m, k))
+        wrong = [(m, k) for m, k in cases if brute_route(family, m, k) != det_route(family, m, k)]
+        assert wrong == meeting == [(m, k) for m, k in cases if k >= 2 and (m, k) != (3, 2)]
 
 
 def pair_keys(family, max_m):
@@ -657,7 +701,7 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_and_det_routes_agree(self, family):
-        for m in range(1, 6):
+        for m in range(1, 8):
             for k in range(0, m):
                 expected = det_route(family, m, k)
                 assert brute_route(family, m, k) == expected, (family, m, k)

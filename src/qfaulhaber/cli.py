@@ -14,17 +14,15 @@ Python 3.11 (the host's speed varied by about a third between runs):
     lemma1     --max-l 350                6.5-9.0 s   (400: 8.0-12.7 s)
     lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
-    lgv        --max-m 7                  0.34-0.44 s (8: 12.4 s)
+    lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
     symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
     classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
 
-The lgv cap is the largest `--max-m` whose cases list at most 1,000,000 path
-families in all (90,888 up to m = 7, 3,553,540 up to m = 8): the brute route
-of (m, k) lists the families of its first k - 1 paths, those of (m - 1,
-k - 1).  `compute` refuses a request that would list more than 1,000,000
-objects: a `--method lgv` case with that many path families, or a
-`--method lgv-det` case for Q, G or H with that many lattice paths over its
-start/end pairs (P's pair sums are a column DP and list no path).
+`compute` refuses a request that would test or list more than 1,000,000
+objects: a `--method lgv` case whose chain sum tests that many adjacent path
+pairs (C(i - 1) C(i) over i = 1..k - 1, C(i) the paths of start/end pair i),
+or a `--method lgv-det` case for Q, G or H with that many lattice paths over
+its start/end pairs (P's pair sums are a column DP and list no path).
 Verification output is sorted by case key; a case that raises prints a FAIL
 line naming the exception, and the remaining cases still run.
 """
@@ -34,7 +32,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -47,12 +44,12 @@ EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
-# Most path families one `compute --method lgv` case lists, and most lattice
-# paths one Q/G/H `compute --method lgv-det` case lists.  P(9,5) would list
-# 1,531,152 families and takes 4.3-4.5 s with a 145 MB peak RSS, P(8,5)
-# lists 201,040 in 0.41-0.42 s with a 33 MB peak; Q(19,7) lists 973,752
-# paths in 8.3-8.5 s with a 17 MB peak (one core of a 2-vCPU host,
-# Python 3.11).
+# Most adjacent path pairs one `compute --method lgv` case tests, and most
+# lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
+# would test 1,024,344 pairs and takes 1.4-1.5 s with a 38 MB peak RSS,
+# P(15,8) tests 653,624 in 0.8-0.9 s with a 30 MB peak; Q(19,7) lists
+# 973,752 paths in 8.3-8.5 s with a 17 MB peak (cold processes, one core of
+# a 2-vCPU host, Python 3.11).
 _LGV_FAMILY_LIMIT = 1_000_000
 
 
@@ -243,7 +240,7 @@ _SUITES = {
     "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 350)}),
     "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
     "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
-    "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 7)}),
+    "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 12)}),
     "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 35)}),
     "classical": _Suite(_suite_classical, {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)}),
 }
@@ -253,18 +250,13 @@ _SUITES = {
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _family_count(family: str, m: int, k: int) -> int:
-    """The non-intersecting path families of (m, k): with unit weights the
-    LGV determinant counts them."""
-    unit = partial(lgv.single_path_weight_sum, per_column_weights={})
-    return lgv.lgv_determinant(*lgv.family_config(family, m, k), unit)[0]
-
-
-def _listed_families(family: str, m: int, k: int) -> int:
-    """Path families `lgv.brute_route(family, m, k)` lists: those of its
-    first k - 1 paths, the families of (m - 1, k - 1), and none at k = 0."""
-    coeffs._check_index(m, k)
-    return _family_count(family, m - 1, k - 1) if k else 0
+def _tested_pairs(family: str, m: int, k: int) -> int:
+    """Adjacent path pairs `lgv.brute_route(family, m, k)` tests: C(i - 1) C(i)
+    over i = 1..k - 1, with C(i) = C(east + north, north) the paths of
+    start/end pair i."""
+    starts, ends = lgv.family_config(family, m, k)
+    counts = [comb(b.x - a.x + b.y - a.y, b.y - a.y) for a, b in zip(starts, ends)]
+    return sum(a * b for a, b in zip(counts, counts[1:]))
 
 
 def _path_count(family: str, m: int, k: int) -> int:
@@ -283,9 +275,9 @@ def _path_count(family: str, m: int, k: int) -> int:
 def cmd_compute(args, out) -> int:
     try:
         if args.method == "lgv":
-            count = _listed_families(args.family, args.m, args.k)
+            count = _tested_pairs(args.family, args.m, args.k)
             if count > _LGV_FAMILY_LIMIT:
-                print(f"error: --method lgv would list {count} path families "
+                print(f"error: --method lgv would test {count} adjacent path pairs "
                       f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",
                       file=sys.stderr)
                 return EXIT_USAGE

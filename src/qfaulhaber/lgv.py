@@ -12,17 +12,17 @@ placement from those lists, each lattice point of the case one bit and each
 path the int mask of its points, so a path is placed iff its mask misses the
 mask of the paths already placed.  Every family weight is a polynomial in q
 with nonnegative coefficients, weighed as its value at q = X = 2^B, a Python
-int (Kronecker substitution): each path's value is computed once per call,
-and a family's weight is a product of those values (P, Q) or of one pair
-factor per path and a closing power of X (G, H).  The brute route lists only
-the families of the first k - 1 paths, which are the families of (m - 1,
-k - 1).  The last path starts in column 2k - 2, where of those paths only
-path k - 2 reaches, so it sums the last path from one table row per
-distinct path k - 2: the fitting last paths' values (P, Q), or their pair
-factor k - 1 times the closing (G, H).  It adds each listed family's weight
-times its row and reads the sum back once as base-X digits.  B covers the
-listed families times the last paths times 4^k, which bounds the sum's value
-at q = 1 and so every coefficient.
+int (Kronecker substitution): a product of path values (P, Q) or of one pair
+factor per path and a closing power of X (G, H).  In `family_config` path i
+meets only paths i - 1 and i + 1, so the brute route is a chain sum over the
+paths (the transfer-matrix method, Stanley, EC1 4.7, with paths as states):
+level i lists the non-intersecting pairs of paths i - 1 and i and carries,
+for each path i, the summed weight of the placements of paths 0..i that end
+in it.  Pair factor i reads columns 2i - 1 and 2i, where only paths i - 1
+and i have points, so each level's link reads one adjacent pair.  Each
+distinct path's value is computed once per call and the sum is read back
+once as base-X digits.  B covers the product of the pairs' path counts times
+4^k, which bounds the sum's value at q = 1 and so every coefficient.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -40,7 +40,7 @@ B covers 4 times the pair's path count: a path weighs at most 4 at q = 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -265,85 +265,60 @@ def _pair_product(values: Sequence, bits: int) -> int:
     return weight
 
 
-def _family_values(family: str, path_values: Iterable[Sequence], bits: int) -> Iterator[int]:
-    """Each family's weight at X = 2^bits, from the `_path_value`s of its
-    paths: their product for P and Q, `_pair_product` for G and H.  At q = 1
-    a family weighs 1 (P), at most 2^k (Q), 2^k (G) or at most 4^k (H)."""
-    if family in ("P", "Q"):
-        return map(prod, path_values)
-    return map(_pair_product, path_values, repeat(bits))
-
-
 def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
     """Weight of one path family under the P, Q, G or H scheme; path i
-    starts in column 2i, as `family_config` places it.  Its value at q = 1,
-    at most 4^k, sizes the digits read back."""
+    starts in column 2i, as `family_config` places it.  The product of its
+    paths' `_path_value`s (P, Q) or `_pair_product` (G, H); at q = 1 it
+    weighs 1 (P), at most 2^k (Q), 2^k (G) or at most 4^k (H), which sizes
+    the digits read back."""
     width = _digit_width(1 << 2 * len(fam))
     bits = 8 * width
-    (weight,) = _family_values(family, [[_path_value(family, path, bits) for path in fam]], bits)
+    values = [_path_value(family, path, bits) for path in fam]
+    weight = prod(values) if family in ("P", "Q") else _pair_product(values, bits)
     return _from_power_of_two(weight, 0, width)
-
-
-def _fitting(path: LatticePath, paths: Sequence[LatticePath]) -> list[LatticePath]:
-    """The paths of `paths` that share no lattice point with `path`."""
-    points = set(path)
-    return [p for p in paths if points.isdisjoint(p)]
 
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     """Family polynomial as the weighted count of non-intersecting families.
 
-    Paths 0..k-2 of (m, k) are placed as the families of (m - 1, k - 1).
-    The last path starts in column 2k - 2, which of them only path k - 2
-    reaches, so each distinct path k - 2 gets one table row, a sum over the
-    last paths that fit it: their `_path_value`s (P, Q), or their pair
-    factor k - 1 times the closing X^s(2k) (G, H; of the prefix only path
-    k - 2 has steps in columns 2k - 3..2k).  The route adds each prefix's
-    weight times its row.  A G or H prefix's weight is first shifted right
-    by its own closing X^s(2k - 2), which path k - 2 alone sets, leaving its
-    pair factors.  Each path's value is computed once per call and the sum
-    read back once; B covers len(prefixes) * len(last paths) * 4^k, at
-    least the sum at q = 1.
+    Path i meets only paths i - 1 and i + 1, so a family is non-intersecting
+    iff each adjacent pair is, and the sum is a chain over the paths: after
+    level i, sums[p] is the summed weight, through link i, of the placements
+    of paths 0..i that end in path i = p.  Level i adds sums[prev] times
+    link i over the non-intersecting pairs (prev, cur) of pairs i - 1 and i.  Link i is `_path_value(cur)`
+    for P and Q, and pair factor i for G and H, which reads columns 2i - 1
+    and 2i, where only paths i - 1 and i have points; the G and H closing
+    X^s(2k) is read of path k - 1 alone.  Each distinct path's value is
+    computed once per call and the sum read back once; B covers the product
+    of the pairs' path counts times 4^k, at least the sum at q = 1.
     """
     starts, ends = family_config(family, m, k)
     if not k:
         return ONE
-    prefixes = enumerate_nonintersecting(*family_config(family, m - 1, k - 1))
-    last = list(paths_between(starts[-1], ends[-1]))
-    width = _digit_width(len(prefixes) * len(last) << 2 * k)
+    dx = ends[0].x - starts[0].x
+    width = _digit_width(prod(comb(dx + b.y - a.y, dx) for a, b in zip(starts, ends)) << 2 * k)
     bits = 8 * width
-    values: dict[int, object] = {}
-
-    def value(path: LatticePath):
-        # each pair's paths are listed once, so a path object's id names it
-        key = id(path)
-        if key not in values:
-            values[key] = _path_value(family, path, bits)
-        return values[key]
-
-    def row(tail: LatticePath) -> tuple[int, int]:
-        """The table row of prefix path k - 2 (`()` when k = 1), and the
-        prefix closing's shift (0 for P and Q)."""
-        fits = _fitting(tail, last)
-        if family in ("P", "Q"):
-            return sum(map(value, fits)), 0
-        head = [value(tail)] if tail else []
-        total = 0
-        for path in fits:
-            last_value = value(path)
-            sigma = _column_sums(head + [last_value])
-            total += _pair_factor(sigma, k - 1, last_value[1], bits) << sigma.get(2 * k, 0)
-        return total, _column_sums(head).get(2 * k - 2, 0)
-
-    rows: dict[int, tuple[int, int]] = {}
-    total = 0
-    path_values = ([value(path) for path in fam] for fam in prefixes)
-    for fam, weight in zip(prefixes, _family_values(family, path_values, bits)):
-        tail = fam[-1] if fam else ()
-        if id(tail) not in rows:
-            rows[id(tail)] = row(tail)
-        table_row, closing = rows[id(tail)]
-        total += (weight >> closing) * table_row
+    pair_factors = family in ("G", "H")
+    values = {path: _path_value(family, path, bits) for path in paths_between(starts[0], ends[0])}
+    sums = {path: _pair_factor(_column_sums([value]), 0, value[1], bits) if pair_factors
+            else value for path, value in values.items()}
+    for i in range(1, k):
+        level: dict[LatticePath, int] = {}
+        for prev, cur in enumerate_nonintersecting(starts[i - 1:i + 1], ends[i - 1:i + 1]):
+            if pair_factors:
+                if cur not in values:
+                    values[cur] = _path_value(family, cur, bits)
+                sigma = _column_sums([values[prev], values[cur]])
+                level[cur] = level.get(cur, 0) + sums[prev] * _pair_factor(
+                    sigma, i, values[cur][1], bits)
+            else:  # link i is value(cur), a factor of each term: multiplied in once below
+                level[cur] = level.get(cur, 0) + sums[prev]
+        sums = level if pair_factors else {
+            cur: s * _path_value(family, cur, bits) for cur, s in level.items()}
+    if pair_factors:
+        total = sum(s << _column_sums([values[path]]).get(2 * k, 0) for path, s in sums.items())
+    else:
+        total = sum(sums.values())
     return _from_power_of_two(total, 0, width)
 
 

@@ -10,9 +10,10 @@ exponent-by-exponent expansion of the product forms and alternative
 placements of the G/H lattice-path model.  The summation identities of
 Theorem 1 and Lemma 2 as products in the Laurent ring, and the power-sum
 series term by term.  Literal walks of the lattice-path layer: path listing
-step by step, step statistics read off each step, and the determinant
-route's single-pair sums as one polynomial product per vertical step under
-its step rules.  Reference values: the tabled polynomials and the panel
+step by step, every path family with the disjointness test dropped, step
+statistics read off each step, and the determinant route's single-pair sums
+as one polynomial product per vertical step under its step rules.
+Reference values: the tabled polynomials and the panel
 weights of G(4,2) and H(4,2).
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from qfaulhaber import coeffs, identities
 from qfaulhaber.coeffs import (
@@ -296,6 +297,12 @@ def paths_walk(a, b):
                 x += 1
             pts.append(LatticePoint(x, y))
         yield tuple(pts)
+
+
+def all_families(starts, ends) -> list[PathFamily]:
+    """Every family of paths starts[i] -> ends[i], vertex-disjoint or not:
+    the enumeration with its disjointness test dropped."""
+    return list(product(*(paths_walk(a, b) for a, b in zip(starts, ends))))
 
 
 def vertical_columns(family: PathFamily) -> Counter:

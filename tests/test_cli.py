@@ -1,15 +1,18 @@
 """Command-line interface: formats, exit codes and route consistency."""
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from qfaulhaber import cli, coeffs, homog, identities, lgv
 from qfaulhaber.coeffs import det_route, verify_dstr_vanishing, verify_inverse_pair
 from qfaulhaber.laurent import LaurentPoly
+from oracles import all_families
 
 
 def run_cli(*argv):
@@ -93,21 +96,26 @@ class TestCompute:
         assert code == 2
 
     def test_lgv_refuses_runaway_enumeration(self, capsys):
-        # The brute route of P(9,5) would list the 1,531,152 families of
-        # P(8,4), its first four paths; the count is taken first and the
-        # request refused.  P(8,5) lists the 201,040 of P(7,4) and runs.
+        # The chain sum of P(16,8) would test 1,024,344 adjacent path pairs;
+        # the count is read from binomials first and the request refused.
+        # P(9,5) tests 17,444 and runs.
         start = time.perf_counter()
         code, out = run_cli(
-            "compute", "--family", "P", "--m", "9", "--k", "5", "--method", "lgv"
+            "compute", "--family", "P", "--m", "16", "--k", "8", "--method", "lgv"
         )
         assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            "error: --method lgv would list 1531152 path families "
+            "error: --method lgv would test 1024344 adjacent path pairs "
             "(limit 1000000); use --method lgv-det"
         )
-        assert cli._listed_families("P", 8, 5) == 201040 <= cli._LGV_FAMILY_LIMIT
+        counts = [len(list(lgv.paths_between(a, b)))
+                  for a, b in zip(*lgv.family_config("P", 9, 5))]
+        assert cli._tested_pairs("P", 9, 5) == sum(
+            a * b for a, b in zip(counts, counts[1:])) == 17444
+        assert run_cli("compute", "--family", "P", "--m", "9", "--k", "5",
+                       "--method", "lgv") == (0, det_route("P", 9, 5).to_string("q") + "\n")
 
     def test_lgv_count_checks_the_requested_index(self, capsys):
         # k = 0 lists no family; a bad (m, k) is named as given, not as the
@@ -229,39 +237,19 @@ class TestVerify:
         assert lines == sorted(lines)
         assert all(line.startswith("PASS ") for line in lines)
 
-    @pytest.mark.parametrize("max_m", ["8", "50"])
+    @pytest.mark.parametrize("max_m", ["13", "50"])
     def test_lgv_refuses_runaway_enumeration(self, max_m, monkeypatch, capsys):
-        # The cases up to m = 8 already list 3,553,540 families in all; the
-        # cap refuses the run at once, counting none of them.
-        monkeypatch.setattr(cli, "_family_count", None)
+        # The cases up to m = 13 take about 15 s; the cap refuses the run
+        # at once, before any case runs.
+        monkeypatch.setattr(cli, "_run_cases", None)
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", max_m)
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            f"error: --max-m {max_m} exceeds the lgv suite's cap of 7")
-
-    def test_lgv_budget_is_the_whole_run(self, monkeypatch):
-        # The lgv range 2..7 accepts exactly the --max-m whose cases hold
-        # some case and list at most _LGV_FAMILY_LIMIT path families in all
-        # (the brute route of (m, k) lists the families of (m - 1, k - 1)).
-        # No case of m = 8 reaches the limit (the largest lists 705,600
-        # families), but together the run's cases list 3,553,540.
-        totals = {}
-        for max_m in range(1, 9):
-            totals[max_m] = totals.get(max_m - 1, 0) + sum(
-                cli._listed_families(f, max_m, k) for f in "PQGH" for k in range(1, max_m))
-        assert (totals[7], totals[8]) == (90888, 3553540)
-        assert max(cli._listed_families(f, 8, k) for f in "PQGH" for k in range(1, 8)) \
-            == 705600 < cli._LGV_FAMILY_LIMIT
-        budget = {m for m, total in totals.items() if 0 < total <= cli._LGV_FAMILY_LIMIT}
-        monkeypatch.setattr(cli, "_family_count", None)
-        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: True)
-        accepted = {m for m in totals
-                    if run_cli("verify", "--suite", "lgv", "--max-m", str(m))[0] == 0}
-        assert accepted == budget == set(range(2, 8))
+            f"error: --max-m {max_m} exceeds the lgv suite's cap of 12")
 
     def test_lgv_at_max_m_6_runs_every_case(self):
-        # 90,864 families in all, under the limit
+        # the default size: 60 cases
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", "6")
         assert code == 0
         lines = out.splitlines()
@@ -271,7 +259,7 @@ class TestVerify:
         def no_count(*args):
             raise AssertionError("the default lgv suite was counted")
 
-        monkeypatch.setattr(cli, "_family_count", no_count)
+        monkeypatch.setattr(cli, "_tested_pairs", no_count)
         code, out = run_cli("verify", "--suite", "lgv")
         assert code == 0
         assert len(out.splitlines()) == 60
@@ -318,46 +306,18 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS ") for line in out.splitlines())
 
-    @pytest.mark.parametrize("suite", ["lgv", "all"])
-    def test_suite_with_no_case_exits_2(self, suite, monkeypatch, capsys):
-        # the lgv suite starts at m = 2: at --max-m 1 it would pass vacuously
-        def no_run(cases, out):
-            raise AssertionError("a case ran")
-
-        monkeypatch.setattr(cli, "_run_cases", no_run)
-        code, out = run_cli("verify", "--suite", suite, "--max-m", "1")
-        assert code == 2
-        assert out == ""
-        assert capsys.readouterr().err.strip() == (
-            "error: --max-m 1 leaves the lgv suite with no case "
-            "(it needs --max-m 2 or more)"
-        )
-
-    @pytest.mark.parametrize("suite", ["inverse", "all"])
-    def test_n_cap_refuses_before_any_case(self, suite, monkeypatch, capsys):
-        # the inverse-pair cases cost about n^5.5: --n 40 would run for hours
-        ran = []
-        monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
-        assert run_cli("verify", "--suite", suite, "--n", "10") == (0, "")
-        assert len(ran) == 1
-        for n in ("11", "40"):
-            assert run_cli("verify", "--suite", suite, "--n", n) == (2, "")
-            assert capsys.readouterr().err.strip() == (
-                f"error: --n {n} exceeds the inverse suite's cap of 10")
-        assert len(ran) == 1
-
     @pytest.mark.parametrize("suite, flag", [
         (suite, flag) for suite, entry in cli._SUITES.items() for flag in entry.sizes
     ] + [("all", flag) for flag in dict.fromkeys(
         flag for entry in cli._SUITES.values() for flag in entry.sizes)])
     def test_size_table_refuses_before_any_case(self, suite, flag, monkeypatch, capsys):
-        # the cap runs; cap + 1, and least - 1 where least > 1, exit 2 with
-        # the table's message before any case runs, and no path family is
-        # counted for either.  Under `all` a flag's least is the largest and
-        # its cap the smallest over the suites that read it, and the message
-        # names the first of those in table order (the lgv suite starts at
-        # m = 2: at --max-m 1 it would pass vacuously; the inverse-pair cases
-        # cost about n^5.5: --n 40 would run for hours).
+        # the cap runs; cap + 1, a far value 4 * cap, and least - 1 where
+        # least > 1, exit 2 with the table's message before any case runs.
+        # Under `all` a flag's least is the largest and its cap the smallest
+        # over the suites that read it, and the message names the first of
+        # those in table order (the lgv suite starts at m = 2: at --max-m 1
+        # it would pass vacuously; the inverse-pair cases cost about n^5.5:
+        # --n 40 would run for hours).
         sizes = {name: entry.sizes[flag] for name, entry in cli._SUITES.items()
                  if suite in (name, "all") and flag in entry.sizes}
         assert all(1 <= least <= default <= cap for default, least, cap in sizes.values())
@@ -369,18 +329,39 @@ class TestVerify:
         option = "--" + flag.replace("_", "-")
         ran = []
         monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
-        monkeypatch.setattr(cli, "_family_count", None)
         assert run_cli("verify", "--suite", suite, option, str(cap)) == (0, "")
         assert len(ran) == 1 and ran[0]
-        assert run_cli("verify", "--suite", suite, option, str(cap + 1)) == (2, "")
-        assert capsys.readouterr().err.strip() == (
-            f"error: {option} {cap + 1} exceeds the {capped} suite's cap of {cap}")
+        for above in (cap + 1, 4 * cap):
+            assert run_cli("verify", "--suite", suite, option, str(above)) == (2, "")
+            assert capsys.readouterr().err.strip() == (
+                f"error: {option} {above} exceeds the {capped} suite's cap of {cap}")
         if least > 1:
             assert run_cli("verify", "--suite", suite, option, str(least - 1)) == (2, "")
             assert capsys.readouterr().err.strip() == (
                 f"error: {option} {least - 1} leaves the {emptied} suite with no case "
                 f"(it needs {option} {least} or more)")
         assert len(ran) == 1
+
+    def test_docs_state_the_size_table(self):
+        # README's size table and its `all` --max-m cap, and the caps in the
+        # cli module's docstring, say what `_SUITES` holds
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table, suite = {}, None
+        for row in re.finditer(r"^\| (?:`(\w+)`)? *\| `--([\w-]+)` \| (\d+) \| (\d+) \| (\d+) \|",
+                               readme, re.M):
+            suite = row[1] or suite
+            flag = row[2].replace("-", "_")
+            table.setdefault(suite, {})[flag] = tuple(map(int, row.group(3, 4, 5)))
+        assert table == {name: entry.sizes for name, entry in cli._SUITES.items()}
+        all_cap = min(entry.sizes["max_m"][2] for entry in cli._SUITES.values()
+                      if "max_m" in entry.sizes)
+        assert re.findall(r"`all`[^.]*`--max-m` cap is (\d+)", readme) == [str(all_cap)]
+        documented = {line[1]: {flag.replace("-", "_"): int(cap)
+                                for flag, cap in re.findall(r"--([\w-]+) (\d+)", line[2])}
+                      for line in re.finditer(r"^    (\w+) +((?:--[\w-]+ \d+,? )+)",
+                                              cli.__doc__, re.M)}
+        assert documented == {name: {flag: cap for flag, (_, _, cap) in entry.sizes.items()}
+                              for name, entry in cli._SUITES.items()}
 
     def test_size_at_cap_runs(self):
         code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "11",
@@ -481,22 +462,27 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_weight_fault(self, family, monkeypatch):
-        # every path family of one scheme that brute_route lists (its paths
-        # 0..k-2) weighs q times too much (its value at q = 2^B shifted by
-        # B); only the lgv suite reads brute_route
-        family_values = lgv._family_values
+        # every link of brute_route's chain for one scheme weighs q times too
+        # much (its value at q = 2^B shifted by B): the per-path value for P
+        # and Q, the pair factor, which G and H share, for G and H; only the
+        # lgv suite reads them
+        if family in "PQ":
+            path_value = lgv._path_value
 
-        def faulty(name, path_values, bits):
-            weights = family_values(name, path_values, bits)
-            return (w << bits for w in weights) if name == family else weights
+            def faulty(name, path, bits):
+                value = path_value(name, path, bits)
+                return value << bits if name == family else value
 
-        monkeypatch.setattr(lgv, "_family_values", faulty)
+            monkeypatch.setattr(lgv, "_path_value", faulty)
+        else:
+            pair_factor = lgv._pair_factor
+            monkeypatch.setattr(lgv, "_pair_factor", lambda *args: pair_factor(*args) << args[-1])
         assert failing_suites() == {"lgv"}
 
     def test_last_path_mask_fault(self, monkeypatch):
-        # brute_route's last-path table drops its mask test, so every last
-        # path fits every prefix; only the lgv suite reads brute_route
-        monkeypatch.setattr(lgv, "_fitting", lambda path, paths: list(paths))
+        # brute_route's adjacent pairs skip their mask test, so every path i
+        # fits every path i - 1; only the lgv suite reads brute_route
+        monkeypatch.setattr(lgv, "enumerate_nonintersecting", all_families)
         assert failing_suites() == {"lgv"}
 
     def test_h_spec_fault(self, monkeypatch):

@@ -2,13 +2,12 @@
 reference panel values and agreement with the determinant route."""
 from collections import Counter
 from functools import partial
-from itertools import product
 from math import comb
 
 import pytest
 
 from qfaulhaber.coeffs import BadIndexError, det_route, invert_route
-from qfaulhaber import cli, lgv
+from qfaulhaber import lgv
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO
 from qfaulhaber.lgv import (
     LatticePoint,
@@ -25,6 +24,7 @@ from qfaulhaber.lgv import (
 )
 from oracles import (
     C,
+    all_families,
     G_4_2_PANELS,
     H_4_2_PANELS,
     _expand_pairs,
@@ -192,11 +192,10 @@ class TestEnumeration:
         # path 0 running through (1, 0), where path 1 ends
         ([(0, 0), (1, -1)], [(1, 2), (1, 0)], (1, 0), True),
     ], ids=["interior", "end-point"])
-    def test_drops_families_sharing_one_vertex(self, starts, ends, shared, at_end,
-                                               monkeypatch):
+    def test_drops_families_sharing_one_vertex(self, starts, ends, shared, at_end):
         starts = [LatticePoint(*p) for p in starts]
         ends = [LatticePoint(*p) for p in ends]
-        everything = list(product(*(paths_between(a, b) for a, b in zip(starts, ends))))
+        everything = all_families(starts, ends)
         touching = [fam for fam in everything if set(fam[0]) & set(fam[1]) == {shared}]
         assert touching and (shared in starts + ends) == at_end
         disjoint = [fam for fam in everything if not set(fam[0]) & set(fam[1])]
@@ -204,8 +203,8 @@ class TestEnumeration:
         assert fams == disjoint == reference_enumeration(starts, ends)
         assert not set(touching) & set(fams)
         # the unit-weight LGV determinant counts the same families
-        monkeypatch.setattr(lgv, "family_config", lambda *case: (starts, ends))
-        assert cli._family_count("G", 0, 0) == len(fams)
+        unit = partial(single_path_weight_sum, per_column_weights={})
+        assert lgv_determinant(starts, ends, unit) == LaurentPoly([len(fams)])
 
     def test_lgv_determinant_counts_families(self):
         # with unit weights the determinant counts non-intersecting families
@@ -354,6 +353,8 @@ class TestPathStatistics:
     @pytest.mark.parametrize("family", "PQGH")
     @pytest.mark.usefixtures("cold_memos")
     def test_brute_route_reads_each_path_once(self, family, monkeypatch):
+        # every path of every family is read, and no path twice, though each
+        # path i > 0 is listed again at levels i and i + 1 of the chain
         m, k = 6, 3
         fams = enumerate_nonintersecting(*family_config(family, m, k))
         distinct = {path for fam in fams for path in fam}
@@ -366,7 +367,8 @@ class TestPathStatistics:
 
         monkeypatch.setattr(lgv, "path_stats", counting_path_stats)
         assert brute_route(family, m, k) == det_route(family, m, k)
-        assert len(calls) == len(distinct) < len(fams) * k
+        assert len(calls) == len(set(calls)) < len(fams) * k
+        assert distinct <= set(calls)
 
 
 class TestPairSums:
@@ -539,8 +541,8 @@ class TestIntegerWeights:
 
 
 class TestLastPathTable:
-    # brute_route lists the families of paths 0..k-2, those of (m - 1, k - 1),
-    # and sums the last path from one table row per distinct path k - 2
+    # brute_route sums a chain over the paths, link i reading adjacent pairs
+    # i - 1 and i only; pairs 0..k-2 of (m, k) are those of (m - 1, k - 1)
 
     def test_prefix_pairs_are_the_smaller_case(self):
         for family in "PQGH":
@@ -551,31 +553,34 @@ class TestLastPathTable:
 
     @pytest.mark.parametrize("family", "PG")  # the two end-point geometries
     def test_last_path_can_meet_path_k_minus_2_only(self, family):
-        # pairs 0..k-3 never reach column 2k - 2, where the last path starts;
-        # for G and H they have no point in columns 2k - 3..2k either, the
-        # columns the last pair factor and the closing read
-        for m in range(2, 9):
-            for k in range(3, m):
-                first_read = 2 * k - (2 if family == "P" else 3)
+        # for every i, path i - 2 has no point in the columns that link i
+        # reads: those of path i, which starts in column 2i (P, Q), or
+        # columns 2i - 1 and 2i of pair factor i (G, H; i = k is the
+        # closing, column 2k); Q and H place their paths as P and G do
+        twin = {"P": "Q", "G": "H"}[family]
+        for m in range(2, 13):
+            for k in range(2, m):
                 starts, ends = family_config(family, m, k)
-                for a, b in zip(starts[:k - 2], ends[:k - 2]):
-                    for path in paths_between(a, b):
-                        assert max(x for x, _ in path) < first_read, (m, k, path)
+                assert family_config(twin, m, k) == (starts, ends)
+                for i in range(2, k if family == "P" else k + 1):
+                    first_read = 2 * i if family == "P" else 2 * i - 1
+                    for path in paths_between(starts[i - 2], ends[i - 2]):
+                        assert max(x for x, _ in path) < first_read, (m, k, i, path)
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_dropped_mask_test_fails_the_crosscheck(self, family, monkeypatch):
-        # fault-matrix row: every last path fits every prefix, so brute_route
-        # goes wrong exactly where some prefix and last path meet, every
-        # k >= 2 case of m <= 6 but (3, 2)
-        monkeypatch.setattr(lgv, "_fitting", lambda path, paths: list(paths))
+        # fault-matrix row: the adjacent pairs skip their mask test, so
+        # brute_route goes wrong exactly where some adjacent pair of paths
+        # meets, every k >= 2 case of m <= 6 but (3, 2)
         cases = [(m, k) for m in range(2, 7) for k in range(1, m)]
         meeting = []
         for m, k in cases:
             starts, ends = family_config(family, m, k)
-            prefixes = enumerate_nonintersecting(starts[:-1], ends[:-1])
-            last = list(paths_between(starts[-1], ends[-1]))
-            if len(enumerate_nonintersecting(starts, ends)) < len(prefixes) * len(last):
+            pairs = [(starts[i - 1:i + 1], ends[i - 1:i + 1]) for i in range(1, k)]
+            if any(len(enumerate_nonintersecting(*pair)) < len(all_families(*pair))
+                   for pair in pairs):
                 meeting.append((m, k))
+        monkeypatch.setattr(lgv, "enumerate_nonintersecting", all_families)
         wrong = [(m, k) for m, k in cases if brute_route(family, m, k) != det_route(family, m, k)]
         assert wrong == meeting == [(m, k) for m, k in cases if k >= 2 and (m, k) != (3, 2)]
 
@@ -701,7 +706,7 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_brute_and_det_routes_agree(self, family):
-        for m in range(1, 8):
+        for m in range(1, 10):
             for k in range(0, m):
                 expected = det_route(family, m, k)
                 assert brute_route(family, m, k) == expected, (family, m, k)

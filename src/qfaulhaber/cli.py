@@ -11,7 +11,7 @@ value at which the suite alone, its other flags at their caps, runs in about
 Python 3.11 (the host's speed varied by about a third between runs):
 
     theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
-    lemma1     --max-l 350                6.5-9.0 s   (400: 8.0-12.7 s)
+    lemma1     --max-l 140                8.9-9.6 s   (150: 10.1-11.3 s)
     lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
     lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
@@ -32,6 +32,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -50,7 +51,7 @@ _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 # P(15,8) tests 653,624 in 0.8-0.9 s with a 30 MB peak; Q(19,7) lists
 # 973,752 paths in 8.3-8.5 s with a 17 MB peak (cold processes, one core of
 # a 2-vCPU host, Python 3.11).
-_LGV_FAMILY_LIMIT = 1_000_000
+_LGV_OBJECT_LIMIT = 1_000_000
 
 
 def compute_record(family: str, m: int, k: int, method: str = "det") -> CoeffRecord:
@@ -85,22 +86,28 @@ def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+CSV_HEADER = "family,m,k,exp,coefficient"
+
+
 def record_to_csv_rows(record: CoeffRecord) -> list[str]:
-    rows = ["family,m,k,exp,coefficient"]
-    for e, c in enumerate(record.coefficients()):
-        rows.append(f"{record.family},{record.m},{record.k},{e},{c}")
-    return rows
+    """The record's rows under `CSV_HEADER`, one per coefficient."""
+    return [f"{record.family},{record.m},{record.k},{e},{c}"
+            for e, c in enumerate(record.coefficients())]
 
 
-def _emit_record(record: CoeffRecord, fmt: str, out) -> None:
-    if fmt == "pretty":
-        print(record.poly.to_string("q") if not record.poly.is_zero else "0", file=out)
-    elif fmt == "json":
-        print(dumps(record_to_json_dict(record)), file=out)
-    elif fmt == "csv":
-        print("\n".join(record_to_csv_rows(record)), file=out)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def _emit_records(records, fmt: str, out) -> None:
+    """Print each record in fmt; csv rows share one header line."""
+    if fmt == "csv":
+        print(CSV_HEADER, file=out)
+    for record in records:
+        if fmt == "pretty":
+            print(record.poly.to_string("q") if not record.poly.is_zero else "0", file=out)
+        elif fmt == "json":
+            print(dumps(record_to_json_dict(record)), file=out)
+        elif fmt == "csv":
+            print("\n".join(record_to_csv_rows(record)), file=out)
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
 
 
 def _run_cases(cases: list[tuple[str, object]], out) -> bool:
@@ -152,13 +159,12 @@ def _suite_lemma2(max_m: int, max_l: int) -> list:
 
 
 def _suite_lemma1(max_l: int) -> list:
-    return [
-        (f"lemma1 a={a} b={b} q0={q0} l={l}",
-         lambda a=a, b=b, q0=q0, l=l: identities.verify_lemma1(a, b, q0, l, 12))
-        for (a, b) in ((1, 1), (1, 0), (0, 1))
-        for q0 in (Fraction(2), Fraction(1, 2), Fraction(3))
-        for l in range(1, max_l + 1)
-    ]
+    # Lemma 1 is proved for every q, so each (a, b, l) is proved once and its
+    # keys at q0 = 2, 1/2 and 3, where [l] and [2l] do not vanish, share it.
+    proofs = {(a, b, l): cache(lambda a=a, b=b, l=l: identities.verify_lemma1(a, b, l, 12))
+              for (a, b) in ((1, 1), (1, 0), (0, 1)) for l in range(1, max_l + 1)}
+    return [(f"lemma1 a={a} b={b} q0={q0} l={l}", proof)
+            for (a, b, l), proof in proofs.items() for q0 in ("2", "1/2", "3")]
 
 
 def _suite_inverse(n: int) -> list:
@@ -237,7 +243,7 @@ class _Suite(NamedTuple):
 
 _SUITES = {
     "theorem1": _Suite(_suite_theorem1, {"max_m": (5, 1, 11), "max_n": (6, 1, 30)}),
-    "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 350)}),
+    "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 140)}),
     "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
     "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
     "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 12)}),
@@ -276,16 +282,16 @@ def cmd_compute(args, out) -> int:
     try:
         if args.method == "lgv":
             count = _tested_pairs(args.family, args.m, args.k)
-            if count > _LGV_FAMILY_LIMIT:
+            if count > _LGV_OBJECT_LIMIT:
                 print(f"error: --method lgv would test {count} adjacent path pairs "
-                      f"(limit {_LGV_FAMILY_LIMIT}); use --method lgv-det",
+                      f"(limit {_LGV_OBJECT_LIMIT}); use --method lgv-det",
                       file=sys.stderr)
                 return EXIT_USAGE
         if args.method == "lgv-det" and args.family != "P":
             count = _path_count(args.family, args.m, args.k)
-            if count > _LGV_FAMILY_LIMIT:
+            if count > _LGV_OBJECT_LIMIT:
                 print(f"error: --method lgv-det would list {count} lattice paths "
-                      f"(limit {_LGV_FAMILY_LIMIT}); use --method det",
+                      f"(limit {_LGV_OBJECT_LIMIT}); use --method det",
                       file=sys.stderr)
                 return EXIT_USAGE
         record = compute_record(args.family, args.m, args.k, args.method)
@@ -295,19 +301,20 @@ def cmd_compute(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _emit_record(record, args.format, out)
+    _emit_records([record], args.format, out)
     return EXIT_OK
 
 
 def cmd_table(args, out) -> int:
     max_m = args.max_m or _TABLE_DEFAULT[args.family]
-    for m in range(1, max_m + 1):
-        for k in range(0, m):
-            record = compute_record(args.family, m, k, "det")
-            if args.format == "pretty":
-                print(f"{args.family}({m},{k}) = {record.poly.to_string('q')}", file=out)
-            else:
-                _emit_record(record, args.format, out)
+    records = (compute_record(args.family, m, k, "det")
+               for m in range(1, max_m + 1) for k in range(0, m))
+    if args.format == "pretty":
+        for record in records:
+            print(f"{record.family}({record.m},{record.k}) = {record.poly.to_string('q')}",
+                  file=out)
+    else:
+        _emit_records(records, args.format, out)
     return EXIT_OK
 
 

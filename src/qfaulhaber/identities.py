@@ -1,8 +1,9 @@
 """q-power-sum series and machine verification of the summation identities.
 
-Everything here lives in the variable t = q^(1/2): objects that are
+Theorem 1 and Lemma 2 live in the variable t = q^(1/2): objects that are
 polynomials in q are embedded with stride 2 (q = t^2), while objects already
-expressed in half powers use t directly.
+expressed in half powers use t directly.  Lemma 1 has no half powers and is
+checked in q itself.
 
 Theorem 1 is checked after clearing denominators.  Each identity has one
 factor list, read off the theorem, and its right side is one sum over k of
@@ -18,14 +19,17 @@ in term_k are prefixes of the list, so every prefix is built once:
 ride in the list).  Lemma 2 needs no clearing: with y = [l]_{t^2} t^(-l),
 every right side is a prefactor times one series sum_j gen_j y^(2j-s),
 gen_j being h, c, g or d and s being 0 or 1, and both sides are Laurent
-polynomials.
+polynomials.  Lemma 1 compares each series coefficient n of a double h-sum
+with its two partial fractions amp * ratio^n; clearing both by
+[2l] [l]^(n+1) leaves one polynomial identity per n.
 
-Both are proved at one point, on Python ints (Kronecker substitution used
-as a proof).  Each check is written once, as a function of its leaves (the
-power-sum series and family polynomials of Theorem 1, the generators of
-Lemma 2) and of a pass, and runs twice.  The norm pass (`_NormPass`) maps
-every leaf to its coefficient 1-norm; products multiply and sums and
-differences add, so lhs + rhs comes out as a bound N on ||lhs - rhs||_1.
+All three are proved at one point, on Python ints (Kronecker substitution
+used as a proof).  Each check is written once, as a function of its leaves
+(the power-sum series and family polynomials of Theorem 1, the generators
+of Lemma 2, the h values of Lemma 1) and of a pass, and runs twice.  The
+norm pass (`_NormPass`) maps every leaf to its coefficient 1-norm; products
+multiply and sums and differences add, so lhs + rhs comes out as a bound N
+on ||lhs - rhs||_1 (for Lemma 1, the largest over its identities).
 The value pass (`_ValuePass`) evaluates every leaf at t = X = 2^B with
 2^B > 2N (`_proof_bits`), each value an int with its lowest exponent, so
 t^(-l) needs no clearing factor.  Every coefficient of lhs - rhs is below X
@@ -35,19 +39,14 @@ identity.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .coeffs import _at_power_of_two, _digit_width, _family_det, _from_power_of_two, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
 from .laurent import LaurentPoly, q_int
-
-
-class SingularSampleError(ArithmeticError):
-    """Raised when a denominator factor vanishes at a sample point."""
 
 
 def _sign(n: int) -> int:
@@ -66,37 +65,31 @@ def _half_qint(k: int) -> LaurentPoly:
     return q_int(2 * k, 2).divexact(q_int(2, 2))
 
 
-def s_sum(m: int, n: int) -> LaurentPoly:
-    """Power-sum series value: sum over k of ([2k]/[2]) [k]^(m-1) q^((m+1)(n-k)/2),
-    as a polynomial in t.
-
-    The terms are summed as one int at t = 2^B and read back once; the sum
-    at q = 1, sum_k k^m, bounds every coefficient, which are nonnegative."""
+def _power_sum_series(m: int, n: int, term) -> LaurentPoly:
+    """sum over k = 1..n of term(k, bits), each term a polynomial in t at
+    t = 2^bits, summed as one int and read back once.  Every term's 1-norm
+    is at most k^m, so sum_k k^m bounds every coefficient."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     width = _digit_width(sum(k ** m for k in range(1, n + 1)))
     bits = 8 * width
-    total = 0
-    for k in range(1, n + 1):
-        head = _at_power_of_two(_half_qint(k), 0, bits)
-        total += (head * _qint_value(k, 2 * bits) ** (m - 1)) << bits * (m + 1) * (n - k)
-    return _from_power_of_two(total, 0, width)
+    return _from_power_of_two(sum(term(k, bits) for k in range(1, n + 1)), 0, width)
+
+
+def s_sum(m: int, n: int) -> LaurentPoly:
+    """Power-sum series value: sum over k of ([2k]/[2]) [k]^(m-1) q^((m+1)(n-k)/2),
+    as a polynomial in t (`_power_sum_series`); its coefficients are
+    nonnegative and sum to sum_k k^m."""
+    return _power_sum_series(m, n, lambda k, bits: (
+        _at_power_of_two(_half_qint(k), 0, bits) * _qint_value(k, 2 * bits) ** (m - 1)
+    ) << bits * (m + 1) * (n - k))
 
 
 def t_sum(m: int, n: int) -> LaurentPoly:
-    """Alternating power-sum series value, as a polynomial in t.
-
-    Summed as one int at t = 2^B and read back once like `s_sum`; the
-    1-norm of every term [k]_{t^2}^m is k^m, so sum_k k^m bounds every
-    coefficient."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    width = _digit_width(sum(k ** m for k in range(1, n + 1)))
-    bits = 8 * width
-    total = 0
-    for k in range(1, n + 1):
-        total += (_sign(n - k) * _qint_value(k, 2 * bits) ** m) << bits * m * (n - k)
-    return _from_power_of_two(total, 0, width)
+    """Alternating power-sum series value: sum over k of (-1)^(n-k)
+    [k]_{t^2}^m t^(m(n-k)), as a polynomial in t (`_power_sum_series`)."""
+    return _power_sum_series(m, n, lambda k, bits: (
+        _sign(n - k) * _qint_value(k, 2 * bits) ** m) << bits * m * (n - k))
 
 
 class _NormPass:
@@ -316,42 +309,39 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
     return lhs == rhs
 
 
-def verify_lemma1(a: int, b: int, q0: Fraction, l: int, order: int) -> bool:
-    """Compare truncated series coefficients of the double h-sum against its
-    partial-fraction form, with exact rational arithmetic at q = q0."""
+def _lemma1_sides(r, a: int, b: int, l: int, gens: list) -> tuple:
+    """Series coefficients 0..order of both sides of one Lemma 1 identity in
+    the pass r, coefficient n cleared by [2l] [l]^(n+1), as two lists: the
+    double h-sum, gens[n] holding (k, h) for each nonzero h(n - 2k, k + a,
+    k + b), and the two partial fractions amp * ratio^n.  Both sides are
+    polynomials in q, so the passes read q itself as their variable."""
+    order = len(gens) - 1
+    powers = _prefix_products(r.one, [r.qint(l)] * (order + 1))  # [l]^i
+    wide = r.qint(2 * l)
+    lhs = [wide * sum((r.poly(h) * r.mono(1, l * k) * powers[n + 1 - 2 * k]
+                       for k, h in terms), r.zero)
+           for n, terms in enumerate(gens)]
+    ratios = r.qint(l + 1), r.mono(1, 1) * r.qint(l - 1)  # [l+1], q[l-1]
+    amps = {(1, 1): (ratios[0], r.mono(-1, 0) * ratios[1]),
+            (1, 0): (r.one, r.mono(1, l)), (0, 1): (r.mono(1, l), r.one)}[a, b]
+    first, second = (_prefix_products(amp, [ratio] * order) for amp, ratio in zip(amps, ratios))
+    return lhs, [powers[1] ** 2 * (x + y) for x, y in zip(first, second)]
+
+
+def verify_lemma1(a: int, b: int, l: int, order: int) -> bool:
+    """Check the series coefficients 0..order of the double h-sum against its
+    partial-fraction form, each cleared by [2l] [l]^(n+1), all proved at one
+    point, so the identity holds at every q where [l] and [2l] do not
+    vanish."""
     if (a, b) not in ((1, 1), (1, 0), (0, 1)):
         raise ValueError("supported cases are (1,1), (1,0) and (0,1)")
-    q0 = Fraction(q0)
-    if q0 in (0, 1):
-        raise SingularSampleError("q0 must avoid 0 and 1")
-    lv = q_int(l)(q0)
-    l2v = q_int(2 * l)(q0)
-    if lv == 0 or l2v == 0:
-        raise SingularSampleError(f"q-integer vanishes at q0={q0}")
-    x = q0 ** l / lv ** 2
-    lhs = []
-    for m in range(order + 1):
-        coeff = Fraction(0)
-        for k in range(m // 2 + 1):
-            h = h_spec(m - 2 * k, k + a, k + b)
-            if not h.is_zero:
-                coeff += h(q0) * x ** k
-        lhs.append(coeff)
-    lp1 = q_int(l + 1)(q0)
-    lm1 = q_int(l - 1)(q0)
-    pref = lv ** 2 / l2v
-    if (a, b) == (1, 1):
-        pieces = ((lp1, lp1), (-q0 * lm1, q0 * lm1))
-    elif (a, b) == (1, 0):
-        pieces = ((Fraction(1), lp1), (q0 ** l, q0 * lm1))
-    else:
-        pieces = ((q0 ** l, lp1), (Fraction(1), q0 * lm1))
-    rhs = []
-    for n in range(order + 1):
-        coeff = Fraction(0)
-        for amp, ratio in pieces:
-            coeff += amp * ratio ** n / lv ** (n + 1)
-        rhs.append(pref * coeff)
+    if l < 1 or order < 0:
+        raise ValueError("need l >= 1 and order >= 0")
+    gens = [[(k, h) for k in range(n // 2 + 1) if (h := h_spec(n - 2 * k, k + a, k + b))]
+            for n in range(order + 1)]
+    # `_prove` for lists of sides: the X of the largest bound serves every n
+    norms = _lemma1_sides(_NormPass, a, b, l, gens)
+    lhs, rhs = _lemma1_sides(_ValuePass(_proof_bits(max(map(add, *norms)))), a, b, l, gens)
     return lhs == rhs
 
 

@@ -8,8 +8,9 @@ submatrix-determinant formula for triangular inverses, the inverse-pair
 check on rational values, and the literal subset weights, the
 exponent-by-exponent expansion of the product forms and alternative
 placements of the G/H lattice-path model.  The summation identities of
-Theorem 1 and Lemma 2 as products in the Laurent ring, and the power-sum
-series term by term.  Literal walks of the lattice-path layer: path listing
+Theorem 1 and Lemmas 1 and 2 as products in the Laurent ring, Lemma 1's
+series coefficients in rationals at one point q0, and the power-sum series
+term by term.  Literal walks of the lattice-path layer: path listing
 step by step, every path family with the disjointness test dropped, step
 statistics read off each step, and the determinant route's single-pair sums
 as one polynomial product per vertical step under its step rules.
@@ -31,9 +32,13 @@ from qfaulhaber.coeffs import (
     forward_entry,
     sample_points,
 )
-from qfaulhaber.identities import SingularSampleError
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
 from qfaulhaber.lgv import _Q, LatticePoint, PathFamily, PathStats
+
+
+class SingularSampleError(ArithmeticError):
+    """Raised when a denominator factor vanishes at a sample point."""
+
 
 _Q2 = LaurentPoly.term(1, 2)
 _Q_PLUS_Q2 = _Q + _Q2
@@ -593,3 +598,52 @@ def lemma2_sides(which: str, m: int, l: int) -> tuple[LaurentPoly, LaurentPoly]:
         lhs = _odd_x(l, m - 1) + _odd_x(l - 1, m - 1)
         rhs = _y_series(l, m, 1, lambda j: identities.d_poly(m, j))
     return lhs, rhs
+
+
+def _lemma1_pieces(a: int, b: int, lp1, qlm1, ql) -> tuple:
+    """(amp, ratio) of Lemma 1's two partial fractions, from the values of
+    [l+1], q [l-1] and q^l."""
+    if (a, b) == (1, 1):
+        return (lp1, lp1), (-qlm1, qlm1)
+    if (a, b) == (1, 0):
+        return (1, lp1), (ql, qlm1)
+    return (ql, lp1), (1, qlm1)
+
+
+def lemma1_sides(a: int, b: int, l: int, order: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
+    """Both sides of Lemma 1's series coefficients 0..order, each cleared by
+    [2l] [l]^(n+1), as polynomials in q; h_spec is read through the
+    `identities` namespace."""
+    sides = []
+    for n in range(order + 1):
+        lhs = ZERO
+        for k in range(n // 2 + 1):
+            h = identities.h_spec(n - 2 * k, k + a, k + b)
+            lhs = lhs + h * Q ** (l * k) * q_int(l) ** (n + 1 - 2 * k)
+        rhs = ZERO
+        for amp, ratio in _lemma1_pieces(a, b, q_int(l + 1), Q * q_int(l - 1), Q ** l):
+            rhs = rhs + amp * ratio ** n
+        sides.append((q_int(2 * l) * lhs, q_int(l) ** 2 * rhs))
+    return sides
+
+
+def lemma1_at_point(a: int, b: int, q0, l: int, order: int) -> bool:
+    """Lemma 1's series coefficients 0..order, the double h-sum against its
+    partial-fraction form, compared in rationals at q = q0 alone; h_spec is
+    read through the `identities` namespace."""
+    q0 = Fraction(q0)
+    if q0 in (0, 1):
+        raise SingularSampleError("q0 must avoid 0 and 1")
+    lv = q_int(l)(q0)
+    l2v = q_int(2 * l)(q0)
+    if lv == 0 or l2v == 0:
+        raise SingularSampleError(f"q-integer vanishes at q0={q0}")
+    x = q0 ** l / lv ** 2
+    pieces = _lemma1_pieces(a, b, q_int(l + 1)(q0), q0 * q_int(l - 1)(q0), q0 ** l)
+    for n in range(order + 1):
+        lhs = sum((identities.h_spec(n - 2 * k, k + a, k + b)(q0) * x ** k
+                   for k in range(n // 2 + 1)), Fraction(0))
+        rhs = lv ** 2 / l2v * sum(amp * ratio ** n / lv ** (n + 1) for amp, ratio in pieces)
+        if lhs != rhs:
+            return False
+    return True

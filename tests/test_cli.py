@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes and route consistency."""
+import csv
 import io
 import json
 import re
@@ -220,6 +221,23 @@ class TestTable:
             (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)
         ]
 
+    def test_csv_table_has_one_header(self):
+        # every row a CSV reader takes for data is a record's coefficient,
+        # and the rows are those `compute` prints for each (m, k) in turn
+        code, out = run_cli("table", "--family", "P", "--max-m", "3", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["family"] for row in rows} == {"P"}
+        assert all(row[field].lstrip("-").isdigit() for row in rows
+                   for field in ("m", "k", "exp", "coefficient"))
+        expected = []
+        for m in range(1, 4):
+            for k in range(m):
+                _, single = run_cli("compute", "--family", "P", "--m", str(m), "--k", str(k),
+                                    "--format", "csv")
+                expected += csv.DictReader(io.StringIO(single))
+        assert rows == expected
+
 
 def above_cap(suite, flag):
     """`verify` arguments one above the flag's cap under `suite` (under
@@ -230,6 +248,20 @@ def above_cap(suite, flag):
 
 
 class TestVerify:
+    def test_lemma1_keys_share_one_proof(self, monkeypatch):
+        # the default suite's 45 keys, three q0 per (a, b, l), read one
+        # proof per (a, b, l): 15 calls, none repeated
+        proof = identities.verify_lemma1
+        calls = []
+        monkeypatch.setattr(identities, "verify_lemma1",
+                            lambda *args: calls.append(args) or proof(*args))
+        code, out = run_cli("verify", "--suite", "lemma1")
+        assert code == 0
+        assert len(out.splitlines()) == 45
+        assert all(line.startswith("PASS lemma1 ") for line in out.splitlines())
+        assert sorted(calls) == sorted({(a, b, l, 12) for a, b in ((1, 1), (1, 0), (0, 1))
+                                        for l in range(1, 6)})
+
     def test_suite_passes_and_is_sorted(self):
         code, out = run_cli("verify", "--suite", "lgv", "--max-m", "3")
         assert code == 0
@@ -479,7 +511,7 @@ class TestFaultMatrix:
             monkeypatch.setattr(lgv, "_pair_factor", lambda *args: pair_factor(*args) << args[-1])
         assert failing_suites() == {"lgv"}
 
-    def test_last_path_mask_fault(self, monkeypatch):
+    def test_adjacent_pair_mask_fault(self, monkeypatch):
         # brute_route's adjacent pairs skip their mask test, so every path i
         # fits every path i - 1; only the lgv suite reads brute_route
         monkeypatch.setattr(lgv, "enumerate_nonintersecting", all_families)

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion, prints something and reports no
+failed check."""
 import os
 import subprocess
 import sys
@@ -18,3 +19,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert "FAILED" not in proc.stdout

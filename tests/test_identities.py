@@ -1,11 +1,12 @@
 """Machine verification of the summation identities and specializations."""
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
-from qfaulhaber import identities
+from qfaulhaber import cli, identities
 from qfaulhaber.identities import (
-    SingularSampleError,
     classical_check,
     s_sum,
     t_sum,
@@ -14,7 +15,15 @@ from qfaulhaber.identities import (
     verify_theorem1,
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, q_int
-from oracles import laurent_s_sum, laurent_t_sum, lemma2_sides, theorem1_sides, x_poly
+from oracles import (
+    laurent_s_sum,
+    laurent_t_sum,
+    lemma1_at_point,
+    lemma1_sides,
+    lemma2_sides,
+    theorem1_sides,
+    x_poly,
+)
 
 THEOREM1 = ("p", "qmn", "t2mnq", "t2m1")
 LEMMA2 = ("diff1", "inverseq", "diff", "sumd")
@@ -191,6 +200,16 @@ def lemma2_cases(max_m, max_l):
             for m in range(1, max_m + 1) for l in range(1, max_l + 1)]
 
 
+def lemma1_cases(max_l):
+    """(a, b, l, order) of `verify --suite lemma1` at this size."""
+    return [(a, b, l, 12) for a, b in ((1, 1), (1, 0), (0, 1)) for l in range(1, max_l + 1)]
+
+
+def one_proof(sides):
+    """An oracle of one identity as the list of its single (lhs, rhs)."""
+    return lambda *case: [sides(*case)]
+
+
 def agrees_with_oracle(check, sides, cases):
     """The one-point check's verdict equals the Laurent oracle's on every case."""
     for case in cases:
@@ -238,13 +257,16 @@ class TestOnePointProof:
         assert not any(verify_lemma2(*case) for case in cases)
         assert agrees_with_oracle(verify_lemma2, lemma2_sides, cases)
 
-    @pytest.mark.parametrize("check, sides, cases", [
-        (verify_theorem1, theorem1_sides, theorem1_cases(5, 6)),
-        (verify_lemma2, lemma2_sides, lemma2_cases(8, 8))], ids=["theorem1", "lemma2"])
-    def test_norm_pass_bounds_both_sides(self, check, sides, cases, monkeypatch):
-        # on every default case of the suite: the norm pass's N bounds
-        # ||lhs||_1 + ||rhs||_1 of the oracle's polynomials (so 2N does, and
-        # N bounds ||lhs - rhs||_1), and the point X = 2^B exceeds 2N
+    @pytest.mark.parametrize("check, proofs, cases", [
+        (verify_theorem1, one_proof(theorem1_sides), theorem1_cases(5, 6)),
+        (verify_lemma2, one_proof(lemma2_sides), lemma2_cases(8, 8)),
+        (verify_lemma1, lemma1_sides, lemma1_cases(5))],
+        ids=["theorem1", "lemma2", "lemma1"])
+    def test_norm_pass_bounds_both_sides(self, check, proofs, cases, monkeypatch):
+        # on every default case of the suite, proved at one point (lemma1's
+        # series coefficients all at the same one): the norm pass's N bounds
+        # ||lhs||_1 + ||rhs||_1 of every identity of the oracle (so 2N does,
+        # and N bounds ||lhs - rhs||_1), and the point X = 2^B exceeds 2N
         proof_bits = identities._proof_bits
         seen = []
         monkeypatch.setattr(identities, "_proof_bits",
@@ -253,25 +275,26 @@ class TestOnePointProof:
             seen.clear()
             assert check(*case)
             (bound, bits), = seen
-            lhs, rhs = sides(*case)
-            assert bound >= norm(lhs) + norm(rhs), case
             assert 2 ** bits > 2 * bound, case
+            for lhs, rhs in proofs(*case):
+                assert bound >= norm(lhs) + norm(rhs), case
 
-    @pytest.mark.parametrize("check, which, source", [
-        (verify_theorem1, "qmn", "_family_det"), (verify_lemma2, "inverseq", "c_poly")])
-    def test_too_small_a_point_proves_nothing(self, check, which, source, monkeypatch):
-        # (t - 2) t^j added to a leaf read unstretched vanishes at X = 2, so
+    @pytest.mark.parametrize("check, source, cases", [
+        (verify_theorem1, "_family_det",
+         [("qmn", m, n) for m in range(1, 4) for n in range(1, 4)]),
+        (verify_lemma2, "c_poly", [("inverseq", m, l) for m in range(1, 4) for l in range(1, 4)]),
+        (verify_lemma1, "h_spec", lemma1_cases(3))],
+        ids=["verify_theorem1-qmn-_family_det", "verify_lemma2-inverseq-c_poly",
+             "verify_lemma1-h_spec"])
+    def test_too_small_a_point_proves_nothing(self, check, source, cases, monkeypatch):
+        # (t - 2) t^j added to every nonzero value of a leaf read unstretched
+        # (Q for qmn and c in t, h in q for lemma1) vanishes at X = 2, so
         # pinned there the check passes the fault; at the proven X it fails
         # on every case.  Zero values stay zero (a j = 0 c-term needs y^(-1)).
         leaf = getattr(identities, source)
         fault = (Q - 2) * Q ** 2
-
-        def faulty(*args):
-            value = leaf(*args)
-            return value + fault if value and (source == "c_poly" or args[0] == "Q") else value
-
-        monkeypatch.setattr(identities, source, faulty)
-        cases = [(which, m, n) for m in range(1, 4) for n in range(1, 4)]
+        monkeypatch.setattr(identities, source,
+                            lambda *args: value + fault if (value := leaf(*args)) else value)
         assert not any(check(*case) for case in cases)
         monkeypatch.setattr(identities, "_proof_bits", lambda n: 1)
         assert all(check(*case) for case in cases)
@@ -280,19 +303,42 @@ class TestOnePointProof:
 class TestSeriesIdentity:
     @pytest.mark.parametrize("ab", [(1, 1), (1, 0), (0, 1)])
     def test_partial_fraction_form(self, ab):
-        for q0 in (Fraction(2), Fraction(1, 2), Fraction(3)):
-            for l in range(1, 6):
-                assert verify_lemma1(*ab, q0, l, 12)
+        for l in range(1, 6):
+            assert verify_lemma1(*ab, l, 12)
+
+    def test_matches_the_point_oracle(self):
+        # the proof for every q against the rational check at each point the
+        # suite names
+        for a, b, l, order in lemma1_cases(12):
+            proved = verify_lemma1(a, b, l, order)
+            for q0 in (Fraction(2), Fraction(1, 2), Fraction(3)):
+                assert proved == lemma1_at_point(a, b, q0, l, order), (a, b, q0, l)
+
+    def test_fault_vanishing_at_the_points(self, monkeypatch):
+        # q^2 (q - 2)(2q - 1)(q - 3) added to h(2, 2, 2), which coefficient 4
+        # of the (1, 1) series reads, vanishes at q0 = 2, 1/2 and 3: the
+        # three-point check passes it, the proof fails every (1, 1) case
+        h_spec = identities.h_spec
+        fault = Q ** 2 * (Q - 2) * (2 * Q - 1) * (Q - 3)
+        monkeypatch.setattr(identities, "h_spec", lambda n, r, s: (
+            h_spec(n, r, s) + fault if (n, r, s) == (2, 2, 2) else h_spec(n, r, s)))
+        for l in range(1, 6):
+            assert all(lemma1_at_point(1, 1, q0, l, 12)
+                       for q0 in (Fraction(2), Fraction(1, 2), Fraction(3)))
+            assert not verify_lemma1(1, 1, l, 12), l
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["verify", "--suite", "lemma1"]) == 1
+        assert sorted(line.split(" l=")[0] for line in out.getvalue().splitlines()
+                      if line.startswith("FAIL")) == sorted(
+            f"FAIL lemma1 a=1 b=1 q0={q0}" for q0 in ("2", "1/2", "3") for _ in range(5))
 
     def test_rejects_unsupported_case(self):
         with pytest.raises(ValueError):
-            verify_lemma1(2, 2, Fraction(2), 1, 4)
+            verify_lemma1(2, 2, 1, 4)
 
-    def test_rejects_singular_point(self):
-        with pytest.raises(SingularSampleError):
-            verify_lemma1(1, 1, Fraction(1), 1, 4)
-        with pytest.raises(SingularSampleError):
-            verify_lemma1(1, 1, Fraction(-1), 1, 4)  # [2] vanishes at -1
+    def test_rejects_l_zero(self):
+        with pytest.raises(ValueError):
+            verify_lemma1(1, 1, 0, 4)
 
 
 class TestClassicalSpecialization:

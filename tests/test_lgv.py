@@ -540,11 +540,11 @@ class TestIntegerWeights:
         assert total == det_route(family, 6, 3)
 
 
-class TestLastPathTable:
+class TestAdjacentPairChain:
     # brute_route sums a chain over the paths, link i reading adjacent pairs
     # i - 1 and i only; pairs 0..k-2 of (m, k) are those of (m - 1, k - 1)
 
-    def test_prefix_pairs_are_the_smaller_case(self):
+    def test_first_pairs_are_the_smaller_case(self):
         for family in "PQGH":
             for m in range(2, 9):
                 for k in range(1, m):
@@ -552,7 +552,7 @@ class TestLastPathTable:
                     assert (starts[:-1], ends[:-1]) == family_config(family, m - 1, k - 1)
 
     @pytest.mark.parametrize("family", "PG")  # the two end-point geometries
-    def test_last_path_can_meet_path_k_minus_2_only(self, family):
+    def test_link_i_reads_no_column_of_path_i_minus_2(self, family):
         # for every i, path i - 2 has no point in the columns that link i
         # reads: those of path i, which starts in column 2i (P, Q), or
         # columns 2i - 1 and 2i of pair factor i (G, H; i = k is the

@@ -11,12 +11,19 @@ value at which the suite alone, its other flags at their caps, runs in about
 Python 3.11 (the host's speed varied by about a third between runs):
 
     theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
-    lemma1     --max-l 140                8.9-9.6 s   (150: 10.1-11.3 s)
+    lemma1     --max-l 130                7.8-10.3 s  (140: 9.6-10.9 s)
     lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
     lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
     symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
     classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
+
+`table` and `shape` compute the det-route rows m = 1..--max-m of one family
+and refuse a `--max-m` above their cap with exit 2, before any row.  The caps
+follow the same rule on the costliest family, Q:
+
+    table      --max-m 39                 7.6-9.1 s   (40: 10.0-10.4 s)
+    shape      --max-m 40                 9.3-9.7 s   (42: 14.5 s)
 
 `compute` refuses a request that would test or list more than 1,000,000
 objects: a `--method lgv` case whose chain sum tests that many adjacent path
@@ -33,7 +40,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb
 from typing import Callable, NamedTuple
 
 from . import coeffs, identities, lgv
@@ -44,6 +50,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
+
+# The largest `--max-m` that `table` and `shape` accept (see the module docstring).
+_ROWS_CAP = {"table": 39, "shape": 40}
 
 # Most adjacent path pairs one `compute --method lgv` case tests, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
@@ -243,7 +252,7 @@ class _Suite(NamedTuple):
 
 _SUITES = {
     "theorem1": _Suite(_suite_theorem1, {"max_m": (5, 1, 11), "max_n": (6, 1, 30)}),
-    "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 140)}),
+    "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 130)}),
     "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
     "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
     "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 12)}),
@@ -261,7 +270,7 @@ def _tested_pairs(family: str, m: int, k: int) -> int:
     over i = 1..k - 1, with C(i) = C(east + north, north) the paths of
     start/end pair i."""
     starts, ends = lgv.family_config(family, m, k)
-    counts = [comb(b.x - a.x + b.y - a.y, b.y - a.y) for a, b in zip(starts, ends)]
+    counts = [lgv.path_count(a, b) for a, b in zip(starts, ends)]
     return sum(a * b for a, b in zip(counts, counts[1:]))
 
 
@@ -272,10 +281,7 @@ def _path_count(family: str, m: int, k: int) -> int:
     displacements); an upper bound once the process has summed some
     displacements, since the route lists only pairs its memo lacks."""
     starts, ends = lgv.family_config(family, m, k)
-    return sum(
-        comb(b.x - a.x + b.y - a.y, b.y - a.y)
-        for a in starts for b in ends if b.x >= a.x and b.y >= a.y
-    )
+    return sum(lgv.path_count(a, b) for a in starts for b in ends)
 
 
 def cmd_compute(args, out) -> int:
@@ -413,6 +419,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    cap = _ROWS_CAP.get(args.command)
+    if cap is not None and (args.max_m or 0) > cap:
+        print(f"error: --max-m {args.max_m} exceeds the {args.command} command's cap of {cap}",
+              file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "compute": cmd_compute,
         "table": cmd_table,

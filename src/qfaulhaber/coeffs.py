@@ -7,10 +7,9 @@ polynomials from the inverse of the forward lower-triangular matrix, whose
 entries `forward_entry` builds from the h/c/g/d generators.  Every matrix the
 package builds is lower Hessenberg, so its one determinant routine is the
 first-column recurrence `PolyMatrix.minors`, run once per matrix on Python
-ints: each row is divided by its lowest power of q, every entry evaluated at
-q = 2^B, and each minor read back as signed base-2^B digits, with B above
-the largest trailing permanent of the entry coefficient 1-norms
-(`_minors_bound`), which bounds every coefficient of every minor.  Each
+ints at q = 2^B (Kronecker substitution, `kron`), with 2^(B-1) above the
+largest trailing permanent of the entry coefficient 1-norms (`_minors_bound`),
+which bounds every coefficient of every minor.  Each
 family's prefactor and denominator of the claimed inverse entry live in
 `_inverse_factors` alone, which the inverse-pair check and the boundary sum
 read through `_inverse_entry`, and no route reads.
@@ -33,6 +32,7 @@ from functools import lru_cache
 from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
+from .kron import digit_bits, pack, read_back
 from .laurent import FAMILIES, LaurentPoly, ONE, Q, q_fact
 
 
@@ -72,39 +72,6 @@ def _minors_bound(norms: list[list[int]]) -> int:
     ))
 
 
-def _at_power_of_two(e: LaurentPoly, shift: int, bits: int) -> int:
-    """e / q^shift at q = 2^bits, by Horner's rule on shifts; e has no
-    exponent below `shift`."""
-    value = 0
-    for c in reversed(e.coeffs):
-        value = (value << bits) + c
-    return value << bits * (e.min_exp - shift) if e else 0
-
-
-def _digit_width(bound: int) -> int:
-    """Bytes per digit of `_from_power_of_two` that read back every
-    coefficient c with |c| <= bound: 2^(B-1) > bound, B = 8 * width."""
-    return (bound.bit_length() + 8) // 8
-
-
-def _from_power_of_two(value: int, shift: int, width: int) -> LaurentPoly:
-    """The polynomial q^shift * sum c_j q^j whose sum is `value` at q = X =
-    2^B, B = 8 * width, read back as signed base-X digits: it is the one
-    with that value and every |c_j| < 2^(B-1).  Biasing every digit by
-    2^(B-1) makes each c_j + 2^(B-1) an unsigned digit of `width` bytes; a
-    value of fewer than B * digits - 1 bits keeps the biased value within
-    `digits` digits, so every int reads back, exact or not."""
-    half = 1 << (8 * width - 1)
-    digits = (abs(value).bit_length() + 1) // (8 * width) + 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * digits, "little")
-    raw = (value + bias).to_bytes(digits * width, "little")
-    return LaurentPoly(
-        [int.from_bytes(raw[j:j + width], "little") - half
-         for j in range(0, len(raw), width)],
-        shift,
-    )
-
-
 @dataclass(frozen=True)
 class PolyMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
@@ -142,7 +109,7 @@ class PolyMatrix:
         polynomials in q, and every entry is evaluated at q = X = 2^B.  Each
         minor then comes out as the value at X of a polynomial in q; its
         coefficients are read back as signed base-X digits
-        (`_from_power_of_two`) and its rows' e_i added to every exponent.
+        (`kron.read_back`) and its rows' e_i added to every exponent.
         The digits are exact while every coefficient c of every trailing
         minor has |c| < 2^(B-1), which B secures: see `_minors_bound`.  One
         evaluation and O(n^2) integer multiplies in all.
@@ -150,14 +117,12 @@ class PolyMatrix:
         m, n = self.entries, self.dim
         if any(m[i][j] for i in range(n) for j in range(i + 2, n)):
             raise ValueError("matrix is not lower Hessenberg")
-        width = _digit_width(_minors_bound(self.norms()))
-        bits = 8 * width  # B
+        bits = digit_bits(_minors_bound(self.norms()))  # B
         shifts = [min((e.min_exp for e in row if e), default=0) for row in m]
         values = _hessenberg_minors(
-            [[_at_power_of_two(e, e_i, bits) for e in row] for row, e_i in zip(m, shifts)]
+            [[pack(e, e_i, bits) for e in row] for row, e_i in zip(m, shifts)]
         )
-        return [_from_power_of_two(value, sum(shifts[n - s:]), width)
-                for s, value in enumerate(values)]
+        return [read_back(value, sum(shifts[n - s:]), bits) for s, value in enumerate(values)]
 
     def det(self) -> LaurentPoly:
         """Exact determinant of a lower-Hessenberg matrix."""

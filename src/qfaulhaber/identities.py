@@ -23,39 +23,26 @@ polynomials.  Lemma 1 compares each series coefficient n of a double h-sum
 with its two partial fractions amp * ratio^n; clearing both by
 [2l] [l]^(n+1) leaves one polynomial identity per n.
 
-All three are proved at one point, on Python ints (Kronecker substitution
-used as a proof).  Each check is written once, as a function of its leaves
-(the power-sum series and family polynomials of Theorem 1, the generators
-of Lemma 2, the h values of Lemma 1) and of a pass, and runs twice.  The
-norm pass (`_NormPass`) maps every leaf to its coefficient 1-norm; products
-multiply and sums and differences add, so lhs + rhs comes out as a bound N
-on ||lhs - rhs||_1 (for Lemma 1, the largest over its identities).
-The value pass (`_ValuePass`) evaluates every leaf at t = X = 2^B with
-2^B > 2N (`_proof_bits`), each value an int with its lowest exponent, so
-t^(-l) needs no clearing factor.  Every coefficient of lhs - rhs is below X
-in size, so its lowest nonzero one would survive modulo X: lhs - rhs
-vanishes at X only if it is zero, and one comparison of ints proves the
-identity.
+All three are proved at one point, on Python ints, by `kron.prove`: each
+check is written once, as a function of its leaves (the power-sum series and
+family polynomials of Theorem 1, the generators of Lemma 2, the h values of
+Lemma 1) and of a pass, and runs twice.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial
-from operator import add, mul
+from operator import mul
 
-from .coeffs import _at_power_of_two, _digit_width, _family_det, _from_power_of_two, det_route
+from .coeffs import _family_det, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
+from .kron import digit_bits, pack, prove, qint_value, read_back
 from .laurent import LaurentPoly, q_int
 
 
 def _sign(n: int) -> int:
     return -1 if n % 2 else 1
-
-
-def _qint_value(k: int, bits: int) -> int:
-    """[k]_q at q = 2^bits, k >= 0: the geometric sum as one quotient."""
-    return ((1 << bits * k) - 1) // ((1 << bits) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -71,9 +58,8 @@ def _power_sum_series(m: int, n: int, term) -> LaurentPoly:
     is at most k^m, so sum_k k^m bounds every coefficient."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    width = _digit_width(sum(k ** m for k in range(1, n + 1)))
-    bits = 8 * width
-    return _from_power_of_two(sum(term(k, bits) for k in range(1, n + 1)), 0, width)
+    bits = digit_bits(sum(k ** m for k in range(1, n + 1)))
+    return read_back(sum(term(k, bits) for k in range(1, n + 1)), 0, bits)
 
 
 def s_sum(m: int, n: int) -> LaurentPoly:
@@ -81,7 +67,7 @@ def s_sum(m: int, n: int) -> LaurentPoly:
     as a polynomial in t (`_power_sum_series`); its coefficients are
     nonnegative and sum to sum_k k^m."""
     return _power_sum_series(m, n, lambda k, bits: (
-        _at_power_of_two(_half_qint(k), 0, bits) * _qint_value(k, 2 * bits) ** (m - 1)
+        pack(_half_qint(k), 0, bits) * qint_value(k, 2 * bits) ** (m - 1)
     ) << bits * (m + 1) * (n - k))
 
 
@@ -89,99 +75,7 @@ def t_sum(m: int, n: int) -> LaurentPoly:
     """Alternating power-sum series value: sum over k of (-1)^(n-k)
     [k]_{t^2}^m t^(m(n-k)), as a polynomial in t (`_power_sum_series`)."""
     return _power_sum_series(m, n, lambda k, bits: (
-        _sign(n - k) * _qint_value(k, 2 * bits) ** m) << bits * m * (n - k))
-
-
-class _NormPass:
-    """The leaves of the norm pass, each as its coefficient 1-norm (an int):
-    products multiply, and sums add, differences included, since a side
-    writes a difference as a sum with the monomial -1."""
-
-    one, zero = 1, 0
-
-    @staticmethod
-    def poly(p: LaurentPoly, stride: int = 1) -> int:
-        return sum(map(abs, p.coeffs))
-
-    @staticmethod
-    def qint(k: int, stride: int = 1) -> int:
-        return k
-
-    @staticmethod
-    def binom(e: int, sign: int) -> int:
-        return 2
-
-    @staticmethod
-    def mono(sign: int, e: int) -> int:
-        return 1
-
-
-class _At:
-    """A value-pass value: t^low f(t), f an integer polynomial, held as the
-    int f(X) at X = 2^bits and low.  A sum aligns the two lows by a shift."""
-
-    __slots__ = ("value", "low", "bits")
-
-    def __init__(self, value: int, low: int, bits: int):
-        self.value, self.low, self.bits = value, low, bits
-
-    def __mul__(self, other: "_At") -> "_At":
-        return _At(self.value * other.value, self.low + other.low, self.bits)
-
-    def __pow__(self, e: int) -> "_At":
-        return _At(self.value ** e, self.low * e, self.bits)
-
-    def _aligned(self, other: "_At") -> tuple[int, int]:
-        low = min(self.low, other.low)
-        return (self.value << (self.low - low) * self.bits,
-                other.value << (other.low - low) * self.bits)
-
-    def __add__(self, other: "_At") -> "_At":
-        return _At(sum(self._aligned(other)), min(self.low, other.low), self.bits)
-
-    def __eq__(self, other) -> bool:
-        """Equal values at X; equal polynomials when X exceeds every
-        coefficient of the difference (see the module docstring)."""
-        a, b = self._aligned(other)
-        return a == b
-
-
-class _ValuePass:
-    """The leaves of the value pass, each at t = X = 2^bits."""
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self.one, self.zero = _At(1, 0, bits), _At(0, 0, bits)
-
-    def poly(self, p: LaurentPoly, stride: int = 1) -> _At:
-        """p(t^stride)."""
-        return _At(_at_power_of_two(p, p.min_exp, stride * self.bits),
-                   stride * p.min_exp, self.bits)
-
-    def qint(self, k: int, stride: int = 1) -> _At:
-        """[k]_{t^stride}."""
-        return _At(_qint_value(k, stride * self.bits), 0, self.bits)
-
-    def binom(self, e: int, sign: int) -> _At:
-        """1 + sign * t^e, e >= 1."""
-        return _At((1 << e * self.bits) + sign, 0, self.bits)
-
-    def mono(self, sign: int, e: int) -> _At:
-        """sign * t^e."""
-        return _At(sign, e, self.bits)
-
-
-def _proof_bits(norm: int) -> int:
-    """B with 2^B > 2 * norm: one bit more than the zero test needs, so
-    lhs - rhs could also be read back as signed base-2^B digits."""
-    return (2 * norm).bit_length()
-
-
-def _prove(sides):
-    """Both sides of `sides(r)` in the value pass, at the X = 2^B that the
-    norm pass of the same function proves large enough."""
-    lhs, rhs = sides(_NormPass)
-    return sides(_ValuePass(_proof_bits(lhs + rhs)))
+        _sign(n - k) * qint_value(k, 2 * bits) ** m) << bits * m * (n - k))
 
 
 def _prefix_products(first, factors: list) -> list:
@@ -230,7 +124,7 @@ def _theorem1_sides(r, which: str, m: int, n: int, power_sum: LaurentPoly,
 
 def verify_theorem1(which: str, m: int, n: int) -> bool:
     """Check one of the four summation identities after denominator clearing,
-    proved at one point (`_prove`).
+    proved at one point (`kron.prove`).
 
     Each identity has one factor list; its clearing product and the partial
     product of term k are prefixes of that list (see the module docstring)."""
@@ -251,7 +145,7 @@ def verify_theorem1(which: str, m: int, n: int) -> bool:
     else:
         power_sum = t_sum(2 * m - 1, n)
         fam = [None] + [det_route("H", m, m - k) for k in range(1, m + 1)]
-    lhs, rhs = _prove(lambda r: _theorem1_sides(r, which, m, n, power_sum, fam))
+    lhs, rhs = prove(lambda r: _theorem1_sides(r, which, m, n, power_sum, fam))
     for side, name in ((lhs, "left"), (rhs, "right")):
         if side.value and side.low < 0:
             raise AssertionError(f"cleared {name} side is not polynomial")
@@ -287,7 +181,7 @@ def _lemma2_sides(r, which: str, m: int, l: int, gens: list, stride: int,
 
 def verify_lemma2(which: str, m: int, l: int) -> bool:
     """Check one of the four h/c/g/d difference identities as Laurent
-    polynomials in t, proved at one point (`_prove`).
+    polynomials in t, proved at one point (`kron.prove`).
 
     Every right side is a prefactor times one series in y = [l]_{t^2} t^(-l)."""
     if m < 1 or l < 1:
@@ -305,7 +199,7 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
     gens = [(j, g) for j in range(m + 1) if (g := gen(j))]
     if gens and gens[0][0] < shift:
         raise AssertionError("a j = 0 term needs y^(-1)")
-    lhs, rhs = _prove(lambda r: _lemma2_sides(r, which, m, l, gens, stride, shift))
+    lhs, rhs = prove(lambda r: _lemma2_sides(r, which, m, l, gens, stride, shift))
     return lhs == rhs
 
 
@@ -339,9 +233,7 @@ def verify_lemma1(a: int, b: int, l: int, order: int) -> bool:
         raise ValueError("need l >= 1 and order >= 0")
     gens = [[(k, h) for k in range(n // 2 + 1) if (h := h_spec(n - 2 * k, k + a, k + b))]
             for n in range(order + 1)]
-    # `_prove` for lists of sides: the X of the largest bound serves every n
-    norms = _lemma1_sides(_NormPass, a, b, l, gens)
-    lhs, rhs = _lemma1_sides(_ValuePass(_proof_bits(max(map(add, *norms)))), a, b, l, gens)
+    lhs, rhs = prove(lambda r: _lemma1_sides(r, a, b, l, gens))
     return lhs == rhs
 
 

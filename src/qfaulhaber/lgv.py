@@ -12,17 +12,17 @@ placement from those lists, each lattice point of the case one bit and each
 path the int mask of its points, so a path is placed iff its mask misses the
 mask of the paths already placed.  Every family weight is a polynomial in q
 with nonnegative coefficients, weighed as its value at q = X = 2^B, a Python
-int (Kronecker substitution): a product of path values (P, Q) or of one pair
-factor per path and a closing power of X (G, H).  In `family_config` path i
-meets only paths i - 1 and i + 1, so the brute route is a chain sum over the
-paths (the transfer-matrix method, Stanley, EC1 4.7, with paths as states):
-level i lists the non-intersecting pairs of paths i - 1 and i and carries,
-for each path i, the summed weight of the placements of paths 0..i that end
-in it.  Pair factor i reads columns 2i - 1 and 2i, where only paths i - 1
-and i have points, so each level's link reads one adjacent pair.  Each
-distinct path's value is computed once per call and the sum is read back
-once as base-X digits.  B covers the product of the pairs' path counts times
-4^k, which bounds the sum's value at q = 1 and so every coefficient.
+int (Kronecker substitution, `kron`): a product of path values (P, Q) or of
+one pair factor per path and a closing power of X (G, H).  In `family_config`
+path i meets only paths i - 1 and i + 1, so the brute route is a chain sum
+over the paths (the transfer-matrix method, Stanley, EC1 4.7, with paths as
+states): level i lists the non-intersecting pairs of paths i - 1 and i and
+carries, for each path i, the summed weight of the placements of paths 0..i
+that end in it.  Pair factor i reads columns 2i - 1 and 2i, where only paths
+i - 1 and i have points, so each level's link reads one adjacent pair.  Each
+distinct path's value is computed once per call and the sum is read back once
+as base-X digits.  B covers the product of the pairs' path counts times 4^k,
+which bounds the sum's value at q = 1 and so every coefficient.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -45,7 +45,8 @@ from math import comb, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
-from .coeffs import PolyMatrix, _check_index, _digit_width, _from_power_of_two
+from .coeffs import PolyMatrix, _check_index
+from .kron import digit_bits, read_back
 
 
 class LatticePoint(NamedTuple):
@@ -80,6 +81,13 @@ def paths_between(a: LatticePoint, b: LatticePoint) -> Iterator[LatticePath]:
             pts.append(rows[y + 1][x])
         pts += rows[north][x + 1:]
         yield tuple(pts)
+
+
+def path_count(a: LatticePoint, b: LatticePoint) -> int:
+    """The number of monotone paths a -> b, C(east + north, north); 0 when b
+    is unreachable."""
+    east, north = b.x - a.x, b.y - a.y
+    return comb(east + north, north) if east >= 0 and north >= 0 else 0
 
 
 def enumerate_nonintersecting(
@@ -213,10 +221,8 @@ def path_stats(path: LatticePath) -> PathStats:
 # ---------------------------------------------------------------------------
 # family weights and the brute-force route
 # ---------------------------------------------------------------------------
-# Every family weight is a polynomial in q with nonnegative coefficients, so
-# it is weighed as its value at q = X = 2^B, a Python int (Kronecker
-# substitution): X^e is 1 << B e, and no polynomial is built until the sum
-# over families is read back once.
+# Every family weight is weighed as its value at q = X = 2^B (`kron`): X^e is
+# 1 << B e, and no polynomial is built until the sum is read back once.
 
 def _path_value(family: str, path: LatticePath, bits: int):
     """What a family weight at X = 2^bits reads of one path.
@@ -271,11 +277,10 @@ def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
     paths' `_path_value`s (P, Q) or `_pair_product` (G, H); at q = 1 it
     weighs 1 (P), at most 2^k (Q), 2^k (G) or at most 4^k (H), which sizes
     the digits read back."""
-    width = _digit_width(1 << 2 * len(fam))
-    bits = 8 * width
+    bits = digit_bits(1 << 2 * len(fam))
     values = [_path_value(family, path, bits) for path in fam]
     weight = prod(values) if family in ("P", "Q") else _pair_product(values, bits)
-    return _from_power_of_two(weight, 0, width)
+    return read_back(weight, 0, bits)
 
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
@@ -285,19 +290,17 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     iff each adjacent pair is, and the sum is a chain over the paths: after
     level i, sums[p] is the summed weight, through link i, of the placements
     of paths 0..i that end in path i = p.  Level i adds sums[prev] times
-    link i over the non-intersecting pairs (prev, cur) of pairs i - 1 and i.  Link i is `_path_value(cur)`
-    for P and Q, and pair factor i for G and H, which reads columns 2i - 1
-    and 2i, where only paths i - 1 and i have points; the G and H closing
-    X^s(2k) is read of path k - 1 alone.  Each distinct path's value is
+    link i over the non-intersecting pairs (prev, cur) of pairs i - 1 and i.
+    Link i is `_path_value(cur)` for P and Q, and pair factor i for G and H,
+    which reads columns 2i - 1 and 2i, where only paths i - 1 and i have
+    points; the G and H closing X^s(2k) is read of path k - 1 alone.  Each distinct path's value is
     computed once per call and the sum read back once; B covers the product
     of the pairs' path counts times 4^k, at least the sum at q = 1.
     """
     starts, ends = family_config(family, m, k)
     if not k:
         return ONE
-    dx = ends[0].x - starts[0].x
-    width = _digit_width(prod(comb(dx + b.y - a.y, dx) for a, b in zip(starts, ends)) << 2 * k)
-    bits = 8 * width
+    bits = digit_bits(prod(path_count(a, b) for a, b in zip(starts, ends)) << 2 * k)
     pair_factors = family in ("G", "H")
     values = {path: _path_value(family, path, bits) for path in paths_between(starts[0], ends[0])}
     sums = {path: _pair_factor(_column_sums([value]), 0, value[1], bits) if pair_factors
@@ -319,7 +322,7 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
         total = sum(s << _column_sums([values[path]]).get(2 * k, 0) for path, s in sums.items())
     else:
         total = sum(sums.values())
-    return _from_power_of_two(total, 0, width)
+    return read_back(total, 0, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +355,9 @@ def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, family: str) -> Laure
     the pair's paths are streamed once, each weighed as an int at X = 2^B
     (`_pair_value`), and the sum read back once.  A path weighs at most 4
     at q = 1, which sizes the digits.  Zero when b is unreachable."""
-    east, north = b.x - a.x, b.y - a.y
-    paths = comb(east + north, north) if east >= 0 and north >= 0 else 0
-    width = _digit_width(paths << 2)
-    bits = 8 * width
-    total = sum(_pair_value(family, path, north, bits) for path in paths_between(a, b))
-    return _from_power_of_two(total, 0, width)
+    bits = digit_bits(path_count(a, b) << 2)
+    total = sum(_pair_value(family, path, b.y - a.y, bits) for path in paths_between(a, b))
+    return read_back(total, 0, bits)
 
 
 @lru_cache(maxsize=None)

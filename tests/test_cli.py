@@ -238,6 +238,22 @@ class TestTable:
                 expected += csv.DictReader(io.StringIO(single))
         assert rows == expected
 
+    def test_refuses_above_its_cap(self, capsys, monkeypatch):
+        refuses_above_the_rows_cap("table", capsys, monkeypatch)
+
+
+def refuses_above_the_rows_cap(command, capsys, monkeypatch):
+    """`command` one row above its cap exits 2 in under 2 s, naming the cap,
+    and computes no row."""
+    cap = cli._ROWS_CAP[command]
+    monkeypatch.setattr(cli.coeffs, "det_route", None)
+    start = time.perf_counter()
+    code, out = run_cli(command, "--family", "Q", "--max-m", str(cap + 1))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.strip() == (
+        f"error: --max-m {cap + 1} exceeds the {command} command's cap of {cap}")
+
 
 def above_cap(suite, flag):
     """`verify` arguments one above the flag's cap under `suite` (under
@@ -375,8 +391,8 @@ class TestVerify:
         assert len(ran) == 1
 
     def test_docs_state_the_size_table(self):
-        # README's size table and its `all` --max-m cap, and the caps in the
-        # cli module's docstring, say what `_SUITES` holds
+        # README's size tables and its `all` --max-m cap, and the caps in the
+        # cli module's docstring, say what `_SUITES` and `_ROWS_CAP` hold
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table, suite = {}, None
         for row in re.finditer(r"^\| (?:`(\w+)`)? *\| `--([\w-]+)` \| (\d+) \| (\d+) \| (\d+) \|",
@@ -392,8 +408,11 @@ class TestVerify:
                                 for flag, cap in re.findall(r"--([\w-]+) (\d+)", line[2])}
                       for line in re.finditer(r"^    (\w+) +((?:--[\w-]+ \d+,? )+)",
                                               cli.__doc__, re.M)}
-        assert documented == {name: {flag: cap for flag, (_, _, cap) in entry.sizes.items()}
-                              for name, entry in cli._SUITES.items()}
+        rows = {command: {"max_m": cap} for command, cap in cli._ROWS_CAP.items()}
+        assert documented == {**{name: {flag: cap for flag, (_, _, cap) in entry.sizes.items()}
+                                 for name, entry in cli._SUITES.items()}, **rows}
+        assert {row[1]: {"max_m": int(row[2])} for row in re.finditer(
+            r"^\| `(table|shape)` \| `--max-m` \| [^|]* \| (\d+) \|", readme, re.M)} == rows
 
     def test_size_at_cap_runs(self):
         code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "11",
@@ -560,6 +579,9 @@ class TestShape:
         lines = out.splitlines()
         assert "Q(4,1) unimodal=False log_concave=False" in lines
         assert "Q(2,1) unimodal=True log_concave=True" in lines
+
+    def test_refuses_above_its_cap(self, capsys, monkeypatch):
+        refuses_above_the_rows_cap("shape", capsys, monkeypatch)
 
 
 class TestEntryPoint:

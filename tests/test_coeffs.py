@@ -152,29 +152,6 @@ class TestPolyMatrix:
                     block = [row[n - s:] for row in rows[n - s:]]
                     assert minor == laplace_det(block), (n, trial, s)
 
-    def test_digits_read_back_every_int(self):
-        # _from_power_of_two inverts _at_power_of_two on every int, near
-        # each digit boundary too, and is exact on every polynomial whose
-        # coefficients fit a signed digit
-        rng = random.Random(21)
-        for width in (1, 2, 3):
-            bits = 8 * width
-            half = 1 << (bits - 1)
-            values = [(1 << n) - 1 for n in range(5 * bits)]
-            values += [-(1 << n) for n in range(5 * bits)]
-            values += [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 6 * bits))
-                       for _ in range(200)]
-            for value in values:
-                for shift in (-2, 0, 3):
-                    poly = coeffs._from_power_of_two(value, shift, width)
-                    assert coeffs._at_power_of_two(poly, shift, bits) == value
-            for _ in range(200):
-                poly = LaurentPoly([rng.randint(1 - half, half - 1)
-                                    for _ in range(rng.randint(0, 6))], rng.randint(-3, 3))
-                shift = poly.min_exp - rng.randint(0, 2)
-                value = coeffs._at_power_of_two(poly, shift, bits)
-                assert coeffs._from_power_of_two(value, shift, width) == poly
-
     def test_detsum_equals_det_of_sum(self):
         rng = random.Random(11)
         for n in range(1, 5):

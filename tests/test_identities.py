@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfaulhaber import cli, identities
+from qfaulhaber import cli, identities, kron
 from qfaulhaber.identities import (
     classical_check,
     s_sum,
@@ -78,28 +78,28 @@ class TestPowerSumSeries:
                                                 (t_sum, laurent_t_sum)])
     def test_one_read_back_within_its_digits(self, series, oracle, monkeypatch):
         # one int and one read-back per call, and every coefficient of the
-        # oracle's polynomial below 2^(B-1) at the width the call chose
-        read = identities._from_power_of_two
-        widths = []
-        monkeypatch.setattr(identities, "_from_power_of_two",
-                            lambda value, shift, width: widths.append(width)
-                            or read(value, shift, width))
+        # oracle's polynomial below 2^(B-1) at the B the call chose
+        read = identities.read_back
+        seen = []
+        monkeypatch.setattr(identities, "read_back",
+                            lambda value, shift, bits: seen.append(bits)
+                            or read(value, shift, bits))
         for m in range(1, 14):
             for n in range(1, 9):
-                widths.clear()
+                seen.clear()
                 expected = oracle(m, n)
                 assert series(m, n) == expected, (m, n)
-                assert len(widths) == 1
-                assert max(map(abs, expected.coeffs)) < 2 ** (8 * widths[0] - 1)
+                assert len(seen) == 1
+                assert max(map(abs, expected.coeffs)) < 2 ** (seen[0] - 1)
 
     @pytest.mark.parametrize("series, oracle", [(s_sum, laurent_s_sum),
                                                 (t_sum, laurent_t_sum)])
     def test_narrow_digits_differ_exactly_where_they_wrap(self, series, oracle,
                                                           monkeypatch):
-        # one-byte digits read back c in [-2^7, 2^7) and nothing else: the
+        # 8-bit digits read back c in [-2^7, 2^7) and nothing else: the
         # series differs from the oracle exactly where a coefficient leaves
-        # that range, so the width is load-bearing
-        monkeypatch.setattr(identities, "_digit_width", lambda bound: 1)
+        # that range, so the sizing is load-bearing
+        monkeypatch.setattr(identities, "digit_bits", lambda bound: 8)
         cases = [(m, n) for m in range(1, 14) for n in range(1, 9)]
         wraps = {(m, n) for m, n in cases
                  if any(not -2 ** 7 <= c < 2 ** 7 for c in oracle(m, n).coeffs)}
@@ -266,11 +266,12 @@ class TestOnePointProof:
         # on every default case of the suite, proved at one point (lemma1's
         # series coefficients all at the same one): the norm pass's N bounds
         # ||lhs||_1 + ||rhs||_1 of every identity of the oracle (so 2N does,
-        # and N bounds ||lhs - rhs||_1), and the point X = 2^B exceeds 2N
-        proof_bits = identities._proof_bits
+        # and N bounds ||lhs - rhs||_1), and the point X = 2^B exceeds 2N;
+        # `prove` sizes its one point by kron's own `digit_bits`
+        digit_bits = kron.digit_bits
         seen = []
-        monkeypatch.setattr(identities, "_proof_bits",
-                            lambda n: seen.append((n, proof_bits(n))) or seen[-1][1])
+        monkeypatch.setattr(kron, "digit_bits",
+                            lambda n: seen.append((n, digit_bits(n))) or seen[-1][1])
         for case in cases:
             seen.clear()
             assert check(*case)
@@ -296,7 +297,9 @@ class TestOnePointProof:
         monkeypatch.setattr(identities, source,
                             lambda *args: value + fault if (value := leaf(*args)) else value)
         assert not any(check(*case) for case in cases)
-        monkeypatch.setattr(identities, "_proof_bits", lambda n: 1)
+        # only the proof's value pass is pinned; s_sum reads back as before
+        value_pass = kron._ValuePass
+        monkeypatch.setattr(kron, "_ValuePass", lambda bits: value_pass(1))
         assert all(check(*case) for case in cases)
 
 

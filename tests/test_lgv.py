@@ -18,6 +18,7 @@ from qfaulhaber.lgv import (
     family_weight,
     lgv_det_route,
     lgv_determinant,
+    path_count,
     path_steps,
     paths_between,
     single_path_weight_sum,
@@ -134,6 +135,15 @@ class TestPaths:
     def test_unreachable_is_empty(self):
         assert list(paths_between(LatticePoint(0, 0), LatticePoint(-1, 0))) == []
         assert list(paths_between(LatticePoint(0, 0), LatticePoint(0, -1))) == []
+
+    def test_path_count_counts_the_listed_paths(self):
+        # every end point around two starts, unreachable ones included (one
+        # or both coordinates behind the start), counts what is listed
+        for a in (LatticePoint(0, 0), LatticePoint(3, -2)):
+            for dx in range(-3, 5):
+                for dy in range(-3, 5):
+                    b = LatticePoint(a.x + dx, a.y + dy)
+                    assert path_count(a, b) == len(list(paths_between(a, b))), (a, b)
 
     def test_step_serialization_roundtrip(self):
         p = make_path((1, -1), "NNEEN")
@@ -484,21 +494,21 @@ class TestPairSums:
 
 class TestIntegerWeights:
     # brute_route weighs each family as its value at q = 2^B and reads the
-    # sum back once, as signed base-2^B digits (coeffs._from_power_of_two)
+    # sum back once, as signed base-2^B digits (kron.read_back)
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_digits_hold_every_coefficient(self, family, monkeypatch):
         # each family weighs at most 4^k at q = 1 (P exactly 1, Q at most
         # 2^k, G exactly 2^k), so a sum over N families has no coefficient
         # above N * 4^k, and the route's B leaves every one below 2^(B-1)
-        widths = []
-        read = lgv._from_power_of_two
+        seen = []
+        read = lgv.read_back
 
-        def spy(value, shift, width):
-            widths.append(width)
-            return read(value, shift, width)
+        def spy(value, shift, bits):
+            seen.append(bits)
+            return read(value, shift, bits)
 
-        monkeypatch.setattr(lgv, "_from_power_of_two", spy)
+        monkeypatch.setattr(lgv, "read_back", spy)
         cap = {"P": 1, "Q": 2, "G": 2, "H": 4}[family]
         for m in range(2, 7):
             for k in range(1, m):
@@ -508,13 +518,13 @@ class TestIntegerWeights:
                     assert min(w.coeffs) >= 0 and sum(w.coeffs) <= cap ** k, fam
                     if family in "PG":
                         assert sum(w.coeffs) == cap ** k, fam
-                widths.clear()
+                seen.clear()
                 total = brute_route(family, m, k)
-                assert len(widths) == 1
+                assert len(seen) == 1
                 assert max(total.coeffs) <= len(fams) << 2 * k
-                assert max(total.coeffs) < 2 ** (8 * widths[0] - 1), (m, k)
+                assert max(total.coeffs) < 2 ** (seen[0] - 1), (m, k)
                 # the digits hold the bound itself, not just these coefficients
-                assert len(fams) << 2 * k < 2 ** (8 * widths[0] - 1), (m, k)
+                assert len(fams) << 2 * k < 2 ** (seen[0] - 1), (m, k)
 
     @pytest.mark.parametrize("family", "PQGH")
     @pytest.mark.usefixtures("cold_memos")
@@ -522,7 +532,7 @@ class TestIntegerWeights:
         # fault-matrix row: 8-bit digits hold coefficients below 2^7 only, so
         # brute_route goes wrong exactly where det_route has a larger one,
         # which every family has at m = 6 (12, 14, 14 and 16 bits)
-        monkeypatch.setattr(lgv, "_digit_width", lambda bound: 1)
+        monkeypatch.setattr(lgv, "digit_bits", lambda bound: 8)
         cases = [(m, k) for m in range(2, 7) for k in range(1, m)]
         wide = [(m, k) for m, k in cases if max(det_route(family, m, k).coeffs) >= 2 ** 7]
         wrong = [(m, k) for m, k in cases if brute_route(family, m, k) != det_route(family, m, k)]
@@ -606,19 +616,19 @@ class TestIntegerPairSums:
         # a path weighs at most 4 at q = 1 (Q 1 or 2, G 2, H 2 or 4), so the
         # route's B leaves every coefficient below 2^(B-1); the sum's value at
         # q = 1 is counted from the paths and those opening with a north step
-        widths = []
-        read = lgv._from_power_of_two
+        seen = []
+        read = lgv.read_back
 
-        def spy(value, shift, width):
-            widths.append(width)
-            return read(value, shift, width)
+        def spy(value, shift, bits):
+            seen.append(bits)
+            return read(value, shift, bits)
 
-        monkeypatch.setattr(lgv, "_from_power_of_two", spy)
+        monkeypatch.setattr(lgv, "read_back", spy)
         largest = 0
         for dx, dy, x0 in sorted(pair_keys(family, 12)):
-            widths.clear()
+            seen.clear()
             got = lgv._pair_sum(family, dx, dy, x0)
-            assert len(widths) == 1
+            assert len(seen) == 1
             if dx < 0 or dy < 0:  # unreachable
                 assert got.is_zero
                 continue
@@ -627,7 +637,7 @@ class TestIntegerPairSums:
             at_one = {"Q": paths + opening * (x0 == 0), "G": 2 * paths,
                       "H": 2 * (paths + opening)}[family]
             assert min(got.coeffs) >= 0 and sum(got.coeffs) == at_one, (dx, dy, x0)
-            assert max(got.coeffs) < 2 ** (8 * widths[0] - 1), (dx, dy, x0)
+            assert max(got.coeffs) < 2 ** (seen[0] - 1), (dx, dy, x0)
             largest = max(largest, max(got.coeffs))
         assert largest == 400
 
@@ -646,7 +656,7 @@ class TestIntegerPairSums:
 
         narrow = {case for case in cases if largest(*case) < 2 ** 7}
         lgv._pair_sum.cache_clear()
-        monkeypatch.setattr(lgv, "_digit_width", lambda bound: 1)
+        monkeypatch.setattr(lgv, "digit_bits", lambda bound: 8)
         wrong = {case for case in cases
                  if lgv_det_route(family, *case) != det_route(family, *case)}
         assert narrow and wrong

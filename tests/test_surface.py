@@ -2,6 +2,7 @@
 method, is referenced by name from `src/` or `demos/`, not only from tests;
 helpers that only tests call belong in `tests/oracles.py`.  A reference is a
 bare name or an attribute read outside the body of the definition it names.
+Every module of the package has an entry in README's Layout list.
 """
 import ast
 from pathlib import Path
@@ -59,3 +60,21 @@ def test_guard_sees_an_unreached_helper():
     names = defined_names(tree)
     assert names == ["used", "helper", "lonely", "Box", "open"]
     assert [n for n in names if n not in referenced_names(tree)] == ["lonely", "open"]
+
+
+def modules_missing_from_layout(readme: str) -> list[str]:
+    """Package modules, `__init__.py` aside, with no entry in README's Layout
+    section."""
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    return [p.name for p in PACKAGE
+            if p.name != "__init__.py" and f"`src/qfaulhaber/{p.name}`" not in layout]
+
+
+def test_readme_layout_lists_every_module():
+    assert modules_missing_from_layout((ROOT / "README.md").read_text()) == []
+
+
+def test_layout_guard_sees_a_missing_module():
+    readme = (ROOT / "README.md").read_text()
+    assert modules_missing_from_layout(readme.replace("`src/qfaulhaber/kron.py`", "")) == [
+        "kron.py"]

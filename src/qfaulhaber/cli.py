@@ -15,15 +15,23 @@ Python 3.11 (the host's speed varied by about a third between runs):
     lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
     inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
     lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
-    symmetry   --max-m 35                 8.4-8.9 s   (36: 8.2-14.7 s)
+    symmetry   --max-m 37                 7.5-9.6 s   (38: 10.2-10.6 s)
     classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
 
 `table` and `shape` compute the det-route rows m = 1..--max-m of one family
 and refuse a `--max-m` above their cap with exit 2, before any row.  The caps
 follow the same rule on the costliest family, Q:
 
-    table      --max-m 39                 7.6-9.1 s   (40: 10.0-10.4 s)
-    shape      --max-m 40                 9.3-9.7 s   (42: 14.5 s)
+    table      --max-m 41                 8.2-10.0 s  (42: 11.6 s)
+    shape      --max-m 42                 9.6-10.6 s  (43: 13.4 s)
+
+`compute --method det` and `--method invert` refuse an `--m` above their cap
+with exit 2, before any work.  The det route builds the whole row m for every
+k >= 2, so its cap holds for every k; invert's is measured at its costliest
+k, m - 1.  Both on Q, the costliest family:
+
+    det        --m 54                     8.8-9.5 s   (55: 10.8-10.9 s)
+    invert     --m 38                     8.6-10.1 s  (39: 10.7-11.5 s)
 
 `compute` refuses a request that would test or list more than 1,000,000
 objects: a `--method lgv` case whose chain sum tests that many adjacent path
@@ -51,8 +59,10 @@ EXIT_USAGE = 2
 
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
-# The largest `--max-m` that `table` and `shape` accept (see the module docstring).
-_ROWS_CAP = {"table": 39, "shape": 40}
+# The largest `--max-m` that `table` and `shape` accept, and the largest `--m`
+# that `compute` accepts by each method that has a cap (see the module docstring).
+_ROWS_CAP = {"table": 41, "shape": 42}
+_M_CAP = {"det": 54, "invert": 38}
 
 # Most adjacent path pairs one `compute --method lgv` case tests, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
@@ -256,7 +266,7 @@ _SUITES = {
     "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
     "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
     "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 12)}),
-    "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 35)}),
+    "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 37)}),
     "classical": _Suite(_suite_classical, {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)}),
 }
 
@@ -285,6 +295,11 @@ def _path_count(family: str, m: int, k: int) -> int:
 
 
 def cmd_compute(args, out) -> int:
+    cap = _M_CAP.get(args.method)
+    if cap is not None and args.m > cap:
+        print(f"error: --m {args.m} exceeds the compute --method {args.method} cap of {cap}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.method == "lgv":
             count = _tested_pairs(args.family, args.m, args.k)

@@ -6,10 +6,10 @@ determinant off the trailing minors of one forward submatrix per row
 polynomials from the inverse of the forward lower-triangular matrix, whose
 entries `forward_entry` builds from the h/c/g/d generators.  Every matrix the
 package builds is lower Hessenberg, so its one determinant routine is the
-first-column recurrence `PolyMatrix.minors`, run once per matrix on Python
-ints at q = 2^B (Kronecker substitution, `kron`), with 2^(B-1) above the
-largest trailing permanent of the entry coefficient 1-norms (`_minors_bound`),
-which bounds every coefficient of every minor.  Each
+first-column recurrence `PolyMatrix.minors`, run on Python ints at q = 2^(B/2)
+and at q = -2^(B/2) (two-point Kronecker substitution, `kron`), with 2^(B-1)
+above the largest trailing permanent of the entry coefficient 1-norms
+(`_minors_bound`), which bounds every coefficient of every minor.  Each
 family's prefactor and denominator of the claimed inverse entry live in
 `_inverse_factors` alone, which the inverse-pair check and the boundary sum
 read through `_inverse_entry`, and no route reads.
@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import prod
 
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .kron import digit_bits, pack, read_back
+from .kron import digit_bits, pack_pm, read_back_pm
 from .laurent import FAMILIES, LaurentPoly, ONE, Q, q_fact
 
 
@@ -42,7 +42,8 @@ class BadIndexError(ValueError):
 
 def _hessenberg_minors(a: list[list[int]]) -> list[int]:
     """`PolyMatrix.minors`' first-column recurrence on an integer lower-
-    Hessenberg matrix, in Horner form: its trailing minors, smallest first."""
+    Hessenberg matrix, in Horner form: its trailing minors, smallest first.
+    Rows may stop at the superdiagonal."""
     n = len(a)
     minors = [1]
     for r in range(n - 1, -1, -1):
@@ -104,25 +105,31 @@ class PolyMatrix:
             minors[s] = sum over i = r..n-1 of
                         (-1)^(i-r) M[i][r] M[r][r+1]...M[i-1][i] minors[n-1-i].
 
-        The recurrence runs once, on integers (Kronecker substitution): row
-        i is divided by q^e_i, e_i its lowest exponent, which leaves
-        polynomials in q, and every entry is evaluated at q = X = 2^B.  Each
-        minor then comes out as the value at X of a polynomial in q; its
-        coefficients are read back as signed base-X digits
-        (`kron.read_back`) and its rows' e_i added to every exponent.
-        The digits are exact while every coefficient c of every trailing
-        minor has |c| < 2^(B-1), which B secures: see `_minors_bound`.  One
-        evaluation and O(n^2) integer multiplies in all.
+        The recurrence runs on integers (Kronecker substitution, in Harvey's
+        two-point form): row i is divided by q^e_i, e_i its lowest exponent,
+        which leaves polynomials in q, every entry is evaluated at q = X and
+        at q = -X, X = 2^(B/2) (`kron.pack_pm`), and the recurrence runs
+        once per sign on ints of half the bits that one point 2^B would
+        need.  Each minor then comes out as its values at X and -X; its
+        even and odd coefficients are read back from their sum and
+        difference as signed base-2^B digits (`kron.read_back_pm`) and its
+        rows' e_i added to every exponent.  The digits are exact while every
+        coefficient c of every trailing minor has |c| < 2^(B-1), which B
+        secures: see `_minors_bound`.  One pack pass per entry and two runs
+        of O(n^2) integer multiplies in all.
         """
         m, n = self.entries, self.dim
         if any(m[i][j] for i in range(n) for j in range(i + 2, n)):
             raise ValueError("matrix is not lower Hessenberg")
         bits = digit_bits(_minors_bound(self.norms()))  # B
         shifts = [min((e.min_exp for e in row if e), default=0) for row in m]
-        values = _hessenberg_minors(
-            [[pack(e, e_i, bits) for e in row] for row, e_i in zip(m, shifts)]
-        )
-        return [read_back(value, sum(shifts[n - s:]), bits) for s, value in enumerate(values)]
+        # the recurrence reads no entry right of the superdiagonal
+        packed = [[pack_pm(e, e_i, bits) for e in row[:i + 2]]
+                  for i, (row, e_i) in enumerate(zip(m, shifts))]
+        plus, minus = (_hessenberg_minors([[v[sign] for v in row] for row in packed])
+                       for sign in (0, 1))
+        return [read_back_pm(p, v, sum(shifts[n - s:]), bits)
+                for s, (p, v) in enumerate(zip(plus, minus))]
 
     def det(self) -> LaurentPoly:
         """Exact determinant of a lower-Hessenberg matrix."""

@@ -152,7 +152,7 @@ def verify_theorem1(which: str, m: int, n: int) -> bool:
     return lhs == rhs
 
 
-def _lemma2_sides(r, which: str, m: int, l: int, gens: list, stride: int,
+def _lemma2_sides(r, which: str, m: int, l: int, gens: tuple, stride: int,
                   shift: int) -> tuple:
     """Both sides of one Lemma 2 identity in the pass r, from its leaves:
     gens holds (j, gen_j) for each nonzero gen_j, read with stride, and the
@@ -179,13 +179,11 @@ def _lemma2_sides(r, which: str, m: int, l: int, gens: list, stride: int,
     return odd_x(l, m - 1) + odd_x(l - 1, m - 1), series  # sumd
 
 
-def verify_lemma2(which: str, m: int, l: int) -> bool:
-    """Check one of the four h/c/g/d difference identities as Laurent
-    polynomials in t, proved at one point (`kron.prove`).
-
-    Every right side is a prefactor times one series in y = [l]_{t^2} t^(-l)."""
-    if m < 1 or l < 1:
-        raise ValueError("need m >= 1 and l >= 1")
+@lru_cache(maxsize=None)
+def _lemma2_gens(which: str, m: int) -> tuple:
+    """The leaves of Lemma 2's series for (which, m), shared by every l:
+    (j, gen_j) for each nonzero gen_j, the stride they are read with, and
+    the shift s of the series in y^(2j - s)."""
     if which == "diff1":
         gen, stride, shift = (lambda j: h_spec(2 * j - m, m - j + 1, m - j + 1)), 2, 0
     elif which == "inverseq":
@@ -196,9 +194,20 @@ def verify_lemma2(which: str, m: int, l: int) -> bool:
         gen, stride, shift = (lambda j: d_poly(m, j)), 1, 1
     else:
         raise ValueError(f"unknown identity {which!r}")
-    gens = [(j, g) for j in range(m + 1) if (g := gen(j))]
+    gens = tuple((j, g) for j in range(m + 1) if (g := gen(j)))
     if gens and gens[0][0] < shift:
         raise AssertionError("a j = 0 term needs y^(-1)")
+    return gens, stride, shift
+
+
+def verify_lemma2(which: str, m: int, l: int) -> bool:
+    """Check one of the four h/c/g/d difference identities as Laurent
+    polynomials in t, proved at one point (`kron.prove`).
+
+    Every right side is a prefactor times one series in y = [l]_{t^2} t^(-l)."""
+    if m < 1 or l < 1:
+        raise ValueError("need m >= 1 and l >= 1")
+    gens, stride, shift = _lemma2_gens(which, m)
     lhs, rhs = prove(lambda r: _lemma2_sides(r, which, m, l, gens, stride, shift))
     return lhs == rhs
 

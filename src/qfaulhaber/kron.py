@@ -1,7 +1,12 @@
 """Kronecker substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4): an integer polynomial as one Python int, its value at q = X = 2^B
 (`pack`), and back as signed base-X digits (`read_back`), B a multiple of 8
-sized by `digit_bits`.
+sized by `digit_bits`.  Harvey's two-point variant (KS2: "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.,
+2009) packs f at q = +-2^(B/2) instead (`pack_pm`), two ints of half the
+bits, and reads f back from both (`read_back_pm`): their sum and difference
+are its even and odd parts at q^2 = 2^B, each read as signed base-2^B digits,
+so the same digit bound makes both halves exact.
 
 `prove` proves an identity lhs = rhs by the same substitution.  The check is
 written once, as a function of a pass r (leaves: polynomials, q-integers,
@@ -36,22 +41,66 @@ def pack(e: LaurentPoly, shift: int, bits: int) -> int:
     return value << bits * (e.min_exp - shift) if e else 0
 
 
+def pack_pm(e: LaurentPoly, shift: int, bits: int) -> tuple[int, int]:
+    """e / q^shift at q = X and at q = -X, X = 2^(bits/2) (Harvey's KS2): with
+    f = e / q^shift = q^d g and g(q) = E(q^2) + q O(q^2), E and O at q^2 = 2^bits
+    take one Horner pass over the even and the odd coefficients, and
+    f(+-X) = (+-X)^d (E +- X O).  e has no exponent below `shift`."""
+    if not e:
+        return 0, 0
+    even = odd = 0
+    for c in reversed(e.coeffs[0::2]):
+        even = (even << bits) + c
+    for c in reversed(e.coeffs[1::2]):
+        odd = (odd << bits) + c
+    half, d = bits // 2, e.min_exp - shift
+    odd <<= half
+    plus, minus = (even + odd) << half * d, (even - odd) << half * d
+    return plus, -minus if d % 2 else minus
+
+
+_from_bytes = int.from_bytes  # one global lookup per digit, not two
+
+
+def _digits(value: int, bits: int, count: int) -> list[int]:
+    """The `count` signed base-2^bits digits of value, bits a multiple of 8.
+    Biased by 2^(bits-1), each digit is an unsigned one of bits / 8 bytes; a
+    value of fewer than bits * count - 1 bits keeps the biased value within
+    `count` digits."""
+    width = bits // 8
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = (value + bias).to_bytes(count * width, "little")
+    return [_from_bytes(raw[j:j + width], "little") - half
+            for j in range(0, len(raw), width)]
+
+
+def _digit_count(value: int, bits: int) -> int:
+    """Enough signed base-2^bits digits for every int up to |value| (see
+    `_digits`)."""
+    return (abs(value).bit_length() + 1) // bits + 1
+
+
 def read_back(value: int, shift: int, bits: int) -> LaurentPoly:
     """The polynomial q^shift * sum c_j q^j with every |c_j| < 2^(bits-1)
     whose sum is `value` at q = X = 2^bits, bits a multiple of 8: its signed
-    base-X digits.  Biased by 2^(bits-1), each digit is an unsigned one of
-    bits / 8 bytes; a value of fewer than bits * digits - 1 bits keeps the
-    biased value within `digits` digits, so every int reads back."""
-    width = bits // 8
-    half = 1 << (bits - 1)
-    digits = (abs(value).bit_length() + 1) // bits + 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * digits, "little")
-    raw = (value + bias).to_bytes(digits * width, "little")
-    return LaurentPoly(
-        [int.from_bytes(raw[j:j + width], "little") - half
-         for j in range(0, len(raw), width)],
-        shift,
-    )
+    base-X digits, enough of them that every int reads back."""
+    return LaurentPoly(_digits(value, bits, _digit_count(value, bits)), shift)
+
+
+def read_back_pm(plus: int, minus: int, shift: int, bits: int) -> LaurentPoly:
+    """The polynomial q^shift f, every coefficient c of f with |c| <
+    2^(bits-1), from plus = f(X) and minus = f(-X), X = 2^(bits/2):
+    (plus + minus) / 2 is E and (plus - minus) / 2X is O at q^2 = 2^bits,
+    f(q) = E(q^2) + q O(q^2), so each reads back as signed base-2^bits digits
+    and the two digit lists interleave.  Both are read as one int, E + O
+    X^(2 count): each has a signed digit string of `count` digits, so their
+    concatenation is that int's."""
+    even, odd = (plus + minus) >> 1, (plus - minus) >> bits // 2 + 1
+    count = _digit_count(max(abs(even), abs(odd)), bits)
+    digits = _digits(even + (odd << bits * count), bits, 2 * count)
+    digits[0::2], digits[1::2] = digits[:count], digits[count:]
+    return LaurentPoly(digits, shift)
 
 
 def qint_value(k: int, bits: int) -> int:

@@ -187,6 +187,25 @@ class TestCompute:
         assert out == ""
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, route", [("det", "det_route"),
+                                               ("invert", "invert_route")])
+    def test_refuses_above_its_cap(self, method, route, capsys, monkeypatch):
+        # one above the method's --m cap exits 2 in under 2 s at every k,
+        # naming the cap, and computes nothing; the cap itself is accepted
+        cap = cli._M_CAP[method]
+        monkeypatch.setattr(cli.coeffs, route, None)
+        for k in (0, 1, cap):
+            start = time.perf_counter()
+            code, out = run_cli("compute", "--family", "Q", "--m", str(cap + 1),
+                                "--k", str(k), "--method", method)
+            assert time.perf_counter() - start < 2
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err.strip() == (
+                f"error: --m {cap + 1} exceeds the compute --method {method} cap of {cap}")
+        monkeypatch.setattr(cli.coeffs, route, lambda family, m, k: LaurentPoly([m, k]))
+        assert run_cli("compute", "--family", "Q", "--m", str(cap), "--k", "1",
+                       "--method", method) == (0, f"{cap} + q\n")
+
     def test_lgv_below_limit_runs(self):
         code, out = run_cli(
             "compute", "--family", "P", "--m", "6", "--k", "3", "--method", "lgv"
@@ -392,7 +411,8 @@ class TestVerify:
 
     def test_docs_state_the_size_table(self):
         # README's size tables and its `all` --max-m cap, and the caps in the
-        # cli module's docstring, say what `_SUITES` and `_ROWS_CAP` hold
+        # cli module's docstring, say what `_SUITES`, `_ROWS_CAP` and `_M_CAP`
+        # hold
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table, suite = {}, None
         for row in re.finditer(r"^\| (?:`(\w+)`)? *\| `--([\w-]+)` \| (\d+) \| (\d+) \| (\d+) \|",
@@ -409,10 +429,13 @@ class TestVerify:
                       for line in re.finditer(r"^    (\w+) +((?:--[\w-]+ \d+,? )+)",
                                               cli.__doc__, re.M)}
         rows = {command: {"max_m": cap} for command, cap in cli._ROWS_CAP.items()}
+        methods = {method: {"m": cap} for method, cap in cli._M_CAP.items()}
         assert documented == {**{name: {flag: cap for flag, (_, _, cap) in entry.sizes.items()}
-                                 for name, entry in cli._SUITES.items()}, **rows}
+                                 for name, entry in cli._SUITES.items()}, **rows, **methods}
         assert {row[1]: {"max_m": int(row[2])} for row in re.finditer(
             r"^\| `(table|shape)` \| `--max-m` \| [^|]* \| (\d+) \|", readme, re.M)} == rows
+        assert {row[1]: {"m": int(row[2])} for row in re.finditer(
+            r"^\| `(\w+)` \| `--m` \| (\d+) \|", readme, re.M)} == methods
 
     def test_size_at_cap_runs(self):
         code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "11",
@@ -552,6 +575,20 @@ class TestFaultMatrix:
         # directly, and theorem1, inverse, lgv, symmetry and classical read
         # det_route or the forward entries, which every family builds from it.
         assert failing_suites() == set(SMALL_SUITES)
+
+    def test_minus_point_fault(self, monkeypatch):
+        # +1 on the value at q = -X of every nonzero entry that the minors
+        # recurrence reads, the value at +X left alone
+        pack_pm = coeffs.pack_pm
+
+        def faulty(e, shift, bits):
+            plus, minus = pack_pm(e, shift, bits)
+            return plus, minus + 1 if e else minus
+
+        monkeypatch.setattr(coeffs, "pack_pm", faulty)
+        # every suite that reads det_route fails; lemma1 and lemma2 read the
+        # generators and the series alone
+        assert failing_suites() == {"theorem1", "inverse", "lgv", "symmetry", "classical"}
 
     def test_long_operand_multiply_fault(self, monkeypatch):
         # +1 on every product of two polynomials of 8 or more terms.  The det

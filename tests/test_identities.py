@@ -155,6 +155,7 @@ class TestDifferenceIdentities:
             for l in range(1, 9):
                 assert verify_lemma2(which, m, l), (which, m, l)
 
+    @pytest.mark.usefixtures("cold_memos")  # generator rows are memoised per (which, m)
     def test_detects_perturbation(self, monkeypatch):
         # +1 on every nonzero generator value fails every case; a zero value
         # stays zero, so no j = 0 term of a y^(2j - 1) series appears
@@ -172,6 +173,7 @@ class TestDifferenceIdentities:
                     for l in range(1, 4):
                         assert not verify_lemma2(which, m, l), (which, m, l)
 
+    @pytest.mark.usefixtures("cold_memos")
     @pytest.mark.parametrize("which, source", [("inverseq", "c_poly"),
                                                ("sumd", "d_poly")])
     def test_term_needing_inverse_y_raises(self, monkeypatch, which, source):

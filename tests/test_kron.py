@@ -1,7 +1,7 @@
-"""Kronecker pack, read-back and digit sizing."""
+"""Kronecker pack, read-back and digit sizing, at one point and at +-X."""
 import random
 
-from qfaulhaber.kron import digit_bits, pack, read_back
+from qfaulhaber.kron import digit_bits, pack, pack_pm, read_back, read_back_pm
 from qfaulhaber.laurent import LaurentPoly
 
 
@@ -27,6 +27,49 @@ class TestReadBack:
                 shift = poly.min_exp - rng.randint(0, 2)
                 value = pack(poly, shift, bits)
                 assert read_back(value, shift, bits) == poly
+
+
+def at(poly, shift, x):
+    """poly / q^shift at q = x, term by term."""
+    return sum(c * x ** (poly.min_exp - shift + j) for j, c in enumerate(poly.coeffs))
+
+
+class TestPlusMinusPoints:
+    def test_round_trip(self):
+        # pack_pm is f at X = 2^(B/2) and at -X, and read_back_pm recovers f
+        # from the two: every signed coefficient up to 2^(B-1) - 1 in size,
+        # at even and odd positions, odd and even lengths, shifts of either
+        # parity below negative and positive lowest exponents, inner zeros
+        rng = random.Random(29)
+        for bits in (8, 16, 24, 40):
+            half = 1 << (bits - 1)
+            x = 1 << bits // 2
+            for length in range(8):
+                for extreme in range(length):  # one coefficient at the bound
+                    coeffs = [rng.choice((0, rng.randint(1 - half, half - 1)))
+                              for _ in range(length)]
+                    coeffs[extreme] = rng.choice((1 - half, half - 1))
+                    poly = LaurentPoly(coeffs, rng.randint(-5, 5))
+                    for shift in range(poly.min_exp - 3, poly.min_exp + 1):
+                        plus, minus = pack_pm(poly, shift, bits)
+                        assert (plus, minus) == (at(poly, shift, x), at(poly, shift, -x))
+                        assert read_back_pm(plus, minus, shift, bits) == poly
+
+    def test_zero_polynomial(self):
+        for shift in (-3, 0, 1):
+            assert pack_pm(LaurentPoly(), shift, 16) == (0, 0)
+            assert read_back_pm(0, 0, shift, 16) == LaurentPoly()
+
+    def test_one_step_past_the_bound_wraps(self):
+        # 2^(B-1) at an even or an odd position reads back as -2^(B-1) there
+        # and a carry of 1 two positions up, in the same half
+        for bits in (8, 24):
+            half = 1 << (bits - 1)
+            for low in (-1, 0, 1, 2):
+                poly = LaurentPoly([half], low)
+                wrapped = LaurentPoly([-half, 0, 1], low)
+                for shift in (low - 1, low):
+                    assert read_back_pm(*pack_pm(poly, shift, bits), shift, bits) == wrapped
 
 
 class TestDigitBits:

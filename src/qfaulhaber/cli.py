@@ -1,37 +1,32 @@
 """Command-line front end: compute coefficients, print tables, run suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-index error.  A size flag below 1, a `verify` size flag that no selected suite
-reads, and a `verify` size flag outside the range of a suite it selects are
-refused with exit 2 before any case runs.  Each suite's table (`_SUITES`)
-gives every flag it reads a default, a least value (the least that leaves the
-suite a case: lgv `--max-m` 2, every other flag 1) and a cap: the largest
-value at which the suite alone, its other flags at their caps, runs in about
-10 s.  Cold single-process runs at the caps, one core of a 2-vCPU host,
-Python 3.11 (the host's speed varied by about a third between runs):
+index error.  One table, `_SIZES`, has a row for every suite, command or
+compute method that reads a size flag, and gives each flag it reads a
+default, a least value (the least that leaves it something to do: lgv
+`--max-m` 2, every other flag 1) and a cap: the largest value at which it
+alone, its other flags at their caps, runs in about 10 s.  Before any work,
+`main` refuses with exit 2 a size flag that no selected row reads (`verify
+--suite all` selects every suite) and one outside the range of a selected row
+that reads it.  `table` and `shape` compute the det-route rows m = 1..--max-m
+of one family; their caps and the `compute` caps are measured on Q, the
+costliest family.  For k >= 2 the det route builds the whole row m, so its
+cap holds there; k <= 1 reads one matrix of size k, yet the cap refuses it
+too.  Invert's cap is measured at its costliest k, m - 1.  Cold
+single-process runs at the caps, one core of a 2-vCPU host, Python 3.11 (the
+host's speed varied by about a third between runs):
 
-    theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
-    lemma1     --max-l 130                7.8-10.3 s  (140: 9.6-10.9 s)
-    lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
-    inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
-    lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
-    symmetry   --max-m 37                 7.5-9.6 s   (38: 10.2-10.6 s)
-    classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
-
-`table` and `shape` compute the det-route rows m = 1..--max-m of one family
-and refuse a `--max-m` above their cap with exit 2, before any row.  The caps
-follow the same rule on the costliest family, Q:
-
-    table      --max-m 41                 8.2-10.0 s  (42: 11.6 s)
-    shape      --max-m 42                 9.6-10.6 s  (43: 13.4 s)
-
-`compute --method det` and `--method invert` refuse an `--m` above their cap
-with exit 2, before any work.  The det route builds the whole row m for every
-k >= 2, so its cap holds for every k; invert's is measured at its costliest
-k, m - 1.  Both on Q, the costliest family:
-
-    det        --m 54                     8.8-9.5 s   (55: 10.8-10.9 s)
-    invert     --m 38                     8.6-10.1 s  (39: 10.7-11.5 s)
+    verify --suite theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
+    verify --suite lemma1     --max-l 130                7.8-10.3 s  (140: 9.6-10.9 s)
+    verify --suite lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
+    verify --suite inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
+    verify --suite lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
+    verify --suite symmetry   --max-m 37                 7.5-9.6 s   (38: 10.2-10.6 s)
+    verify --suite classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
+    table                     --max-m 41                 8.2-10.0 s  (42: 11.6 s)
+    shape                     --max-m 42                 9.6-10.6 s  (43: 13.4 s)
+    compute --method det      --m 54                     8.8-9.5 s   (55: 10.8-10.9 s)
+    compute --method invert   --m 38                     8.6-10.1 s  (39: 10.7-11.5 s)
 
 `compute` refuses a request that would test or list more than 1,000,000
 objects: a `--method lgv` case whose chain sum tests that many adjacent path
@@ -48,21 +43,13 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple
 
 from . import coeffs, identities, lgv
-from .laurent import CoeffRecord, shape_report
+from .laurent import FAMILIES, CoeffRecord, shape_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
-
-# The largest `--max-m` that `table` and `shape` accept, and the largest `--m`
-# that `compute` accepts by each method that has a cap (see the module docstring).
-_ROWS_CAP = {"table": 41, "shape": 42}
-_M_CAP = {"det": 54, "invert": 38}
 
 # Most adjacent path pairs one `compute --method lgv` case tests, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
@@ -251,24 +238,61 @@ def _suite_classical(max_m: int, max_n: int) -> list:
     ]
 
 
-class _Suite(NamedTuple):
-    """A verify suite: its case builder and, for each size flag (argparse
-    dest) it reads, in the order the builder takes them, the flag's
-    (default, least, cap): the least value that leaves the suite a case and
-    the largest it accepts (see the module docstring for what a cap costs)."""
-    build: Callable[..., list]
-    sizes: dict[str, tuple[int, int, int]]
-
-
 _SUITES = {
-    "theorem1": _Suite(_suite_theorem1, {"max_m": (5, 1, 11), "max_n": (6, 1, 30)}),
-    "lemma1": _Suite(_suite_lemma1, {"max_l": (5, 1, 130)}),
-    "lemma2": _Suite(_suite_lemma2, {"max_m": (8, 1, 20), "max_l": (8, 1, 20)}),
-    "inverse": _Suite(_suite_inverse, {"n": (6, 1, 10)}),
-    "lgv": _Suite(_suite_lgv, {"max_m": (6, 2, 12)}),
-    "symmetry": _Suite(_suite_symmetry, {"max_m": (8, 1, 37)}),
-    "classical": _Suite(_suite_classical, {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)}),
+    "theorem1": _suite_theorem1,
+    "lemma1": _suite_lemma1,
+    "lemma2": _suite_lemma2,
+    "inverse": _suite_inverse,
+    "lgv": _suite_lgv,
+    "symmetry": _suite_symmetry,
+    "classical": _suite_classical,
 }
+
+# Each row: the argv that selects it, then, for each size flag (argparse dest)
+# it reads, in the order a suite's builder takes them, the flag's (default,
+# least, cap); see the module docstring for what a cap costs.  A required
+# flag, or one whose default depends on the family, has default None.
+_SIZES = {
+    "verify --suite theorem1": {"max_m": (5, 1, 11), "max_n": (6, 1, 30)},
+    "verify --suite lemma1": {"max_l": (5, 1, 130)},
+    "verify --suite lemma2": {"max_m": (8, 1, 20), "max_l": (8, 1, 20)},
+    "verify --suite inverse": {"n": (6, 1, 10)},
+    "verify --suite lgv": {"max_m": (6, 2, 12)},
+    "verify --suite symmetry": {"max_m": (8, 1, 37)},
+    "verify --suite classical": {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)},
+    "table": {"max_m": (None, 1, 41)},
+    "shape": {"max_m": (8, 1, 42)},
+    "compute --method det": {"m": (None, 1, 54)},
+    "compute --method invert": {"m": (None, 1, 38)},
+}
+_TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
+
+
+def _size_refusal(args) -> str | None:
+    """Why `main` refuses args' size flags, or None: a flag that no selected
+    row of `_SIZES` reads, or one outside the range of a selected row that
+    reads it (the first such row, in table order)."""
+    if args.command == "verify":
+        chosen = f"verify --suite {args.suite}"
+        rows = [f"verify --suite {name}" for name in _SUITES] if args.suite == "all" else [chosen]
+    else:
+        chosen = f"compute --method {args.method}" if args.command == "compute" else args.command
+        if chosen not in _SIZES:
+            return None  # compute --method lgv and lgv-det refuse by object counts instead
+        rows = [chosen]
+    for flag in dict.fromkeys(flag for sizes in _SIZES.values() for flag in sizes):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        readers = [row for row in rows if flag in _SIZES[row]]
+        if not readers:
+            return f"{option} is not read by {chosen}"
+        for row in readers:
+            _, least, cap = _SIZES[row][flag]
+            if not least <= value <= cap:
+                return f"{row} takes {option} {least}..{cap} (got {value})"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +319,6 @@ def _path_count(family: str, m: int, k: int) -> int:
 
 
 def cmd_compute(args, out) -> int:
-    cap = _M_CAP.get(args.method)
-    if cap is not None and args.m > cap:
-        print(f"error: --m {args.m} exceeds the compute --method {args.method} cap of {cap}",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         if args.method == "lgv":
             count = _tested_pairs(args.family, args.m, args.k)
@@ -326,10 +345,13 @@ def cmd_compute(args, out) -> int:
     return EXIT_OK
 
 
+def _det_records(family: str, max_m: int):
+    """The det-route records of family's rows m = 1..max_m, k < m, in order."""
+    return (compute_record(family, m, k) for m in range(1, max_m + 1) for k in range(m))
+
+
 def cmd_table(args, out) -> int:
-    max_m = args.max_m or _TABLE_DEFAULT[args.family]
-    records = (compute_record(args.family, m, k, "det")
-               for m in range(1, max_m + 1) for k in range(0, m))
+    records = _det_records(args.family, args.max_m or _TABLE_DEFAULT[args.family])
     if args.format == "pretty":
         for record in records:
             print(f"{record.family}({record.m},{record.k}) = {record.poly.to_string('q')}",
@@ -340,54 +362,20 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
-    for flag in ("max_m", "max_n", "max_l", "n"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        readers = [name for name in names if flag in _SUITES[name].sizes]
-        if not readers:
-            print(f"error: {option} is not read by the {args.suite} suite", file=sys.stderr)
-            return EXIT_USAGE
-        for name in readers:
-            _, least, cap = _SUITES[name].sizes[flag]
-            if value > cap:
-                print(f"error: {option} {value} exceeds the {name} suite's cap of {cap}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            if value < least:
-                print(f"error: {option} {value} leaves the {name} suite with no case "
-                      f"(it needs {option} {least} or more)", file=sys.stderr)
-                return EXIT_USAGE
     cases = []
-    for name in names:
-        suite = _SUITES[name]
-        # Size flags are at least 1 (see positive_int), so `or` only fills in absent ones.
-        cases += suite.build(*(getattr(args, flag) or default
-                               for flag, (default, _, _) in suite.sizes.items()))
+    for name in _SUITES if args.suite == "all" else (args.suite,):
+        # `main` refused every size below its least, so `or` only fills in absent ones
+        cases += _SUITES[name](*(getattr(args, flag) or default for flag, (default, _, _)
+                                 in _SIZES[f"verify --suite {name}"].items()))
     return EXIT_OK if _run_cases(cases, out) else EXIT_FAIL
 
 
 def cmd_shape(args, out) -> int:
-    max_m = args.max_m or 8
-    for m in range(1, max_m + 1):
-        for k in range(0, m):
-            poly = coeffs.det_route(args.family, m, k)
-            report = shape_report(poly)
-            print(
-                f"{args.family}({m},{k}) unimodal={report.unimodal} "
-                f"log_concave={report.log_concave}",
-                file=out,
-            )
+    for record in _det_records(args.family, args.max_m or _SIZES["shape"]["max_m"][0]):
+        report = shape_report(record.poly)
+        print(f"{record.family}({record.m},{record.k}) unimodal={report.unimodal} "
+              f"log_concave={report.log_concave}", file=out)
     return EXIT_OK
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute one coefficient polynomial")
-    p_compute.add_argument("--family", required=True, choices=("P", "Q", "G", "H"))
+    p_compute.add_argument("--family", required=True, choices=FAMILIES)
     p_compute.add_argument("--m", type=int, required=True)
     p_compute.add_argument("--k", type=int, required=True)
     p_compute.add_argument(
@@ -407,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", default="pretty", choices=("pretty", "json", "csv"))
 
     p_table = sub.add_parser("table", help="print a triangular family table")
-    p_table.add_argument("--family", required=True, choices=("P", "Q", "G", "H"))
-    p_table.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
+    p_table.add_argument("--family", required=True, choices=FAMILIES)
+    p_table.add_argument("--max-m", dest="max_m", type=int)
     p_table.add_argument("--format", default="pretty", choices=("pretty", "json", "csv"))
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -417,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=(*_SUITES, "all"),
     )
-    p_verify.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
-    p_verify.add_argument("--max-n", dest="max_n", type=positive_int, default=None)
-    p_verify.add_argument("--max-l", dest="max_l", type=positive_int, default=None)
-    p_verify.add_argument("--n", dest="n", type=positive_int, default=None)
+    p_verify.add_argument("--max-m", dest="max_m", type=int)
+    p_verify.add_argument("--max-n", dest="max_n", type=int)
+    p_verify.add_argument("--max-l", dest="max_l", type=int)
+    p_verify.add_argument("--n", dest="n", type=int)
 
     p_shape = sub.add_parser("shape", help="report unimodality and log-concavity")
-    p_shape.add_argument("--family", required=True, choices=("P", "Q", "G", "H"))
-    p_shape.add_argument("--max-m", dest="max_m", type=positive_int, default=None)
+    p_shape.add_argument("--family", required=True, choices=FAMILIES)
+    p_shape.add_argument("--max-m", dest="max_m", type=int)
     return parser
 
 
@@ -434,10 +422,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    cap = _ROWS_CAP.get(args.command)
-    if cap is not None and (args.max_m or 0) > cap:
-        print(f"error: --max-m {args.max_m} exceeds the {args.command} command's cap of {cap}",
-              file=sys.stderr)
+    refusal = _size_refusal(args)
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
         "compute": cmd_compute,

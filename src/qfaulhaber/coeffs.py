@@ -26,7 +26,6 @@ forward-entry degrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -73,13 +72,13 @@ def _minors_bound(norms: list[list[int]]) -> int:
     ))
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if any(len(row) != len(self.entries) for row in self.entries):
+    def __init__(self, entries: tuple[tuple[LaurentPoly, ...], ...]):
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("matrix must be square")
+        self.entries = entries
 
     @classmethod
     def from_rows(cls, rows) -> "PolyMatrix":

@@ -7,9 +7,8 @@ All values are immutable and safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class NotDivisibleError(ArithmeticError):
@@ -255,8 +254,7 @@ def q_fact(k: int) -> LaurentPoly:
     return result
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     unimodal: bool
     log_concave: bool
 
@@ -291,25 +289,21 @@ FAMILIES = ("P", "Q", "G", "H")
 ROUTES = ("det", "invert", "lgv-brute", "lgv-det")
 
 
-@dataclass(frozen=True)
 class CoeffRecord:
     """A computed named polynomial, ready for emission."""
 
-    family: str
-    m: int
-    k: int
-    route: str
-    poly: LaurentPoly
+    __slots__ = ("family", "m", "k", "route", "poly")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-        if not self.poly.is_zero and self.poly.min_exp != 0:
+    def __init__(self, family: str, m: int, k: int, route: str, poly: LaurentPoly):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if route not in ROUTES:
+            raise ValueError(f"unknown route {route!r}")
+        if not poly.is_zero and poly.min_exp != 0:
             raise ValueError("family polynomials start at exponent 0")
-        if any(c < 0 for c in self.poly.coeffs):
+        if any(c < 0 for c in poly.coeffs):
             raise ValueError("family polynomials have nonnegative coefficients")
+        self.family, self.m, self.k, self.route, self.poly = family, m, k, route, poly
 
     def coefficients(self) -> Sequence[int]:
         return self.poly.coeffs if not self.poly.is_zero else (0,)

@@ -187,25 +187,6 @@ class TestCompute:
         assert out == ""
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method, route", [("det", "det_route"),
-                                               ("invert", "invert_route")])
-    def test_refuses_above_its_cap(self, method, route, capsys, monkeypatch):
-        # one above the method's --m cap exits 2 in under 2 s at every k,
-        # naming the cap, and computes nothing; the cap itself is accepted
-        cap = cli._M_CAP[method]
-        monkeypatch.setattr(cli.coeffs, route, None)
-        for k in (0, 1, cap):
-            start = time.perf_counter()
-            code, out = run_cli("compute", "--family", "Q", "--m", str(cap + 1),
-                                "--k", str(k), "--method", method)
-            assert time.perf_counter() - start < 2
-            assert (code, out) == (2, "")
-            assert capsys.readouterr().err.strip() == (
-                f"error: --m {cap + 1} exceeds the compute --method {method} cap of {cap}")
-        monkeypatch.setattr(cli.coeffs, route, lambda family, m, k: LaurentPoly([m, k]))
-        assert run_cli("compute", "--family", "Q", "--m", str(cap), "--k", "1",
-                       "--method", method) == (0, f"{cap} + q\n")
-
     def test_lgv_below_limit_runs(self):
         code, out = run_cli(
             "compute", "--family", "P", "--m", "6", "--k", "3", "--method", "lgv"
@@ -257,29 +238,19 @@ class TestTable:
                 expected += csv.DictReader(io.StringIO(single))
         assert rows == expected
 
-    def test_refuses_above_its_cap(self, capsys, monkeypatch):
-        refuses_above_the_rows_cap("table", capsys, monkeypatch)
 
-
-def refuses_above_the_rows_cap(command, capsys, monkeypatch):
-    """`command` one row above its cap exits 2 in under 2 s, naming the cap,
-    and computes no row."""
-    cap = cli._ROWS_CAP[command]
-    monkeypatch.setattr(cli.coeffs, "det_route", None)
-    start = time.perf_counter()
-    code, out = run_cli(command, "--family", "Q", "--max-m", str(cap + 1))
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (2, "")
-    assert capsys.readouterr().err.strip() == (
-        f"error: --max-m {cap + 1} exceeds the {command} command's cap of {cap}")
-
-
-def above_cap(suite, flag):
-    """`verify` arguments one above the flag's cap under `suite` (under
-    `all`, the least cap of the suites that read the flag)."""
-    cap = min(entry.sizes[flag][2] for name, entry in cli._SUITES.items()
-              if suite in (name, "all") and flag in entry.sizes)
-    return ("--suite", suite, "--" + flag.replace("_", "-"), str(cap + 1))
+# Every row of the size table and, for each flag a suite reads, `verify --suite
+# all`, which selects every suite: (the argv that selects it, the flag, the
+# rows that read the flag there).
+VERIFY_ROWS = [row for row in cli._SIZES if row.startswith("verify ")]
+SIZE_CASES = [
+    pytest.param(row, flag, [row], id=f"{row.split()[-1]}-{flag}")
+    for row, sizes in cli._SIZES.items() for flag in sizes
+] + [
+    pytest.param("verify --suite all", flag,
+                 [row for row in VERIFY_ROWS if flag in cli._SIZES[row]], id=f"all-{flag}")
+    for flag in dict.fromkeys(flag for row in VERIFY_ROWS for flag in cli._SIZES[row])
+]
 
 
 class TestVerify:
@@ -313,7 +284,7 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            f"error: --max-m {max_m} exceeds the lgv suite's cap of 12")
+            f"error: verify --suite lgv takes --max-m 2..12 (got {max_m})")
 
     def test_lgv_at_max_m_6_runs_every_case(self):
         # the default size: 60 cases
@@ -337,9 +308,9 @@ class TestVerify:
         assert "PASS" in out
 
     @pytest.mark.parametrize("argv", [
-        above_cap("theorem1", "max_m"),
-        above_cap("classical", "max_m"),
-        above_cap("all", "max_m"),
+        ("--suite", "theorem1", "--max-m", "12"),
+        ("--suite", "classical", "--max-m", "41"),
+        ("--suite", "all", "--max-m", "12"),
         ("--suite", "lgv", "--max-m", "0"),
         ("--suite", "lgv", "--max-m", "-1"),
         ("--suite", "lemma1", "--max-l", "0"),
@@ -373,69 +344,71 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS ") for line in out.splitlines())
 
-    @pytest.mark.parametrize("suite, flag", [
-        (suite, flag) for suite, entry in cli._SUITES.items() for flag in entry.sizes
-    ] + [("all", flag) for flag in dict.fromkeys(
-        flag for entry in cli._SUITES.values() for flag in entry.sizes)])
-    def test_size_table_refuses_before_any_case(self, suite, flag, monkeypatch, capsys):
+    @pytest.mark.parametrize("chosen, flag, readers", SIZE_CASES)
+    def test_size_table_refuses_before_any_case(self, chosen, flag, readers, monkeypatch,
+                                                capsys):
         # the cap runs; cap + 1, a far value 4 * cap, and least - 1 where
-        # least > 1, exit 2 with the table's message before any case runs.
-        # Under `all` a flag's least is the largest and its cap the smallest
-        # over the suites that read it, and the message names the first of
-        # those in table order (the lgv suite starts at m = 2: at --max-m 1
-        # it would pass vacuously; the inverse-pair cases cost about n^5.5:
-        # --n 40 would run for hours).
-        sizes = {name: entry.sizes[flag] for name, entry in cli._SUITES.items()
-                 if suite in (name, "all") and flag in entry.sizes}
-        assert all(1 <= least <= default <= cap for default, least, cap in sizes.values())
-        least = max(least for _, least, _ in sizes.values())
-        cap = min(cap for _, _, cap in sizes.values())
-        assert least <= cap
-        capped = next(name for name, (_, _, c) in sizes.items() if c == cap)
-        emptied = next(name for name, (_, lo, _) in sizes.items() if lo == least)
-        option = "--" + flag.replace("_", "-")
+        # least > 1, exit 2 in under 2 s before any case or route runs, naming
+        # the first row, in table order, whose range the value leaves.  Under
+        # `all` a flag's least is the largest and its cap the smallest over the
+        # suites that read it (the lgv suite starts at m = 2: at --max-m 1 it
+        # would pass vacuously; the inverse-pair cases cost about n^5.5: --n 40
+        # would run for hours; so would `compute --method det` at --m 100).
+        ranges = {row: cli._SIZES[row][flag] for row in readers}
+        assert all(default is None or least <= default <= cap
+                   for default, least, cap in ranges.values())
+        least = max(least for _, least, _ in ranges.values())
+        cap = min(cap for _, _, cap in ranges.values())
+        assert 1 <= least <= cap
         ran = []
         monkeypatch.setattr(cli, "_run_cases", lambda cases, out: ran.append(cases) or True)
-        assert run_cli("verify", "--suite", suite, option, str(cap)) == (0, "")
-        assert len(ran) == 1 and ran[0]
-        for above in (cap + 1, 4 * cap):
-            assert run_cli("verify", "--suite", suite, option, str(above)) == (2, "")
+        for route in ("det_route", "invert_route"):
+            monkeypatch.setattr(coeffs, route,
+                                lambda family, m, k: ran.append((m, k)) or LaurentPoly([m, k]))
+        command = chosen.split()
+        argv = command + {"verify": [], "compute": ["--family", "Q", "--k", "1"]}.get(
+            command[0], ["--family", "Q"])
+        option = "--" + flag.replace("_", "-")
+        assert run_cli(*argv, option, str(cap))[0] == 0
+        assert ran and all(ran)
+        ran.clear()
+        for value in (cap + 1, 4 * cap, *([least - 1] if least > 1 else [])):
+            start = time.perf_counter()
+            assert run_cli(*argv, option, str(value)) == (2, "")
+            assert time.perf_counter() - start < 2
+            row, (_, lo, hi) = next((row, size) for row, size in ranges.items()
+                                    if not size[1] <= value <= size[2])
             assert capsys.readouterr().err.strip() == (
-                f"error: {option} {above} exceeds the {capped} suite's cap of {cap}")
-        if least > 1:
-            assert run_cli("verify", "--suite", suite, option, str(least - 1)) == (2, "")
-            assert capsys.readouterr().err.strip() == (
-                f"error: {option} {least - 1} leaves the {emptied} suite with no case "
-                f"(it needs {option} {least} or more)")
-        assert len(ran) == 1
+                f"error: {row} takes {option} {lo}..{hi} (got {value})")
+        assert ran == []
 
     def test_docs_state_the_size_table(self):
-        # README's size tables and its `all` --max-m cap, and the caps in the
-        # cli module's docstring, say what `_SUITES`, `_ROWS_CAP` and `_M_CAP`
-        # hold
+        # README's size table and its `all` --max-m cap, and the caps in the
+        # cli module's docstring, say what `_SIZES` and `_TABLE_DEFAULT` hold
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        table, suite = {}, None
-        for row in re.finditer(r"^\| (?:`(\w+)`)? *\| `--([\w-]+)` \| (\d+) \| (\d+) \| (\d+) \|",
-                               readme, re.M):
-            suite = row[1] or suite
-            flag = row[2].replace("-", "_")
-            table.setdefault(suite, {})[flag] = tuple(map(int, row.group(3, 4, 5)))
-        assert table == {name: entry.sizes for name, entry in cli._SUITES.items()}
-        all_cap = min(entry.sizes["max_m"][2] for entry in cli._SUITES.values()
-                      if "max_m" in entry.sizes)
+        table, reader = {}, None
+        for row in re.finditer(
+                r"^\| (?:`([\w -]+)`)? *\| `--([\w-]+)` \| ([^|]*?) \| (\d+) \| (\d+) \|",
+                readme, re.M):
+            reader = row[1] or reader
+            default = int(row[3]) if row[3].isdigit() else None
+            table.setdefault(reader, {})[row[2].replace("-", "_")] = (
+                default, int(row[4]), int(row[5]))
+        assert table == cli._SIZES
+        by_default = {}
+        for family, default in cli._TABLE_DEFAULT.items():
+            by_default.setdefault(default, []).append(family)
+        assert re.findall(r"^\| `table` \| `--max-m` \| ([^|]*?) \|", readme, re.M) == [
+            " or ".join(f"{d} ({', '.join(fs)})" for d, fs in by_default.items())]
+        all_cap = min(sizes["max_m"][2] for row, sizes in cli._SIZES.items()
+                      if row in VERIFY_ROWS and "max_m" in sizes)
         assert re.findall(r"`all`[^.]*`--max-m` cap is (\d+)", readme) == [str(all_cap)]
         documented = {line[1]: {flag.replace("-", "_"): int(cap)
                                 for flag, cap in re.findall(r"--([\w-]+) (\d+)", line[2])}
-                      for line in re.finditer(r"^    (\w+) +((?:--[\w-]+ \d+,? )+)",
+                      for line in re.finditer(r"^    (\w+(?: --\w+ \w+)?) +((?:--[\w-]+ \d+,? )+)",
                                               cli.__doc__, re.M)}
-        rows = {command: {"max_m": cap} for command, cap in cli._ROWS_CAP.items()}
-        methods = {method: {"m": cap} for method, cap in cli._M_CAP.items()}
-        assert documented == {**{name: {flag: cap for flag, (_, _, cap) in entry.sizes.items()}
-                                 for name, entry in cli._SUITES.items()}, **rows, **methods}
-        assert {row[1]: {"max_m": int(row[2])} for row in re.finditer(
-            r"^\| `(table|shape)` \| `--max-m` \| [^|]* \| (\d+) \|", readme, re.M)} == rows
-        assert {row[1]: {"m": int(row[2])} for row in re.finditer(
-            r"^\| `(\w+)` \| `--m` \| (\d+) \|", readme, re.M)} == methods
+        assert documented == {row: {flag: cap for flag, (_, _, cap) in sizes.items()}
+                              for row, sizes in cli._SIZES.items()}
 
     def test_size_at_cap_runs(self):
         code, out = run_cli("verify", "--suite", "theorem1", "--max-m", "11",
@@ -444,10 +417,7 @@ class TestVerify:
         assert "PASS theorem1 which=p m=11 n=1" in out.splitlines()
 
     def test_failure_exits_1(self, monkeypatch):
-        forced = cli._SUITES["classical"]._replace(
-            build=lambda m, n: [("forced", lambda: False)]
-        )
-        monkeypatch.setitem(cli._SUITES, "classical", forced)
+        monkeypatch.setitem(cli._SUITES, "classical", lambda m, n: [("forced", lambda: False)])
         code, out = run_cli("verify", "--suite", "classical")
         assert code == 1
         assert out.splitlines() == ["FAIL forced"]
@@ -616,9 +586,6 @@ class TestShape:
         lines = out.splitlines()
         assert "Q(4,1) unimodal=False log_concave=False" in lines
         assert "Q(2,1) unimodal=True log_concave=True" in lines
-
-    def test_refuses_above_its_cap(self, capsys, monkeypatch):
-        refuses_above_the_rows_cap("shape", capsys, monkeypatch)
 
 
 class TestEntryPoint:

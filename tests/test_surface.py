@@ -2,9 +2,12 @@
 method, is referenced by name from `src/` or `demos/`, not only from tests;
 helpers that only tests call belong in `tests/oracles.py`.  A reference is a
 bare name or an attribute read outside the body of the definition it names.
-Every module of the package has an entry in README's Layout list.
+Every module of the package has an entry in README's Layout list, and
+importing it loads no introspection machinery.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,3 +81,13 @@ def test_layout_guard_sees_a_missing_module():
     readme = (ROOT / "README.md").read_text()
     assert modules_missing_from_layout(readme.replace("`src/qfaulhaber/kron.py`", "")) == [
         "kron.py"]
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`: milliseconds
+    # on every start of the CLI
+    code = ("import sys, qfaulhaber, qfaulhaber.cli, qfaulhaber.lgv; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, check=True)
+    assert proc.stdout.strip() == "[]"

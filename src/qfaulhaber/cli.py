@@ -19,8 +19,8 @@ host's speed varied by about a third between runs):
     verify --suite theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
     verify --suite lemma1     --max-l 130                7.8-10.3 s  (140: 9.6-10.9 s)
     verify --suite lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
-    verify --suite inverse    --n 10                     1.0-1.3 s   (12: 3.4-3.8 s; about n^6)
-    verify --suite lgv        --max-m 12                 6.8-9.7 s   (13: 14.8 s)
+    verify --suite inverse    --n 17                     8.7-10.2 s  (18: 15.9 s)
+    verify --suite lgv        --max-m 12                 6.5-6.6 s   (13: 14.8 s)
     verify --suite symmetry   --max-m 37                 7.5-9.6 s   (38: 10.2-10.6 s)
     verify --suite classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
     table                     --max-m 41                 8.2-10.0 s  (42: 11.6 s)
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import coeffs, identities, lgv
@@ -179,25 +178,27 @@ def _suite_inverse(n: int) -> list:
          lambda f=family: coeffs.verify_inverse_pair(f, n))
         for family in ("P", "Q", "G", "H")
     ]
-    for m in range(2, 7):
-        for t0 in (Fraction(2), Fraction(1, 2), Fraction(3)):
-            cases.append(
-                (f"inverse dstr-vanishing m={m} t0={t0}",
-                 lambda m=m, t0=t0: coeffs.verify_dstr_vanishing(m, t0))
-            )
-    return cases
+    # the boundary sum is proved for every t, so each m is proved once and its
+    # keys at t0 = 2, 1/2 and 3 share it
+    proofs = {m: cache(lambda m=m: coeffs.verify_dstr_vanishing(m)) for m in range(2, 7)}
+    return cases + [(f"inverse dstr-vanishing m={m} t0={t0}", proof)
+                    for m, proof in proofs.items() for t0 in ("2", "1/2", "3")]
 
 
 def _suite_lgv(max_m: int) -> list:
+    # one invert-route row per (family, m), shared by its k
+    rows = {(family, m): cache(lambda f=family, m=m: coeffs.invert_route_row(f, m))
+            for family in ("P", "Q", "G", "H") for m in range(2, max_m + 1)}
+
     def agree(family, m, k):
         det = coeffs.det_route(family, m, k)
-        return det == lgv.brute_route(family, m, k) == lgv.lgv_det_route(family, m, k)
+        return (det == rows[family, m]()[k] == lgv.brute_route(family, m, k)
+                == lgv.lgv_det_route(family, m, k))
 
     return [
         (f"lgv family={family} m={m} k={k}",
          lambda f=family, m=m, k=k: agree(f, m, k))
-        for family in ("P", "Q", "G", "H")
-        for m in range(2, max_m + 1)
+        for family, m in rows
         for k in range(1, m)
     ]
 
@@ -256,7 +257,7 @@ _SIZES = {
     "verify --suite theorem1": {"max_m": (5, 1, 11), "max_n": (6, 1, 30)},
     "verify --suite lemma1": {"max_l": (5, 1, 130)},
     "verify --suite lemma2": {"max_m": (8, 1, 20), "max_l": (8, 1, 20)},
-    "verify --suite inverse": {"n": (6, 1, 10)},
+    "verify --suite inverse": {"n": (6, 1, 17)},
     "verify --suite lgv": {"max_m": (6, 2, 12)},
     "verify --suite symmetry": {"max_m": (8, 1, 37)},
     "verify --suite classical": {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)},

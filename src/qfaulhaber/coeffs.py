@@ -13,25 +13,24 @@ above the largest trailing permanent of the entry coefficient 1-norms
 family's prefactor and denominator of the claimed inverse entry live in
 `_inverse_factors` alone, which the inverse-pair check and the boundary sum
 read through `_inverse_entry`, and no route reads.
-Polynomial statements are checked at more integer sample points 2, 3, 4, ...
-than their degree bound (interpolation completeness), so pointwise agreement
-is a proof; the inverse-pair check evaluates every polynomial there by
-Horner's rule on ints and compares the denominator-cleared identity on ints.
-The invert route evaluates the forward entries of the trailing block it
-needs exactly at those points, solves only the last row of that block's
-adjugate by fraction-free back substitution, which is each family
-polynomial's value up to sign (Cramer's rule), and interpolates over the
-integers on the degree bound that the minors recurrence gives on
-forward-entry degrees.
+The inverse pair and the boundary sum are cleared by the product of each
+claimed-inverse column's denominators and proved at one point on ints
+(`kron.prove`).  The invert route evaluates the forward entries of the
+trailing block it needs exactly at the integer sample points 2, 3, 4, ...,
+solves only the last row of that block's adjugate by fraction-free back
+substitution, which is each family polynomial's value up to sign (Cramer's
+rule), and interpolates over the integers on the degree bound that the
+minors recurrence gives on forward-entry degrees: bound + 1 exact values fix
+the polynomial (interpolation completeness).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import eq, mul
 
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .kron import digit_bits, pack_pm, read_back_pm
+from .kron import digit_bits, pack_pm, prefix_products, prove, read_back_pm
 from .laurent import FAMILIES, LaurentPoly, ONE, Q, q_fact
 
 
@@ -249,78 +248,53 @@ def _inverse_entry(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPol
 
 
 def sample_points(count: int) -> list[int]:
-    """The integers 2, 3, ..., count + 1.  Every denominator of
-    `_inverse_factors` is a product of q-integers and factors 1 +- q^j
-    (j >= 1), none of which vanishes at an integer q >= 2, so the inverse-pair
-    check can divide by it there.  The invert route divides by no value."""
+    """The integers 2, 3, ..., count + 1, at which the invert route evaluates
+    its block and interpolates."""
     return list(range(2, count + 2))
 
 
-def _pair_degree_bound(fwd: list[list[LaurentPoly]], inv: list[list[tuple]]) -> int:
-    """Degree bound for the denominator-cleared inverse-pair identity of the
-    forward rows `fwd` and the claimed inverse rows `inv` of (numerator,
-    denominator) pairs, both as `_lower_triangle` builds them.
-
-    Clearing sum_t A[i][t] B[t][j] = delta_ij by the product of den(t, j) over
-    t = j..i leaves the summands A[i][t] num(t, j) prod_{mid != t} den(mid, j).
-    Over the integers the degree of a product is the sum of the degrees, so
-    the bound is the largest such sum over the nonzero summands.
-    """
-    bound = 0
-    for i, row in enumerate(fwd):
-        for j in range(i + 1):
-            column = [inv[t][j] for t in range(j, i + 1)]
-            den_sum = sum(den.max_exp for _, den in column)
-            for a, (numerator, den) in zip(row[j:], column):
-                if a and numerator:
-                    bound = max(bound, a.max_exp + numerator.max_exp + den_sum - den.max_exp)
-    return bound
+def _cleared_sums(r, rows: list[list], column: list[tuple]) -> tuple[list, object]:
+    """Each row's sum_t row[t] num_t / den_t against one claimed-inverse
+    column of (num_t, den_t) pairs, cleared by the product D of the den_t, in
+    the pass r (see `kron`), and D.  The rows hold pass values, t from the
+    column's first entry.  D / den_t is the prefix product of the den before
+    t times the suffix product after it, so nothing is divided."""
+    dens = [r.poly(den) for _, den in column]
+    prefix = prefix_products(r.one, dens)
+    suffix = prefix_products(r.one, dens[::-1])[::-1]
+    cleared = [r.poly(num) * prefix[t] * suffix[t + 1] for t, (num, _) in enumerate(column)]
+    return [sum(map(mul, row, cleared), r.zero) for row in rows], prefix[-1]
 
 
-def _int_values(e: LaurentPoly, points: list[int]) -> list[int]:
-    """The polynomial e at each integer point, by Horner's rule on ints:
-    one pass over e's coefficients for all points, and no Fraction."""
-    if e.min_exp < 0:
-        raise ValueError("a negative exponent has no integer value")
-    values = [0] * len(points)
-    for c in reversed(e.coeffs):
-        values = [v * x + c for v, x in zip(values, points)]
-    if e.min_exp:
-        values = [v * x ** e.min_exp for v, x in zip(values, points)]
-    return values
+def _inverse_pair_sides(r, fwd: list[list[LaurentPoly]], inv: list[list[tuple]]) -> tuple:
+    """Both sides of (A B)[i][j] = delta_ij for every j <= i in the pass r,
+    from the forward rows `fwd` and the claimed inverse rows `inv` of
+    (numerator, denominator) pairs, as `_lower_triangle` builds them: column
+    j cleared by the product D of its denominators, sum_t A[i][t] num(t, j)
+    (D / den(t, j)) over t = j..i against delta_ij D."""
+    a = [[r.poly(e) for e in row] for row in fwd]
+    lhs, rhs = [], []
+    for j in range(len(inv)):
+        sums, d = _cleared_sums(r, [row[j:] for row in a[j:]], [row[j] for row in inv[j:]])
+        lhs += sums
+        rhs += [d] + [r.zero] * (len(sums) - 1)
+    return lhs, rhs
 
 
 def verify_inverse_pair(family: str, n: int) -> bool:
-    """Check forward * claimed-inverse == identity at the integer sample points.
+    """Prove forward * claimed-inverse == identity on the indices up to n.
 
-    The number of points exceeds the degree bound of the cleared identity, so
-    success proves the polynomial statement.  Both factors are lower
-    triangular, so only the entries on or below the diagonal are compared.
-    Every forward entry, claimed-inverse numerator and denominator is a
-    polynomial with integer coefficients, so at an integer point each value
-    is an integer.  Column j is cleared by the product D of its denominator
-    values, which no sample point makes vanish (see sample_points):
-    sum_t A[i][t] num(t, j) (D // den(t, j)) == delta_ij D, every quotient
-    exact, is then the rational identity at that point, on ints alone.
+    Both factors are lower triangular, so only the entries on or below the
+    diagonal are compared, each after clearing its column's denominators
+    (`_inverse_pair_sides`); no denominator is the zero polynomial, so the
+    cleared identity is the rational one.  All of them are proved at one
+    point (`kron.prove`).
     """
     idx = _index_range(family, n)
     fwd = _lower_triangle(forward_entry, family, idx)
     inv = _lower_triangle(_inverse_entry, family, idx)
-    points = sample_points(_pair_degree_bound(fwd, inv) + 1)
-    # each entry's values at all the points, a[i][t][p] the entry at points[p]
-    a = [[_int_values(e, points) for e in row] for row in fwd]
-    num = [[_int_values(e, points) for e, _ in row] for row in inv]
-    den = [[_int_values(e, points) for _, e in row] for row in inv]
-    size = len(idx)
-    for p in range(len(points)):
-        for j in range(size):
-            d = prod(den[t][j][p] for t in range(j, size))
-            cleared = [num[t][j][p] * (d // den[t][j][p]) for t in range(j, size)]
-            for i in range(j, size):
-                total = sum(a[i][t][p] * cleared[t - j] for t in range(j, i + 1))
-                if total != (d if i == j else 0):
-                    return False
-    return True
+    lhs, rhs = prove(lambda r: _inverse_pair_sides(r, fwd, inv))
+    return all(map(eq, lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +409,7 @@ def invert_route_row(
     bounds = {k: _invert_degree_bound(family, m, k) for k in ks}
     points = sample_points(max(bounds.values()) + 1)
     fwd = _lower_triangle(forward_entry, family, range(m - max(ks), m + 1))
-    # a polynomial at an integer: the value is an integer Fraction
+    # a polynomial's value at an integer is rational with denominator 1
     rows = [_adjugate_last_row([[e(q0).numerator for e in row] for row in fwd])
             for q0 in points]
     # row[-1 - k] is the entry for column m - k: (-1)^k D(m, k)
@@ -455,15 +429,17 @@ def invert_route(family: str, m: int, k: int) -> LaurentPoly:
 # vanishing boundary sum
 # ---------------------------------------------------------------------------
 
-def verify_dstr_vanishing(m: int, t0: Fraction) -> bool:
-    """The boundary sum of the H family is exactly zero at t0: for m >= 2 it
-    is the entry (m, 1) of A B, the d-values of forward row m against the
-    claimed inverse's column 1 (`_inverse_entry`)."""
-    t0 = Fraction(t0)
-    if t0 <= 0 or t0 == 1:
-        raise ValueError("t0 must be positive and distinct from 1")
-    total = Fraction(0)
-    for j in range(1, m + 1):
-        numerator, denominator = _inverse_entry("H", j, 1)
-        total += d_poly(m, j)(t0) * numerator(t0) / denominator(t0)
-    return total == 0
+def verify_dstr_vanishing(m: int) -> bool:
+    """Prove that the boundary sum of the H family vanishes: for m >= 2 it is
+    the entry (m, 1) of A B, the d-values of forward row m against the
+    claimed inverse's column 1 (`_inverse_entry`), cleared as the inverse
+    pair clears it (`_cleared_sums`) and proved at one point."""
+    row = [d_poly(m, j) for j in range(1, m + 1)]
+    column = [_inverse_entry("H", j, 1) for j in range(1, m + 1)]
+
+    def sides(r):
+        (total,), _ = _cleared_sums(r, [[r.poly(d) for d in row]], column)
+        return total, r.zero
+
+    lhs, rhs = prove(sides)
+    return lhs == rhs

@@ -31,13 +31,11 @@ Lemma 1) and of a pass, and runs twice.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import factorial
-from operator import mul
 
 from .coeffs import _family_det, det_route
 from .homog import c_poly, d_poly, g_poly, h_spec
-from .kron import digit_bits, pack, prove, qint_value, read_back
+from .kron import digit_bits, pack, prefix_products, prove, qint_value, read_back
 from .laurent import LaurentPoly, q_int
 
 
@@ -78,41 +76,35 @@ def t_sum(m: int, n: int) -> LaurentPoly:
         _sign(n - k) * qint_value(k, 2 * bits) ** m) << bits * m * (n - k))
 
 
-def _prefix_products(first, factors: list) -> list:
-    """[first, first f_0, first f_0 f_1, ...]: every prefix product of
-    factors after first, one multiply each."""
-    return list(accumulate(factors, mul, initial=first))
-
-
 def _theorem1_sides(r, which: str, m: int, n: int, power_sum: LaurentPoly,
                     fam: list) -> tuple:
     """The cleared sides of one Theorem 1 identity in the pass r, from its
     leaves: the power-sum series and fam[k], the family's (m, m - k)."""
-    xn = _prefix_products(r.one, [r.qint(n, 2) * r.qint(n + 1, 2)] * (m + 1))  # ([n][n+1])^k
+    xn = prefix_products(r.one, [r.qint(n, 2) * r.qint(n + 1, 2)] * (m + 1))  # ([n][n+1])^k
 
     def alternating(terms):
         return sum((r.mono(_sign(m - k), 2 * n * (m - k)) * term for k, term in terms),
                    r.zero)
 
     if which == "p":
-        prefix = _prefix_products(r.one, [r.qint(i, 2) for i in range(1, m + 2)])
+        prefix = prefix_products(r.one, [r.qint(i, 2) for i in range(1, m + 2)])
         lhs = r.poly(power_sum) * r.qint(2, 2) * prefix[m + 1]
         rhs = alternating((k, r.poly(fam[k], 2) * prefix[k] * xn[k + 1])
                           for k in range(m + 1))
     elif which == "qmn":
-        prefix = _prefix_products(r.one, [r.binom(2 * j + 1, -1) for j in range(m + 1)])
+        prefix = prefix_products(r.one, [r.binom(2 * j + 1, -1) for j in range(m + 1)])
         lhs = r.poly(power_sum) * r.qint(2, 2) * prefix[m + 1]
         # Q's variable is substituted by t = q^(1/2)
         rhs = r.binom(2 * n + 1, -1) * alternating(
             (k, r.poly(fam[k]) * r.binom(1, -1) ** (m - k) * xn[k] * prefix[k])
             for k in range(m + 1))
     elif which == "t2mnq":
-        prefix = _prefix_products(r.one, [r.binom(2 * j, 1) for j in range(1, m + 1)])
+        prefix = prefix_products(r.one, [r.binom(2 * j, 1) for j in range(1, m + 1)])
         lhs = r.poly(power_sum) * prefix[m]
         rhs = alternating((k, r.poly(fam[k], 2) * xn[k] * prefix[k - 1])
                           for k in range(1, m + 1))
     else:  # t2m1
-        prefix = _prefix_products(
+        prefix = prefix_products(
             r.one, [r.binom(1, 1) * r.binom(2 * j - 1, 1) for j in range(1, m + 1)])
         lhs = r.poly(power_sum) * prefix[m]
         # H's variable is substituted by t = q^(1/2)
@@ -166,7 +158,7 @@ def _lemma2_sides(r, which: str, m: int, l: int, gens: tuple, stride: int,
 
     y = r.qint(l, 2) * r.mono(1, -l)
     # powers[i] = y^(2i + shift), so gen_j takes powers[j - shift]
-    powers = _prefix_products(y if shift else r.one, [y * y] * m)
+    powers = prefix_products(y if shift else r.one, [y * y] * m)
     series = sum((r.poly(g, stride) * powers[j - shift] for j, g in gens), r.zero)
     wide = r.qint(2 * l, 2) * r.mono(1, -2 * l)  # [2l]_{t^2} t^(-2l)
     minus = r.mono(-1, 0)
@@ -219,7 +211,7 @@ def _lemma1_sides(r, a: int, b: int, l: int, gens: list) -> tuple:
     k + b), and the two partial fractions amp * ratio^n.  Both sides are
     polynomials in q, so the passes read q itself as their variable."""
     order = len(gens) - 1
-    powers = _prefix_products(r.one, [r.qint(l)] * (order + 1))  # [l]^i
+    powers = prefix_products(r.one, [r.qint(l)] * (order + 1))  # [l]^i
     wide = r.qint(2 * l)
     lhs = [wide * sum((r.poly(h) * r.mono(1, l * k) * powers[n + 1 - 2 * k]
                        for k, h in terms), r.zero)
@@ -227,7 +219,7 @@ def _lemma1_sides(r, a: int, b: int, l: int, gens: list) -> tuple:
     ratios = r.qint(l + 1), r.mono(1, 1) * r.qint(l - 1)  # [l+1], q[l-1]
     amps = {(1, 1): (ratios[0], r.mono(-1, 0) * ratios[1]),
             (1, 0): (r.one, r.mono(1, l)), (0, 1): (r.mono(1, l), r.one)}[a, b]
-    first, second = (_prefix_products(amp, [ratio] * order) for amp, ratio in zip(amps, ratios))
+    first, second = (prefix_products(amp, [ratio] * order) for amp, ratio in zip(amps, ratios))
     return lhs, [powers[1] ** 2 * (x + y) for x, y in zip(first, second)]
 
 

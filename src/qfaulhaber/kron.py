@@ -8,7 +8,8 @@ bits, and reads f back from both (`read_back_pm`): their sum and difference
 are its even and odd parts at q^2 = 2^B, each read as signed base-2^B digits,
 so the same digit bound makes both halves exact.
 
-`prove` proves an identity lhs = rhs by the same substitution.  The check is
+`prove` proves an identity lhs = rhs by the same substitution; the identity
+checks, the inverse pairs and the boundary sum run on it.  The check is
 written once, as a function of a pass r (leaves: polynomials, q-integers,
 binomials 1 +- t^e and monomials), and runs twice.  The norm pass
 (`_NormPass`) maps every leaf to its coefficient 1-norm; products multiply
@@ -21,7 +22,8 @@ zero, and one comparison of ints proves the identity.
 """
 from __future__ import annotations
 
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from .laurent import LaurentPoly
 
@@ -184,6 +186,12 @@ class _ValuePass:
     def mono(self, sign: int, e: int) -> _At:
         """sign * t^e."""
         return _At(sign, e, self.bits)
+
+
+def prefix_products(first, factors: list) -> list:
+    """[first, first f_0, first f_0 f_1, ...]: every prefix product of
+    factors after first, one multiply each, in either pass."""
+    return list(accumulate(factors, mul, initial=first))
 
 
 def prove(sides) -> tuple:

@@ -264,23 +264,29 @@ def verify_detinv_consistency(family: str, m: int, k: int) -> bool:
     return True
 
 
-def inverse_pair_by_fractions(family: str, n: int) -> bool:
-    """`coeffs.verify_inverse_pair` on exact rational values: at each of its
-    sample points, every forward entry times the claimed inverse's
-    numerator / denominator, summed, against the identity.  The claimed
-    inverse is read through `coeffs._inverse_entry` at call time, so a
-    fault patched into the library reaches this check too."""
-    idx = _index_range(family, n)
-    fwd = coeffs._lower_triangle(forward_entry, family, idx)
-    inv = coeffs._lower_triangle(coeffs._inverse_entry, family, idx)
-    for q0 in sample_points(coeffs._pair_degree_bound(fwd, inv) + 1):
-        a = [[e(q0) for e in row] for row in fwd]
-        b = [[num(q0) / den(q0) for num, den in row] for row in inv]
-        for i, row in enumerate(a):
-            for j in range(i + 1):
-                if sum(row[t] * b[t][j] for t in range(j, i + 1)) != (i == j):
-                    return False
-    return True
+def inverse_pair_sides(family: str, n: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
+    """The identity (A B)[i][j] = delta_ij for each j <= i on the indices up
+    to n, with column j cleared by the product D of its denominators, as
+    LaurentPoly pairs: sum_t A[i][t] num(t, j) (D / den(t, j)) against
+    delta_ij D, by schoolbook products, sums and exact quotients.  The claimed
+    inverse is read through `coeffs._inverse_entry` at call time, so a fault
+    patched into the library reaches this check too."""
+    idx = list(_index_range(family, n))
+    sides = []
+    for j in idx:
+        column = {t: coeffs._inverse_entry(family, t, j) for t in idx if t >= j}
+        d = ONE
+        for _, den in column.values():
+            d = d * den
+        for i in idx:
+            if i < j:
+                continue
+            lhs = ZERO
+            for t in range(j, i + 1):
+                num, den = column[t]
+                lhs = lhs + forward_entry(family, i, t) * num * d.divexact(den)
+            sides.append((lhs, d if i == j else ZERO))
+    return sides
 
 
 def paths_walk(a, b):

@@ -352,8 +352,9 @@ class TestVerify:
         # the first row, in table order, whose range the value leaves.  Under
         # `all` a flag's least is the largest and its cap the smallest over the
         # suites that read it (the lgv suite starts at m = 2: at --max-m 1 it
-        # would pass vacuously; the inverse-pair cases cost about n^5.5: --n 40
-        # would run for hours; so would `compute --method det` at --m 100).
+        # would pass vacuously; the inverse-pair cases cost about n^9 near
+        # the cap: --n 40 would run for hours; so would `compute --method det`
+        # at --m 100).
         ranges = {row: cli._SIZES[row][flag] for row in readers}
         assert all(default is None or least <= default <= cap
                    for default, least, cap in ranges.values())
@@ -499,7 +500,7 @@ class TestFaultMatrix:
             assert differ[0] == first, family
         # the boundary sum weighs d_poly's row, which carries no fault,
         # against the claimed inverse's column, whose minors do
-        assert not verify_dstr_vanishing(3, 2)
+        assert not verify_dstr_vanishing(3)
         assert run_cli("verify", "--suite", "lgv", "--max-m", "4")[0] == 1
         # lemma1 and lemma2 read the generators and the series alone
         assert failing_suites() == {"theorem1", "inverse", "lgv", "symmetry", "classical"}
@@ -527,6 +528,14 @@ class TestFaultMatrix:
         # brute_route's adjacent pairs skip their mask test, so every path i
         # fits every path i - 1; only the lgv suite reads brute_route
         monkeypatch.setattr(lgv, "enumerate_nonintersecting", all_families)
+        assert failing_suites() == {"lgv"}
+
+    def test_invert_route_fault(self, monkeypatch):
+        # +1 on every polynomial the invert route interpolates; only the lgv
+        # suite's agreement reads that route
+        interpolate = coeffs.interpolate_poly
+        monkeypatch.setattr(coeffs, "interpolate_poly",
+                            lambda points, values: interpolate(points, values) + 1)
         assert failing_suites() == {"lgv"}
 
     def test_h_spec_fault(self, monkeypatch):

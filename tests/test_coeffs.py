@@ -6,17 +6,14 @@ from math import isqrt, prod
 
 import pytest
 
-from qfaulhaber import coeffs
+from qfaulhaber import coeffs, kron
 from qfaulhaber.coeffs import (
     BadIndexError,
     PolyMatrix,
     _family_det,
     _index_range,
-    _inverse_entry,
     _inverse_factors,
     _invert_degree_bound,
-    _lower_triangle,
-    _pair_degree_bound,
     det_route,
     family_matrix,
     forward_entry,
@@ -31,7 +28,7 @@ from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
 from qfaulhaber.lgv import lgv_det_route
 from oracles import (
     C, TABLES, detsum_expansion, fraction_det, hessenberg_minors_poly,
-    inverse_last_row, inverse_pair_by_fractions, laplace_det, rational_interpolate,
+    inverse_last_row, inverse_pair_sides, laplace_det, rational_interpolate,
     verify_detinv_consistency,
 )
 
@@ -284,25 +281,26 @@ class TestInversePairs:
 
     def test_builds_each_claimed_entry_once(self, monkeypatch):
         # one _inverse_factors call per entry on or below the diagonal
-        # (P: 28 at n = 6, Q/G/H: 21 each), and the proof's point counts
-        factors, points = coeffs._inverse_factors, coeffs.sample_points
-        calls, counts = [], []
+        # (P: 28 at n = 6, Q/G/H: 21 each)
+        factors = coeffs._inverse_factors
+        calls = []
         monkeypatch.setattr(coeffs, "_inverse_factors",
                             lambda *index: calls.append(index) or factors(*index))
-        monkeypatch.setattr(coeffs, "sample_points",
-                            lambda count: counts.append(count) or points(count))
         for family in "PQGH":
             assert verify_inverse_pair(family, 6)
         assert len(calls) == len(set(calls)) == 91
-        assert counts == [52, 124, 52, 103]
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_integer_check_agrees_with_fractions(self, family, monkeypatch):
-        # the integer check and the rational oracle give the same verdict with
-        # no fault, with every denominator off by one, and with the sign of
-        # one claimed numerator flipped
+        # the one-point proof and the schoolbook oracle on the cleared
+        # identity give the same verdict with no fault, with every
+        # denominator off by one, and with the sign of one claimed numerator
+        # flipped
+        def by_polynomials(family, n):
+            return all(lhs == rhs for lhs, rhs in inverse_pair_sides(family, n))
+
         for n in range(1, 7):
-            assert verify_inverse_pair(family, n) and inverse_pair_by_fractions(family, n)
+            assert verify_inverse_pair(family, n) and by_polynomials(family, n)
         factors, entry = coeffs._inverse_factors, coeffs._inverse_entry
 
         def off_by_one(*index):
@@ -313,7 +311,7 @@ class TestInversePairs:
             patch.setattr(coeffs, "_inverse_factors", off_by_one)
             for n in range(1, 7):
                 assert not verify_inverse_pair(family, n), n
-                assert not inverse_pair_by_fractions(family, n), n
+                assert not by_polynomials(family, n), n
         for n in range(1, 7):
             # the last row's subdiagonal entry, its diagonal one at n = 1: P's
             # column 0 is zero below the diagonal (D(k, k) = 0 for k >= 1)
@@ -326,87 +324,51 @@ class TestInversePairs:
             with monkeypatch.context() as patch:
                 patch.setattr(coeffs, "_inverse_entry", flip)
                 assert not verify_inverse_pair(family, n), n
-                assert not inverse_pair_by_fractions(family, n), n
+                assert not by_polynomials(family, n), n
 
     def test_evaluates_no_fraction(self, monkeypatch):
-        # every value is an int from Horner's rule; LaurentPoly.__call__,
+        # every value is an int packed at the proof point; LaurentPoly.__call__,
         # which makes a Fraction, is never called
         evaluate, calls = LaurentPoly.__call__, []
         monkeypatch.setattr(LaurentPoly, "__call__",
                             lambda poly, x: calls.append(x) or evaluate(poly, x))
-        assert inverse_pair_by_fractions("G", 2) and calls  # the spy sees calls
+        assert Q(2) == 2 and calls  # the spy sees calls
         calls.clear()
         for family in "PQGH":
             assert verify_inverse_pair(family, 6)
+        for m in range(2, 7):
+            assert verify_dstr_vanishing(m)
         assert calls == []
 
-    def test_int_values_are_the_polynomial_values(self):
-        e = LaurentPoly([3, 0, -5, 7], 2)
-        assert coeffs._int_values(e, [2, 3, -4]) == [e(x) for x in (2, 3, -4)]
-        assert coeffs._int_values(ZERO, [2, 3]) == [0, 0]
-        with pytest.raises(ValueError):  # q^(-1) has no integer value at q = 2
-            coeffs._int_values(LaurentPoly.term(1, -1), [2])
+    def test_too_small_a_point_proves_nothing(self, monkeypatch):
+        # (q - 2) q^2 added to every claimed-inverse denominator vanishes at
+        # X = 2, so pinned there both checks pass the fault; at the proven X
+        # both fail on every case
+        factors = coeffs._inverse_factors
+        fault = (Q - 2) * Q ** 2
 
-    @staticmethod
-    def pair_bound(family, n):
-        idx = _index_range(family, n)
-        return _pair_degree_bound(_lower_triangle(forward_entry, family, idx),
-                                  _lower_triangle(_inverse_entry, family, idx))
+        def faulty(*index):
+            prefactor, denominator = factors(*index)
+            return prefactor, denominator + fault
 
-    @pytest.mark.parametrize("family", "PQGH")
-    def test_pair_degree_bound_covers_cleared_terms(self, family):
-        # Clearing sum_t A[i][t] B[t][j] = delta_ij by the product of den(t, j)
-        # over t = j..i gives summands A[i][t] num(t, j) prod_{mid != t} den(mid, j);
-        # verify_inverse_pair is a proof only while the bound covers them all.
-        for n in range(1, 5):
-            bound = self.pair_bound(family, n)
-            idx = list(_index_range(family, n))
-            entries = {(k, m): _inverse_entry(family, k, m)
-                       for k in idx for m in idx if m <= k}
-            for i in idx:
-                for j in idx:
-                    for t in idx:
-                        if not j <= t <= i:
-                            continue
-                        term = forward_entry(family, i, t) * entries[t, j][0]
-                        for mid in range(j, i + 1):
-                            if mid != t:
-                                term = term * entries[mid, j][1]
-                        assert term.is_zero or term.max_exp <= bound, (n, i, j, t)
-
-    @pytest.mark.parametrize("family", "PQGH")
-    def test_pair_degree_bound_is_largest_cleared_term(self, family):
-        # Over Z a product's degree is the sum of its factors' degrees, so the
-        # bound can be exact: it equals the largest cleared-summand degree,
-        # and any loosening of it fails here.
-        for n in range(1, 5):
-            idx = list(_index_range(family, n))
-            largest = 0
-            for j in idx:
-                for i in idx:
-                    for t in range(j, i + 1):
-                        term = forward_entry(family, i, t) * _inverse_entry(family, t, j)[0]
-                        for mid in range(j, i + 1):
-                            if mid != t:
-                                term = term * _inverse_entry(family, mid, j)[1]
-                        if not term.is_zero:
-                            largest = max(largest, term.max_exp)
-            assert self.pair_bound(family, n) == largest, (family, n)
+        monkeypatch.setattr(coeffs, "_inverse_factors", faulty)
+        pairs = [(family, n) for family in "PQGH" for n in range(1, 5)]
+        assert not any(verify_inverse_pair(*pair) for pair in pairs)
+        assert not any(verify_dstr_vanishing(m) for m in range(2, 7))
+        value_pass = kron._ValuePass
+        monkeypatch.setattr(kron, "_ValuePass", lambda bits: value_pass(1))
+        assert all(verify_inverse_pair(*pair) for pair in pairs)
+        assert all(verify_dstr_vanishing(m) for m in range(2, 7))
 
     def test_dstr_vanishing(self):
         for m in range(2, 7):
-            for t0 in (Fraction(2), Fraction(1, 2), Fraction(3)):
-                assert verify_dstr_vanishing(m, t0)
-
-    def test_dstr_rejects_bad_point(self):
-        with pytest.raises(ValueError):
-            verify_dstr_vanishing(3, Fraction(1))
+            assert verify_dstr_vanishing(m)
 
 
 class TestSamplePoints:
     def test_distinct_and_regular(self):
-        # consecutive integers from 2: no forward diagonal entry and no
-        # claimed-inverse denominator vanishes there
+        # consecutive integers from 2: no forward diagonal entry vanishes
+        # there
         pts = sample_points(40)
         assert pts == list(range(2, 42))
         assert all(type(p) is int for p in pts)
@@ -552,7 +514,7 @@ class TestInvertRoute:
             assert invert_route_row(family, n) == rows[n], (family, n)
         # the boundary sum reads H's claimed inverse column too
         for m in range(2, 7):
-            assert not verify_dstr_vanishing(m, Fraction(2)), m
+            assert not verify_dstr_vanishing(m), m
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_narrow_bound_fails_the_crosscheck(self, family, monkeypatch, cold_memos):

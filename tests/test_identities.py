@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfaulhaber import cli, identities, kron
+from qfaulhaber import cli, coeffs, identities, kron
 from qfaulhaber.identities import (
     classical_check,
     s_sum,
@@ -16,6 +16,7 @@ from qfaulhaber.identities import (
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, q_int
 from oracles import (
+    inverse_pair_sides,
     laurent_s_sum,
     laurent_t_sum,
     lemma1_at_point,
@@ -262,11 +263,13 @@ class TestOnePointProof:
     @pytest.mark.parametrize("check, proofs, cases", [
         (verify_theorem1, one_proof(theorem1_sides), theorem1_cases(5, 6)),
         (verify_lemma2, one_proof(lemma2_sides), lemma2_cases(8, 8)),
-        (verify_lemma1, lemma1_sides, lemma1_cases(5))],
-        ids=["theorem1", "lemma2", "lemma1"])
+        (verify_lemma1, lemma1_sides, lemma1_cases(5)),
+        (coeffs.verify_inverse_pair, inverse_pair_sides, [(f, 6) for f in "PQGH"])],
+        ids=["theorem1", "lemma2", "lemma1", "inverse_pair"])
     def test_norm_pass_bounds_both_sides(self, check, proofs, cases, monkeypatch):
         # on every default case of the suite, proved at one point (lemma1's
-        # series coefficients all at the same one): the norm pass's N bounds
+        # series coefficients, and the inverse pair's entries, all at the
+        # same one): the norm pass's N bounds
         # ||lhs||_1 + ||rhs||_1 of every identity of the oracle (so 2N does,
         # and N bounds ||lhs - rhs||_1), and the point X = 2^B exceeds 2N;
         # `prove` sizes its one point by kron's own `digit_bits`

@@ -4,8 +4,9 @@ The checks are exact.  The power-sum, difference and series identities are
 polynomial identities (after clearing denominators where they have any),
 each proved by one comparison of Python ints at a point t = 2^B chosen
 large enough that no nonzero difference can vanish there.  The inverse
-pairs are rational identities, evaluated at enough sample points to be
-interpolation-complete, and the q = 1 specializations are integer sums.
+pairs are rational identities, proved the same way at one point once each
+entry's column denominators are cleared, and the q = 1 specializations are
+integer sums.
 Any check that does not hold prints FAILED.
 """
 from qfaulhaber import (
@@ -33,7 +34,7 @@ for ab in ((1, 1), (1, 0), (0, 1)):
     ok = all(verify_lemma1(*ab, l, 12) for l in range(1, 5))
     print(f"  case {ab}: {'ok' if ok else 'FAILED'}")
 
-print("triangular inverse pairs (interpolation-complete point sets):")
+print("triangular inverse pairs (denominators cleared, proved at one point):")
 for family in ("P", "Q", "G", "H"):
     print(f"  family {family}, n = 5: "
           f"{'ok' if verify_inverse_pair(family, 5) else 'FAILED'}")

@@ -19,7 +19,7 @@ host's speed varied by about a third between runs):
     verify --suite theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
     verify --suite lemma1     --max-l 130                7.8-10.3 s  (140: 9.6-10.9 s)
     verify --suite lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
-    verify --suite inverse    --n 17                     8.7-10.2 s  (18: 15.9 s)
+    verify --suite inverse    --n 17                     9.9-10.6 s  (18: 17.7 s)
     verify --suite lgv        --max-m 12                 6.5-6.6 s   (13: 14.8 s)
     verify --suite symmetry   --max-m 37                 7.5-9.6 s   (38: 10.2-10.6 s)
     verify --suite classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
@@ -178,9 +178,10 @@ def _suite_inverse(n: int) -> list:
          lambda f=family: coeffs.verify_inverse_pair(f, n))
         for family in ("P", "Q", "G", "H")
     ]
-    # the boundary sum is proved for every t, so each m is proved once and its
-    # keys at t0 = 2, 1/2 and 3 share it
-    proofs = {m: cache(lambda m=m: coeffs.verify_dstr_vanishing(m)) for m in range(2, 7)}
+    # the boundary sum is proved for every t, so each m = 2..max(6, n) is
+    # proved once and its keys at t0 = 2, 1/2 and 3 share it
+    proofs = {m: cache(lambda m=m: coeffs.verify_dstr_vanishing(m))
+              for m in range(2, max(6, n) + 1)}
     return cases + [(f"inverse dstr-vanishing m={m} t0={t0}", proof)
                     for m, proof in proofs.items() for t0 in ("2", "1/2", "3")]
 

@@ -18,11 +18,13 @@ path i meets only paths i - 1 and i + 1, so the brute route is a chain sum
 over the paths (the transfer-matrix method, Stanley, EC1 4.7, with paths as
 states): level i lists the non-intersecting pairs of paths i - 1 and i and
 carries, for each path i, the summed weight of the placements of paths 0..i
-that end in it.  Pair factor i reads columns 2i - 1 and 2i, where only paths
-i - 1 and i have points, so each level's link reads one adjacent pair.  Each
-distinct path's value is computed once per call and the sum is read back once
-as base-X digits.  B covers the product of the pairs' path counts times 4^k,
-which bounds the sum's value at q = 1 and so every coefficient.
+that end in it.  A G or H path i has points only in columns 2i, 2i + 1 and
+2i + 2, and is read as its vertical steps there, three counts; pair factor i
+reads columns 2i - 1 and 2i, so each level's link reads the counts of one
+adjacent pair.  Each distinct path's value is computed once per call and the
+sum is read back once as base-X digits.  B covers the product of the pairs'
+path counts times 4^k, which bounds the sum's value at q = 1 and so every
+coefficient.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -42,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
 from .coeffs import PolyMatrix, _check_index
@@ -229,8 +231,10 @@ def _path_value(family: str, path: LatticePath, bits: int):
 
     P: X^even.  Q: (1+X)^opens_even X^(2 even - opens_even), q^2 per
     even-column vertical step with the path-opening one weighing q + q^2.
-    G and H: each column's vertical steps as an exponent in bits (doubled
-    for H), and for H whether the path opens with a vertical step.
+    G and H: (c0, c1, c2, opens), the vertical steps in the path's three
+    columns x, x + 1 and x + 2 (x = path[0].x) as exponents in bits (doubled
+    for H), and for H whether the path opens with a vertical step; a path
+    that reaches a fourth column raises ValueError.
     """
     s = path_stats(path)
     if family == "P":
@@ -238,49 +242,41 @@ def _path_value(family: str, path: LatticePath, bits: int):
     if family == "Q":
         return ((1 << bits) + 1) ** s.opens_even << bits * (2 * s.even - s.opens_even)
     scale = bits if family == "G" else 2 * bits
-    return tuple((x, scale * c) for x, c in s.columns), family == "H" and s.opens
+    x0 = path[0].x
+    if path[-1].x > x0 + 2:
+        raise ValueError(f"a {family} path spans at most three columns: {path_steps(path)}")
+    counts = [0, 0, 0]
+    for x, c in s.columns:
+        counts[x - x0] = scale * c
+    return (*counts, family == "H" and s.opens)
 
 
-def _column_sums(values: Iterable[Sequence]) -> dict[int, int]:
-    """s(x) in bits: the G or H `_path_value`s' vertical steps per column."""
-    sigma: dict[int, int] = {}
-    for columns, _ in values:
-        for x, shift in columns:
-            sigma[x] = sigma.get(x, 0) + shift
-    return sigma
-
-
-def _pair_factor(sigma: Mapping[int, int], i: int, opens: bool, bits: int) -> int:
-    """Pair factor i of a G or H weight at X = 2^bits, s(x) = sigma[x] (0 when
-    absent): (X^s(2i-1) + X^(s(2i) - opens)) (1+X)^opens."""
-    factor = (1 << sigma.get(2 * i - 1, 0)) + (1 << sigma.get(2 * i, 0) - bits * opens)
+def _pair_factor(odd: int, even: int, opens: bool, bits: int) -> int:
+    """Pair factor i of a G or H weight at X = 2^bits, odd = s(2i - 1) and
+    even = s(2i) in bits: (X^odd + X^(even - opens)) (1+X)^opens.  Of paths
+    i - 1 and i, with `_path_value`s prev (all zeros for i = 0) and cur, it
+    is _pair_factor(prev[1], prev[2] + cur[0], cur[3], bits)."""
+    factor = (1 << odd) + (1 << even - bits * opens)
     return factor + (factor << bits) if opens else factor
 
 
-def _pair_product(values: Sequence, bits: int) -> int:
-    """A G or H family's weight at X = 2^bits from its paths' `_path_value`s:
-    with s(x) the family's vertical steps in column x (s(-1) = 0), G weighs
-    X^s(2k) times, over paths i = 0..k-1, the pair factor X^s(2i-1) +
-    X^s(2i); H weighs X^2s(2k) times the pair factor
-    (X^2s(2i-1) + X^(2s(2i) - opens_i)) (1+X)^opens_i (`_pair_factor`).
-    These are the closed product forms of the subset-summed weights."""
-    sigma = _column_sums(values)
-    weight = 1 << sigma.get(2 * len(values), 0)
-    for i, (_, opens) in enumerate(values):
-        weight *= _pair_factor(sigma, i, opens, bits)
-    return weight
-
-
 def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
-    """Weight of one path family under the P, Q, G or H scheme; path i
-    starts in column 2i, as `family_config` places it.  The product of its
-    paths' `_path_value`s (P, Q) or `_pair_product` (G, H); at q = 1 it
-    weighs 1 (P), at most 2^k (Q), 2^k (G) or at most 4^k (H), which sizes
-    the digits read back."""
+    """Weight of one path family under the P, Q, G or H scheme, its paths
+    placed as `family_config` places them (path i starts in column 2i; a G
+    or H path that reaches a fourth column raises ValueError).  The product
+    of its paths' `_path_value`s (P, Q), or of its pair factors times the
+    closing X^s(2k), the last path's third count (G, H): the closed product
+    forms of the subset-summed weights.  At q = 1 it weighs 1 (P), at most
+    2^k (Q), 2^k (G) or at most 4^k (H), which sizes the digits read back."""
     bits = digit_bits(1 << 2 * len(fam))
     values = [_path_value(family, path, bits) for path in fam]
-    weight = prod(values) if family in ("P", "Q") else _pair_product(values, bits)
-    return read_back(weight, 0, bits)
+    if family in ("P", "Q"):
+        return read_back(prod(values), 0, bits)
+    weight, prev = 1, (0, 0, 0)
+    for cur in values:
+        weight *= _pair_factor(prev[1], prev[2] + cur[0], cur[3], bits)
+        prev = cur
+    return read_back(weight << prev[2], 0, bits)
 
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
@@ -291,11 +287,12 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     level i, sums[p] is the summed weight, through link i, of the placements
     of paths 0..i that end in path i = p.  Level i adds sums[prev] times
     link i over the non-intersecting pairs (prev, cur) of pairs i - 1 and i.
-    Link i is `_path_value(cur)` for P and Q, and pair factor i for G and H,
-    which reads columns 2i - 1 and 2i, where only paths i - 1 and i have
-    points; the G and H closing X^s(2k) is read of path k - 1 alone.  Each distinct path's value is
-    computed once per call and the sum read back once; B covers the product
-    of the pairs' path counts times 4^k, at least the sum at q = 1.
+    Link i is `_path_value(cur)` for P and Q.  For G and H it is pair factor
+    i, `_pair_factor(prev[1], prev[2] + cur[0], cur[3])` of the two paths'
+    column counts (prev all zeros for i = 0), and the closing X^s(2k) is
+    path k - 1's third count.  Each distinct path's value is computed once
+    per call and the sum read back once; B covers the product of the pairs'
+    path counts times 4^k, at least the sum at q = 1.
     """
     starts, ends = family_config(family, m, k)
     if not k:
@@ -303,7 +300,7 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
     bits = digit_bits(prod(path_count(a, b) for a, b in zip(starts, ends)) << 2 * k)
     pair_factors = family in ("G", "H")
     values = {path: _path_value(family, path, bits) for path in paths_between(starts[0], ends[0])}
-    sums = {path: _pair_factor(_column_sums([value]), 0, value[1], bits) if pair_factors
+    sums = {path: _pair_factor(0, value[0], value[3], bits) if pair_factors
             else value for path, value in values.items()}
     for i in range(1, k):
         level: dict[LatticePath, int] = {}
@@ -311,15 +308,15 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
             if pair_factors:
                 if cur not in values:
                     values[cur] = _path_value(family, cur, bits)
-                sigma = _column_sums([values[prev], values[cur]])
+                p, c = values[prev], values[cur]
                 level[cur] = level.get(cur, 0) + sums[prev] * _pair_factor(
-                    sigma, i, values[cur][1], bits)
+                    p[1], p[2] + c[0], c[3], bits)
             else:  # link i is value(cur), a factor of each term: multiplied in once below
                 level[cur] = level.get(cur, 0) + sums[prev]
         sums = level if pair_factors else {
             cur: s * _path_value(family, cur, bits) for cur, s in level.items()}
     if pair_factors:
-        total = sum(s << _column_sums([values[path]]).get(2 * k, 0) for path, s in sums.items())
+        total = sum(s << values[path][2] for path, s in sums.items())
     else:
         total = sum(sums.values())
     return read_back(total, 0, bits)

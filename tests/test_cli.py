@@ -302,6 +302,17 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == 60
 
+    @pytest.mark.parametrize("n, max_m", [("2", 6), ("6", 6), ("8", 8)])
+    def test_inverse_boundary_sums_reach_n(self, n, max_m):
+        # the H boundary sum is proved for m = 2..max(6, n), three keys each
+        code, out = run_cli("verify", "--suite", "inverse", "--n", n)
+        assert code == 0
+        lines = out.splitlines()
+        assert all(line.startswith("PASS ") for line in lines)
+        assert sorted(line for line in lines if "dstr-vanishing" in line) == sorted(
+            f"PASS inverse dstr-vanishing m={m} t0={t0}"
+            for m in range(2, max_m + 1) for t0 in ("2", "1/2", "3"))
+
     def test_classical_suite(self):
         code, out = run_cli("verify", "--suite", "classical", "--max-n", "10")
         assert code == 0
@@ -509,8 +520,8 @@ class TestFaultMatrix:
     def test_brute_weight_fault(self, family, monkeypatch):
         # every link of brute_route's chain for one scheme weighs q times too
         # much (its value at q = 2^B shifted by B): the per-path value for P
-        # and Q, the pair factor, which G and H share, for G and H; only the
-        # lgv suite reads them
+        # and Q, and for G and H the one `_pair_factor` that brute_route and
+        # family_weight both read; only the lgv suite reads them
         if family in "PQ":
             path_value = lgv._path_value
 
@@ -522,6 +533,23 @@ class TestFaultMatrix:
         else:
             pair_factor = lgv._pair_factor
             monkeypatch.setattr(lgv, "_pair_factor", lambda *args: pair_factor(*args) << args[-1])
+        assert failing_suites() == {"lgv"}
+
+    @pytest.mark.parametrize("family", "GH")
+    def test_column_count_fault(self, family, monkeypatch):
+        # one scheme's path values trade their second and third column
+        # counts, so each pair factor and the closing power read the wrong
+        # column of the path; only the lgv suite reads them
+        path_value = lgv._path_value
+
+        def faulty(name, path, bits):
+            value = path_value(name, path, bits)
+            if name != family:
+                return value
+            first, second, third, opens = value
+            return first, third, second, opens
+
+        monkeypatch.setattr(lgv, "_path_value", faulty)
         assert failing_suites() == {"lgv"}
 
     def test_adjacent_pair_mask_fault(self, monkeypatch):

@@ -322,11 +322,18 @@ class TestPathStatistics:
                         assert columns == vertical_columns(fam)
                         assert [s.opens for s in stats] == starts_vertically(fam)
                         expected = literal_terms(fam)
-                        for name in "PQGH":
+                        for name in "PQGH" if family == "G" else "PQ":
                             assert family_weight(name, fam) == _poly_from_terms(
                                 *expected[name]), (name, fam)
                         if family == "G" and vertical_columns(fam)[2 * k]:
                             last_column_used = True
+                        if family == "P":
+                            # every P-placed path i ends in column 2i + 3, a
+                            # fourth column, which no G or H weight reads
+                            assert all(path[-1].x == 2 * i + 3 for i, path in enumerate(fam))
+                            for name in "GH":
+                                with pytest.raises(ValueError, match="three columns"):
+                                    family_weight(name, fam)
         # A G/H family with a vertical step in column 2k tells column -1
         # (no steps) apart from a wrapped-around read of column 2k.
         assert last_column_used

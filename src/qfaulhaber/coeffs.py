@@ -15,13 +15,14 @@ family's prefactor and denominator of the claimed inverse entry live in
 read through `_inverse_entry`, and no route reads.
 The inverse pair and the boundary sum are cleared by the product of each
 claimed-inverse column's denominators and proved at one point on ints
-(`kron.prove`).  The invert route evaluates the forward entries of the
-trailing block it needs exactly at the integer sample points 2, 3, 4, ...,
-solves only the last row of that block's adjugate by fraction-free back
-substitution, which is each family polynomial's value up to sign (Cramer's
-rule), and interpolates over the integers on the degree bound that the
-minors recurrence gives on forward-entry degrees: bound + 1 exact values fix
-the polynomial (interpolation completeness).
+(`kron.prove`).  The invert route evaluates each forward entry of the
+trailing block it needs at the integer sample points 2, 3, 4, ... by
+integer Horner (`LaurentPoly.__call__`), solves only the last row of that
+block's adjugate by fraction-free back substitution, which is each family
+polynomial's value up to sign (Cramer's rule), and interpolates over the
+integers on the degree bound that the minors recurrence gives on
+forward-entry degrees: bound + 1 exact values fix the polynomial
+(interpolation completeness).
 """
 from __future__ import annotations
 
@@ -389,14 +390,14 @@ def invert_route_row(
     By Cramer's rule, (-1)^k B[m][m-k] * A[m-k][m-k] ... A[m][m] is
     det A[m-k+1..m][m-k..m-1] = D(m, k); for k <= K = max(ks), B[m][m-k]
     is also an entry of the inverse of A's trailing block on m-K..m, the one
-    part built.  Each block entry is a polynomial, evaluated exactly to an
-    integer at each integer sample point; entry j of the last row of the
-    block's adjugate (`_adjugate_last_row`) is B[m][j] * A[j][j] ... A[m][m],
-    so (-1)^k times its entry for column m-k is D(m, k) at the point, found
-    with no division.  D(m, k) is interpolated on its first bound_k + 1
-    points, and the route evaluates at the largest of those counts over
-    `ks` alone.  Neither the det route, its minors recurrence nor
-    `_inverse_factors` is read.
+    part built.  Each block entry is evaluated at each integer sample point
+    by integer Horner, so the route runs on ints end to end; entry j of the
+    last row of the block's adjugate (`_adjugate_last_row`) is
+    B[m][j] * A[j][j] ... A[m][m], so (-1)^k times its entry for column
+    m-k is D(m, k) at the point, found with no division.  D(m, k) is
+    interpolated on its first bound_k + 1 points, and the route evaluates
+    at the largest of those counts over `ks` alone.  Neither the det route,
+    its minors recurrence nor `_inverse_factors` is read.
 
     The result is a proof: bound_k (`_invert_degree_bound`) bounds the
     degree of D(m, k), so D(m, k) is the one polynomial of degree <= bound_k
@@ -409,9 +410,7 @@ def invert_route_row(
     bounds = {k: _invert_degree_bound(family, m, k) for k in ks}
     points = sample_points(max(bounds.values()) + 1)
     fwd = _lower_triangle(forward_entry, family, range(m - max(ks), m + 1))
-    # a polynomial's value at an integer is rational with denominator 1
-    rows = [_adjugate_last_row([[e(q0).numerator for e in row] for row in fwd])
-            for q0 in points]
+    rows = [_adjugate_last_row([[e(q0) for e in row] for row in fwd]) for q0 in points]
     # row[-1 - k] is the entry for column m - k: (-1)^k D(m, k)
     return {k: interpolate_poly(points[: bounds[k] + 1],
                                 [(-1) ** k * row[-1 - k] for row in rows[: bounds[k] + 1]])

@@ -3,11 +3,11 @@
 A polynomial is stored densely as a coefficient tuple together with the
 exponent of its lowest term, which may be negative.  The zero polynomial is
 canonically the empty tuple with offset 0, so ``==`` is structural equality.
+A polynomial is evaluated only at integer points, by Horner's rule on ints.
 All values are immutable and safe to share between threads.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -49,13 +49,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no maximal exponent")
         return self.min_exp + len(self.coeffs) - 1
-
-    def __getitem__(self, exp: int) -> int:
-        """Coefficient of the given exponent."""
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -102,9 +95,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -162,29 +152,17 @@ class LaurentPoly:
             steps -= 1
         return quot
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        """Exact evaluation at a rational point.
+    def __call__(self, x: int) -> int:
+        """Exact value at an integer point, by Horner's rule on ints.
 
-        For x = a/b with d = len(coeffs) - 1, Horner's rule over the integers
-        gives sum c_i a^i b^(d-i); one division by b^d and the factor
-        x^min_exp then make a single Fraction.
+        Raises ValueError when min_exp < 0: such a value is not an integer.
         """
-        x = Fraction(x)
-        if x == 0 and self.min_exp < 0:
-            raise ZeroDivisionError("evaluating negative exponents at zero")
-        coeffs = self.coeffs
-        if not coeffs:
-            return Fraction(0)
-        a, b = x.numerator, x.denominator
-        num = coeffs[-1]
-        den = 1
-        for c in coeffs[-2::-1]:
-            den *= b
-            num = num * a + c * den if c else num * a
-        e = self.min_exp
-        if e >= 0:
-            return Fraction(num * a**e, den * b**e)
-        return Fraction(num * b**-e, den * a**-e)
+        if self.min_exp < 0:
+            raise ValueError("integer evaluation of a negative exponent")
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value * x**self.min_exp
 
     def stretch(self, s: int) -> "LaurentPoly":
         """Substitute the variable t by t**s (s >= 1)."""

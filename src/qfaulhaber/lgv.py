@@ -262,12 +262,15 @@ def _pair_factor(odd: int, even: int, opens: bool, bits: int) -> int:
 
 def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
     """Weight of one path family under the P, Q, G or H scheme, its paths
-    placed as `family_config` places them (path i starts in column 2i; a G
-    or H path that reaches a fourth column raises ValueError).  The product
-    of its paths' `_path_value`s (P, Q), or of its pair factors times the
-    closing X^s(2k), the last path's third count (G, H): the closed product
-    forms of the subset-summed weights.  At q = 1 it weighs 1 (P), at most
-    2^k (Q), 2^k (G) or at most 4^k (H), which sizes the digits read back."""
+    placed as `family_config` places them (a path i that does not start in
+    column 2i, or a G or H path that reaches a fourth column, raises
+    ValueError).  The product of its paths' `_path_value`s (P, Q), or of its
+    pair factors times the closing X^s(2k), the last path's third count
+    (G, H): the closed product forms of the subset-summed weights.  At q = 1
+    it weighs 1 (P), at most 2^k (Q), 2^k (G) or at most 4^k (H), which
+    sizes the digits read back."""
+    if any(path[0].x != 2 * i for i, path in enumerate(fam)):
+        raise ValueError("path i of a family starts in column 2i")
     bits = digit_bits(1 << 2 * len(fam))
     values = [_path_value(family, path, bits) for path in fam]
     if family in ("P", "Q"):

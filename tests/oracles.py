@@ -1,13 +1,13 @@
 """What the tests compare the library against, and only the tests use.
 
-Slow reference implementations: a dense Laplace determinant, the trailing
-minors of a Hessenberg matrix by its first-column recurrence on
-polynomials, the det(A+B) column-subset expansion behind the G/H entrywise
-split, rational back substitution and Newton interpolation, the
-submatrix-determinant formula for triangular inverses, the inverse-pair
-check on rational values, and the literal subset weights, the
-exponent-by-exponent expansion of the product forms and alternative
-placements of the G/H lattice-path model.  The summation identities of
+Slow reference implementations: the value at a rational point as a sum
+of terms, a dense Laplace determinant, the trailing minors of a Hessenberg
+matrix by its first-column recurrence on polynomials, the det(A+B)
+column-subset expansion behind the G/H entrywise split, rational back
+substitution and Newton interpolation, the submatrix-determinant formula
+for triangular inverses, the inverse-pair check on rational values, and the
+literal subset weights, the exponent-by-exponent expansion of the product
+forms and alternative placements of the G/H lattice-path model.  The summation identities of
 Theorem 1 and Lemmas 1 and 2 as products in the Laurent ring, Lemma 1's
 series coefficients in rationals at one point q0, and the power-sum series
 term by term.  Literal walks of the lattice-path layer: path listing
@@ -54,6 +54,13 @@ def from_terms(terms: dict[int, int]) -> LaurentPoly:
     for e, c in terms.items():
         coeffs[e - lo] += c
     return LaurentPoly(coeffs, lo)
+
+
+def term_sum(p: LaurentPoly, x) -> Fraction:
+    """p at a rational point x, as the sum of its terms c * x^e; raises
+    ZeroDivisionError at x = 0 when p has a negative exponent."""
+    x = Fraction(x)
+    return sum((c * x ** (p.min_exp + i) for i, c in enumerate(p.coeffs)), Fraction(0))
 
 
 def _poly_from_terms(a: int, exps) -> LaurentPoly:
@@ -247,7 +254,7 @@ def verify_detinv_consistency(family: str, m: int, k: int) -> bool:
     row = size - 1
     col = size - 1 - k
     for q0 in sample_points(3):
-        a = [[fwd[i][j](q0) for j in range(size)] for i in range(size)]
+        a = [[term_sum(fwd[i][j], q0) for j in range(size)] for i in range(size)]
         if any(a[i][i] == 0 for i in range(size)):
             raise SingularSampleError(f"singular diagonal at q0={q0}")
         last = inverse_last_row(a)
@@ -640,14 +647,15 @@ def lemma1_at_point(a: int, b: int, q0, l: int, order: int) -> bool:
     q0 = Fraction(q0)
     if q0 in (0, 1):
         raise SingularSampleError("q0 must avoid 0 and 1")
-    lv = q_int(l)(q0)
-    l2v = q_int(2 * l)(q0)
+    lv = term_sum(q_int(l), q0)
+    l2v = term_sum(q_int(2 * l), q0)
     if lv == 0 or l2v == 0:
         raise SingularSampleError(f"q-integer vanishes at q0={q0}")
     x = q0 ** l / lv ** 2
-    pieces = _lemma1_pieces(a, b, q_int(l + 1)(q0), q0 * q_int(l - 1)(q0), q0 ** l)
+    pieces = _lemma1_pieces(a, b, term_sum(q_int(l + 1), q0),
+                            q0 * term_sum(q_int(l - 1), q0), q0 ** l)
     for n in range(order + 1):
-        lhs = sum((identities.h_spec(n - 2 * k, k + a, k + b)(q0) * x ** k
+        lhs = sum((term_sum(identities.h_spec(n - 2 * k, k + a, k + b), q0) * x ** k
                    for k in range(n // 2 + 1)), Fraction(0))
         rhs = lv ** 2 / l2v * sum(amp * ratio ** n / lv ** (n + 1) for amp, ratio in pieces)
         if lhs != rhs:

@@ -29,7 +29,7 @@ from qfaulhaber.lgv import lgv_det_route
 from oracles import (
     C, TABLES, detsum_expansion, fraction_det, hessenberg_minors_poly,
     inverse_last_row, inverse_pair_sides, laplace_det, rational_interpolate,
-    verify_detinv_consistency,
+    term_sum, verify_detinv_consistency,
 )
 
 
@@ -118,9 +118,9 @@ class TestPolyMatrix:
             minors = m.minors()
             assert len(minors) == n + 1 and minors[-1] == m.det()
             for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 7)):
-                a = [[e(q0) for e in row] for row in m.entries]
+                a = [[term_sum(e, q0) for e in row] for row in m.entries]
                 for s, minor in enumerate(minors):
-                    assert minor(q0) == fraction_det([row[n - s:] for row in a[n - s:]])
+                    assert term_sum(minor, q0) == fraction_det([row[n - s:] for row in a[n - s:]])
 
     def test_minors_match_laplace_on_random_matrices(self):
         # signed coefficients, some above 2^64, negative exponents, zero
@@ -327,8 +327,8 @@ class TestInversePairs:
                 assert not by_polynomials(family, n), n
 
     def test_evaluates_no_fraction(self, monkeypatch):
-        # every value is an int packed at the proof point; LaurentPoly.__call__,
-        # which makes a Fraction, is never called
+        # every value is an int packed at the proof point; no entry is
+        # evaluated at a sample point (LaurentPoly.__call__)
         evaluate, calls = LaurentPoly.__call__, []
         monkeypatch.setattr(LaurentPoly, "__call__",
                             lambda poly, x: calls.append(x) or evaluate(poly, x))

@@ -6,6 +6,7 @@ import pytest
 
 from qfaulhaber.homog import c_poly, d_poly, g_poly, h_spec
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
+from oracles import term_sum
 
 BOUND = 8
 
@@ -72,7 +73,7 @@ class TestHSpec:
             for n in range(6):
                 for r in range(4):
                     for s in range(4):
-                        assert h_spec(n, r, s)(x) == (
+                        assert term_sum(h_spec(n, r, s), x) == (
                             truncated_series_coeff(n, r, s, 1, x)
                         )
 
@@ -108,7 +109,7 @@ class TestDerivedFamilies:
                     expected = truncated_series_coeff(n, r, r, 2, x) + x * (
                         truncated_series_coeff(n - 1, r, r, 2, x)
                     )
-                    assert c_poly(k, m)(x) == expected, (x, k, m)
+                    assert term_sum(c_poly(k, m), x) == expected, (x, k, m)
 
     def test_c_vanishing(self):
         for m in range(1, 6):

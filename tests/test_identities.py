@@ -42,10 +42,9 @@ class TestPowerSumSeries:
         assert s_sum(2, 1) == ONE
 
     def test_s_sum_specializes_to_power_sums(self):
-        one = Fraction(1)
         for m in range(1, 6):
             for n in range(1, 8):
-                assert s_sum(m, n)(one) == sum(j ** m for j in range(1, n + 1))
+                assert s_sum(m, n)(1) == sum(j ** m for j in range(1, n + 1))
 
     def test_t_sum_small_values(self):
         # m=1, n=2: [2] in t^2 shifted: -1*t^1*[1] + [2], i.e. 1 + t^2 - t
@@ -53,13 +52,12 @@ class TestPowerSumSeries:
         assert t_sum(1, 1) == ONE
 
     def test_t_sum_specializes_to_alternating_sums(self):
-        one = Fraction(1)
         for m in range(1, 6):
             for n in range(1, 8):
                 expected = sum(
                     (-1) ** (n - j) * j ** m for j in range(1, n + 1)
                 )
-                assert t_sum(m, n)(one) == expected
+                assert t_sum(m, n)(1) == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -794,3 +794,22 @@ class TestRouteAgreement:
         assert family_weight("Q", fam) == C(1, 1, 0)
         fam = (make_path((0, 0), "EN"),)
         assert family_weight("Q", fam) == ONE  # vertical step sits in the odd column 1
+
+    def test_family_off_its_placement_raises(self):
+        # a lone G path from (1, 0) to (3, 2) would be weighed by its column
+        # counts relative to column 1, as the same steps from (0, 0) are
+        for steps, weight in (("NNEE", C(1, 0, 1)), ("EENN", C(2, 0, 0))):
+            assert family_weight("G", (make_path((0, 0), steps),)) == weight
+            for name in "PQGH":
+                with pytest.raises(ValueError, match="column 2i"):
+                    family_weight(name, (make_path((1, 0), steps),))
+        # a placed family keeps its weight; path 1 moved one column right of
+        # column 2 raises
+        for family in "PG":
+            fam = enumerate_nonintersecting(*family_config(family, 5, 2))[-1]
+            expected = literal_terms(fam)[family]
+            assert family_weight(family, fam) == _poly_from_terms(*expected)
+            moved = (fam[0], tuple(LatticePoint(x + 1, y) for x, y in fam[1]))
+            for name in "PQGH":
+                with pytest.raises(ValueError, match="column 2i"):
+                    family_weight(name, moved)

@@ -19,8 +19,8 @@ host's speed varied by about a third between runs):
     verify --suite theorem1   --max-m 11, --max-n 30     8.5-11.0 s  (12: 12.9-14.8 s)
     verify --suite lemma1     --max-l 130                7.8-10.3 s  (140: 9.6-10.9 s)
     verify --suite lemma2     --max-m 20, --max-l 20     7.3-8.7 s   (21: 9.1-13.2 s)
-    verify --suite inverse    --n 17                     9.9-10.6 s  (18: 17.7 s)
-    verify --suite lgv        --max-m 12                 6.5-6.6 s   (13: 14.8 s)
+    verify --suite inverse    --n 17                     6.1-7.8 s   (18: 11.8-14.4 s)
+    verify --suite lgv        --max-m 14                 7.0-7.6 s   (15: 15.2-15.8 s)
     verify --suite symmetry   --max-m 37                 7.5-9.6 s   (38: 10.2-10.6 s)
     verify --suite classical  --max-m 40, --max-n 2500   6.9-9.2 s   (42: 10.3-11.5 s)
     table                     --max-m 41                 8.2-10.0 s  (42: 11.6 s)
@@ -52,8 +52,8 @@ EXIT_USAGE = 2
 
 # Most adjacent path pairs one `compute --method lgv` case tests, and most
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
-# would test 1,024,344 pairs and takes 1.4-1.5 s with a 38 MB peak RSS,
-# P(15,8) tests 653,624 in 0.8-0.9 s with a 30 MB peak; Q(19,7) lists
+# would test 1,024,344 pairs and takes 0.9-1.2 s with a 41 MB peak RSS,
+# P(15,8) tests 653,624 in 0.45-0.62 s with a 33 MB peak; Q(19,7) lists
 # 973,752 paths in 8.3-8.5 s with a 17 MB peak (cold processes, one core of
 # a 2-vCPU host, Python 3.11).
 _LGV_OBJECT_LIMIT = 1_000_000
@@ -259,7 +259,7 @@ _SIZES = {
     "verify --suite lemma1": {"max_l": (5, 1, 130)},
     "verify --suite lemma2": {"max_m": (8, 1, 20), "max_l": (8, 1, 20)},
     "verify --suite inverse": {"n": (6, 1, 17)},
-    "verify --suite lgv": {"max_m": (6, 2, 12)},
+    "verify --suite lgv": {"max_m": (6, 2, 14)},
     "verify --suite symmetry": {"max_m": (8, 1, 37)},
     "verify --suite classical": {"max_m": (4, 1, 40), "max_n": (20, 1, 2500)},
     "table": {"max_m": (None, 1, 41)},
@@ -304,7 +304,9 @@ def _size_refusal(args) -> str | None:
 def _tested_pairs(family: str, m: int, k: int) -> int:
     """Adjacent path pairs `lgv.brute_route(family, m, k)` tests: C(i - 1) C(i)
     over i = 1..k - 1, with C(i) = C(east + north, north) the paths of
-    start/end pair i."""
+    start/end pair i.  Exact for one call in a fresh process; an upper bound
+    once the process has listed some of its levels, since the route lists
+    only the levels its memo lacks."""
     starts, ends = lgv.family_config(family, m, k)
     counts = [lgv.path_count(a, b) for a, b in zip(starts, ends)]
     return sum(a * b for a, b in zip(counts, counts[1:]))

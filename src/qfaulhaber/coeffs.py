@@ -13,10 +13,10 @@ above the largest trailing permanent of the entry coefficient 1-norms
 family's prefactor and denominator of the claimed inverse entry live in
 `_inverse_factors` alone, which the inverse-pair check and the boundary sum
 read through `_inverse_entry`, and no route reads.
-The inverse pair and the boundary sum are cleared by the product of each
-claimed-inverse column's denominators and proved at one point on ints
-(`kron.prove`).  The invert route evaluates each forward entry of the
-trailing block it needs at the integer sample points 2, 3, 4, ... by
+Each entry of the inverse pair, and the boundary sum, is cleared by the
+product of the claimed-inverse denominators its sum reads and proved at one
+point on ints (`kron.prove`).  The invert route evaluates each forward entry
+of the trailing block it needs at the integer sample points 2, 3, 4, ... by
 integer Horner (`LaurentPoly.__call__`), solves only the last row of that
 block's adjugate by fraction-free back substitution, which is each family
 polynomial's value up to sign (Cramer's rule), and interpolates over the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from operator import eq, mul
+from operator import eq
 
 from .homog import c_poly, d_poly, g_poly, h_spec
 from .kron import digit_bits, pack_pm, prefix_products, prove, read_back_pm
@@ -254,31 +254,40 @@ def sample_points(count: int) -> list[int]:
     return list(range(2, count + 2))
 
 
-def _cleared_sums(r, rows: list[list], column: list[tuple]) -> tuple[list, object]:
+def _cleared_sums(r, rows: list[list], column: list[tuple]) -> tuple[list, list]:
     """Each row's sum_t row[t] num_t / den_t against one claimed-inverse
-    column of (num_t, den_t) pairs, cleared by the product D of the den_t, in
-    the pass r (see `kron`), and D.  The rows hold pass values, t from the
-    column's first entry.  D / den_t is the prefix product of the den before
-    t times the suffix product after it, so nothing is divided."""
+    column of (num_t, den_t) pairs, over the t that the row reaches, cleared
+    by the product of the den_t it reads, in the pass r (see `kron`), and
+    the column's prefix products of the den, so that a row of length l is
+    cleared by prefix[l].  The rows hold pass values, t from the column's
+    first entry.  One running product per row, acc <- acc den_t +
+    row[t] num_t prefix[t], multiplies each summand by the den after it, so
+    nothing is divided."""
     dens = [r.poly(den) for _, den in column]
     prefix = prefix_products(r.one, dens)
-    suffix = prefix_products(r.one, dens[::-1])[::-1]
-    cleared = [r.poly(num) * prefix[t] * suffix[t + 1] for t, (num, _) in enumerate(column)]
-    return [sum(map(mul, row, cleared), r.zero) for row in rows], prefix[-1]
+    cleared = [r.poly(num) * p for (num, _), p in zip(column, prefix)]
+    sums = []
+    for row in rows:
+        acc = r.zero
+        for a, c, den in zip(row, cleared, dens):
+            acc = acc * den + a * c
+        sums.append(acc)
+    return sums, prefix
 
 
 def _inverse_pair_sides(r, fwd: list[list[LaurentPoly]], inv: list[list[tuple]]) -> tuple:
     """Both sides of (A B)[i][j] = delta_ij for every j <= i in the pass r,
     from the forward rows `fwd` and the claimed inverse rows `inv` of
-    (numerator, denominator) pairs, as `_lower_triangle` builds them: column
-    j cleared by the product D of its denominators, sum_t A[i][t] num(t, j)
-    (D / den(t, j)) over t = j..i against delta_ij D."""
+    (numerator, denominator) pairs, as `_lower_triangle` builds them: entry
+    (i, j) cleared by the product D(i, j) of den(t, j) over t = j..i,
+    sum_t A[i][t] num(t, j) (D(i, j) / den(t, j)) over t = j..i against
+    delta_ij D(j, j)."""
     a = [[r.poly(e) for e in row] for row in fwd]
     lhs, rhs = [], []
     for j in range(len(inv)):
-        sums, d = _cleared_sums(r, [row[j:] for row in a[j:]], [row[j] for row in inv[j:]])
+        sums, prefix = _cleared_sums(r, [row[j:] for row in a[j:]], [row[j] for row in inv[j:]])
         lhs += sums
-        rhs += [d] + [r.zero] * (len(sums) - 1)
+        rhs += [prefix[1]] + [r.zero] * (len(sums) - 1)
     return lhs, rhs
 
 
@@ -286,9 +295,9 @@ def verify_inverse_pair(family: str, n: int) -> bool:
     """Prove forward * claimed-inverse == identity on the indices up to n.
 
     Both factors are lower triangular, so only the entries on or below the
-    diagonal are compared, each after clearing its column's denominators
-    (`_inverse_pair_sides`); no denominator is the zero polynomial, so the
-    cleared identity is the rational one.  All of them are proved at one
+    diagonal are compared, each after clearing the denominators its sum
+    reads (`_inverse_pair_sides`); no denominator is the zero polynomial, so
+    the cleared identity is the rational one.  All of them are proved at one
     point (`kron.prove`).
     """
     idx = _index_range(family, n)

@@ -7,24 +7,26 @@ family, `family_weight` weighs one path family, `brute_route` sums the
 weights over every non-intersecting family and `lgv_det_route` takes the
 determinant of single-pair weighted sums, the fast route to the same totals.
 
-Each pair's paths are listed once; families are enumerated by depth-first
-placement from those lists, each lattice point of the case one bit and each
-path the int mask of its points, so a path is placed iff its mask misses the
-mask of the paths already placed.  Every family weight is a polynomial in q
-with nonnegative coefficients, weighed as its value at q = X = 2^B, a Python
-int (Kronecker substitution, `kron`): a product of path values (P, Q) or of
-one pair factor per path and a closing power of X (G, H).  In `family_config`
-path i meets only paths i - 1 and i + 1, so the brute route is a chain sum
-over the paths (the transfer-matrix method, Stanley, EC1 4.7, with paths as
-states): level i lists the non-intersecting pairs of paths i - 1 and i and
-carries, for each path i, the summed weight of the placements of paths 0..i
-that end in it.  A G or H path i has points only in columns 2i, 2i + 1 and
-2i + 2, and is read as its vertical steps there, three counts; pair factor i
-reads columns 2i - 1 and 2i, so each level's link reads the counts of one
-adjacent pair.  Each distinct path's value is computed once per call and the
-sum is read back once as base-X digits.  B covers the product of the pairs'
-path counts times 4^k, which bounds the sum's value at q = 1 and so every
-coefficient.
+Each start/end pair's paths, and their step statistics, are listed once per
+process (`_listed_paths`, `_listed_stats`); families are enumerated by
+depth-first placement from those lists, each lattice point of the case one
+bit and each path the int mask of its points, so a path is placed iff its
+mask misses the mask of the paths already placed.  Every family weight is a
+polynomial in q with nonnegative coefficients, weighed as its value at
+q = X = 2^B, a Python int (Kronecker substitution, `kron`): a product of
+path values (P, Q) or of one pair factor per path and a closing power of X
+(G, H).  In `family_config` path i meets only paths i - 1 and i + 1, so the
+brute route is a chain sum over the paths (the transfer-matrix method,
+Stanley, EC1 4.7, with paths as states): level i reads the non-intersecting
+pairs of paths i - 1 and i, listed once per process as positions into the
+two pairs' listings (`_level`), and carries, for each path i, the summed
+weight of the placements of paths 0..i that end in it.  A G or H path i has
+points only in columns 2i, 2i + 1 and 2i + 2, and is read as its vertical
+steps there, three counts; pair factor i reads columns 2i - 1 and 2i, so
+each level's link reads the counts of one adjacent pair.  Each path's value
+is computed once per call and the sum is read back once as base-X digits.  B
+covers the product of the pairs' path counts times 4^k, which bounds the
+sum's value at q = 1 and so every coefficient.
 
 The determinant route is `lgv_determinant`, `PolyMatrix.det` of one matrix
 of single-pair sums, for every family (start j at x = 2j cannot reach end i
@@ -41,10 +43,13 @@ B covers 4 times the pair's path count: a path weighs at most 4 at q = 1.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from array import array
+from bisect import bisect_left
+from functools import lru_cache, partial
+from itertools import combinations, pairwise, repeat
 from math import comb, prod
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import FAMILIES, LaurentPoly, ONE, ZERO
 from .coeffs import PolyMatrix, _check_index
@@ -92,14 +97,28 @@ def path_count(a: LatticePoint, b: LatticePoint) -> int:
     return comb(east + north, north) if east >= 0 and north >= 0 else 0
 
 
+@lru_cache(maxsize=None)
+def _listed_paths(a: LatticePoint, b: LatticePoint) -> tuple[LatticePath, ...]:
+    """`paths_between(a, b)` as a tuple, listed once per process."""
+    return tuple(paths_between(a, b))
+
+
+@lru_cache(maxsize=None)
+def _listed_stats(a: LatticePoint, b: LatticePoint) -> tuple[PathStats, ...]:
+    """`path_stats` of each of `_listed_paths(a, b)`, read once per process."""
+    return tuple(map(path_stats, _listed_paths(a, b)))
+
+
 def enumerate_nonintersecting(
     starts: Sequence[LatticePoint], ends: Sequence[LatticePoint]
 ) -> list[PathFamily]:
-    """All vertex-disjoint families (starts[i] -> ends[i])."""
+    """All vertex-disjoint families (starts[i] -> ends[i]), in the
+    lexicographic order of their paths' positions in `paths_between`'s
+    listings, whose path objects they hold."""
     n = len(starts)
     if n != len(ends):
         raise ValueError("starts and ends differ in length")
-    choices = [list(paths_between(a, b)) for a, b in zip(starts, ends)]
+    choices = [_listed_paths(a, b) for a, b in zip(starts, ends)]
     # one bit per lattice point, a path's points as one int mask
     bits: dict[LatticePoint, int] = {}
     masks = [[sum(1 << bits.setdefault(p, len(bits)) for p in path) for path in paths]
@@ -226,37 +245,38 @@ def path_stats(path: LatticePath) -> PathStats:
 # Every family weight is weighed as its value at q = X = 2^B (`kron`): X^e is
 # 1 << B e, and no polynomial is built until the sum is read back once.
 
-def _path_value(family: str, path: LatticePath, bits: int):
-    """What a family weight at X = 2^bits reads of one path.
+def _path_value(family: str, s: PathStats, bits: int):
+    """What a family weight at X = 2^bits reads of one path, from its
+    `path_stats` s.
 
     P: X^even.  Q: (1+X)^opens_even X^(2 even - opens_even), q^2 per
     even-column vertical step with the path-opening one weighing q + q^2.
     G and H: (c0, c1, c2, opens), the vertical steps in the path's three
-    columns x, x + 1 and x + 2 (x = path[0].x) as exponents in bits (doubled
-    for H), and for H whether the path opens with a vertical step; a path
-    that reaches a fourth column raises ValueError.
+    columns x, x + 1 and x + 2 (x = path[0].x, even, as `family_config`
+    places every path) as exponents in bits (doubled for H), and for H
+    whether the path opens with a vertical step.  A path climbs its first
+    column only if it opens, so c0 is its first column's count if it opens
+    and 0 otherwise, and c2 is the rest of the even-column steps.
     """
-    s = path_stats(path)
     if family == "P":
         return 1 << bits * s.even
     if family == "Q":
         return ((1 << bits) + 1) ** s.opens_even << bits * (2 * s.even - s.opens_even)
     scale = bits if family == "G" else 2 * bits
-    x0 = path[0].x
-    if path[-1].x > x0 + 2:
-        raise ValueError(f"a {family} path spans at most three columns: {path_steps(path)}")
-    counts = [0, 0, 0]
-    for x, c in s.columns:
-        counts[x - x0] = scale * c
-    return (*counts, family == "H" and s.opens)
+    first = s.columns[0][1] if s.opens else 0
+    odd = sum(c for x, c in s.columns if x % 2)
+    return scale * first, scale * odd, scale * (s.even - first), family == "H" and s.opens
 
 
 def _pair_factor(odd: int, even: int, opens: bool, bits: int) -> int:
-    """Pair factor i of a G or H weight at X = 2^bits, odd = s(2i - 1) and
-    even = s(2i) in bits: (X^odd + X^(even - opens)) (1+X)^opens.  Of paths
-    i - 1 and i, with `_path_value`s prev (all zeros for i = 0) and cur, it
-    is _pair_factor(prev[1], prev[2] + cur[0], cur[3], bits)."""
-    factor = (1 << odd) + (1 << even - bits * opens)
+    """Pair factor i of a G or H weight at X = 2^bits, odd = X^s(2i - 1) and
+    even = X^s(2i) with s in bits: (odd + even / X^opens) (1+X)^opens.  Of
+    paths i - 1 and i, with `_path_value`s prev (all zeros for i = 0) and
+    cur, it is _pair_factor(1 << prev[1], 1 << prev[2] + cur[0], cur[3],
+    bits).  It is linear in odd and even, so weights w_p of paths p before
+    one cur, each times its factor, sum to _pair_factor(sum w_p << p[1],
+    (sum w_p << p[2]) << cur[0], cur[3], bits)."""
+    factor = odd + (even >> bits * opens)
     return factor + (factor << bits) if opens else factor
 
 
@@ -271,15 +291,47 @@ def family_weight(family: str, fam: PathFamily) -> LaurentPoly:
     sizes the digits read back."""
     if any(path[0].x != 2 * i for i, path in enumerate(fam)):
         raise ValueError("path i of a family starts in column 2i")
+    for path in fam if family in ("G", "H") else ():
+        if path[-1].x > path[0].x + 2:
+            raise ValueError(f"a {family} path spans at most three columns: "
+                             f"{path_steps(path)}")
     bits = digit_bits(1 << 2 * len(fam))
-    values = [_path_value(family, path, bits) for path in fam]
+    values = [_path_value(family, path_stats(path), bits) for path in fam]
     if family in ("P", "Q"):
         return read_back(prod(values), 0, bits)
     weight, prev = 1, (0, 0, 0)
     for cur in values:
-        weight *= _pair_factor(prev[1], prev[2] + cur[0], cur[3], bits)
+        weight *= _pair_factor(1 << prev[1], 1 << prev[2] + cur[0], cur[3], bits)
         prev = cur
     return read_back(weight << prev[2], 0, bits)
+
+
+def _positions(paths: tuple[LatticePath, ...], families: list[PathFamily], j: int) -> array:
+    """The position in `paths` of path j of each family: by identity, as
+    `enumerate_nonintersecting` places the listed path objects themselves,
+    and by value for a family whose paths were listed elsewhere."""
+    at = {id(path): i for i, path in enumerate(paths)}
+    try:
+        return array("I", map(at.__getitem__, map(id, map(itemgetter(j), families))))
+    except KeyError:
+        at = {path: i for i, path in enumerate(paths)}
+        return array("I", map(at.__getitem__, map(itemgetter(j), families)))
+
+
+@lru_cache(maxsize=None)
+def _level(a0: LatticePoint, b0: LatticePoint,
+           a1: LatticePoint, b1: LatticePoint) -> tuple[array, array]:
+    """The non-intersecting pairs of paths a0 -> b0 and a1 -> b1, once per
+    process, as positions into the two `_listed_paths`, grouped by the
+    second path: the first paths that path c of a1 -> b1 misses are
+    prevs[offsets[c]:offsets[c + 1]].  One `enumerate_nonintersecting`
+    call with the two pairs swapped lists them, its order grouping them by
+    the second path."""
+    families = enumerate_nonintersecting((a1, a0), (b1, b0))
+    paths = _listed_paths(a1, b1)
+    curs = _positions(paths, families, 0)
+    prevs = _positions(_listed_paths(a0, b0), families, 1)
+    return prevs, array("I", map(partial(bisect_left, curs), range(len(paths) + 1)))
 
 
 def brute_route(family: str, m: int, k: int) -> LaurentPoly:
@@ -287,42 +339,44 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
 
     Path i meets only paths i - 1 and i + 1, so a family is non-intersecting
     iff each adjacent pair is, and the sum is a chain over the paths: after
-    level i, sums[p] is the summed weight, through link i, of the placements
-    of paths 0..i that end in path i = p.  Level i adds sums[prev] times
-    link i over the non-intersecting pairs (prev, cur) of pairs i - 1 and i.
-    Link i is `_path_value(cur)` for P and Q.  For G and H it is pair factor
-    i, `_pair_factor(prev[1], prev[2] + cur[0], cur[3])` of the two paths'
-    column counts (prev all zeros for i = 0), and the closing X^s(2k) is
-    path k - 1's third count.  Each distinct path's value is computed once
-    per call and the sum read back once; B covers the product of the pairs'
-    path counts times 4^k, at least the sum at q = 1.
+    level i, sums[c] is the summed weight, through link i, of the placements
+    of paths 0..i that end in path c of pair i.  Level i gathers, for each
+    path c of pair i, the sums of the paths of pair i - 1 that c misses
+    (`_level`) and applies link i.  Link i is `_path_value(c)` for P and Q.
+    For G and H it is pair factor i, `_pair_factor` of the two paths'
+    column counts (prev all zeros for i = 0), which is linear, so level i
+    carries each sum shifted by path i's second and by its third count,
+    and the closing X^s(2k) is path k - 1's third count.  Each pair's paths
+    and their statistics and each level's pairs are listed once per process
+    (`_listed_paths`, `_listed_stats`, `_level`); each path's value is
+    computed once per call and the sum read back once.  B covers the
+    product of the pairs' path counts times 4^k, at least the sum at q = 1.
     """
     starts, ends = family_config(family, m, k)
     if not k:
         return ONE
     bits = digit_bits(prod(path_count(a, b) for a, b in zip(starts, ends)) << 2 * k)
-    pair_factors = family in ("G", "H")
-    values = {path: _path_value(family, path, bits) for path in paths_between(starts[0], ends[0])}
-    sums = {path: _pair_factor(0, value[0], value[3], bits) if pair_factors
-            else value for path, value in values.items()}
-    for i in range(1, k):
-        level: dict[LatticePath, int] = {}
-        for prev, cur in enumerate_nonintersecting(starts[i - 1:i + 1], ends[i - 1:i + 1]):
-            if pair_factors:
-                if cur not in values:
-                    values[cur] = _path_value(family, cur, bits)
-                p, c = values[prev], values[cur]
-                level[cur] = level.get(cur, 0) + sums[prev] * _pair_factor(
-                    p[1], p[2] + c[0], c[3], bits)
-            else:  # link i is value(cur), a factor of each term: multiplied in once below
-                level[cur] = level.get(cur, 0) + sums[prev]
-        sums = level if pair_factors else {
-            cur: s * _path_value(family, cur, bits) for cur, s in level.items()}
-    if pair_factors:
-        total = sum(s << values[path][2] for path, s in sums.items())
-    else:
-        total = sum(sums.values())
-    return read_back(total, 0, bits)
+    pairs = list(zip(starts, ends))
+
+    def gathered(sums: list[int], i: int) -> Iterable[int]:
+        """For each path c of pair i, the sum of sums[p] over the paths p of
+        pair i - 1 that c misses; 1 for pair 0."""
+        if not i:
+            return repeat(1)
+        prevs, offsets = _level(*pairs[i - 1], *pairs[i])
+        return (sum(map(sums.__getitem__, prevs[lo:hi])) for lo, hi in pairwise(offsets))
+
+    sums = odd = even = [1]  # the empty placement before path 0, all counts zero
+    for i, pair in enumerate(pairs):
+        values = [_path_value(family, s, bits) for s in _listed_stats(*pair)]
+        if family in ("P", "Q"):
+            sums = [v * g for v, g in zip(values, gathered(sums, i))]
+        else:
+            sums = [_pair_factor(o, e << v[0], v[3], bits)
+                    for o, e, v in zip(gathered(odd, i), gathered(even, i), values)]
+            odd = [s << v[1] for s, v in zip(sums, values)]
+            even = [s << v[2] for s, v in zip(sums, values)]
+    return read_back(sum(sums if family in ("P", "Q") else even), 0, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +393,9 @@ def _pair_value(family: str, path: LatticePath, north: int, bits: int) -> int:
     (1+X)^opens, q^2 per vertical step in the weighting's column parity and
     an opening step weighing q + q^2 in that parity and 1 + q in the other.
     """
-    if family == "Q":
-        return _path_value("Q", path, bits)
     s = path_stats(path)
+    if family == "Q":
+        return _path_value("Q", s, bits)
     odd = north - s.even
     if family == "G":
         return (1 << bits * odd) + (1 << bits * s.even)

@@ -243,6 +243,7 @@ class TestTable:
 # all`, which selects every suite: (the argv that selects it, the flag, the
 # rows that read the flag there).
 VERIFY_ROWS = [row for row in cli._SIZES if row.startswith("verify ")]
+LGV_CAP = cli._SIZES["verify --suite lgv"]["max_m"][2]
 SIZE_CASES = [
     pytest.param(row, flag, [row], id=f"{row.split()[-1]}-{flag}")
     for row, sizes in cli._SIZES.items() for flag in sizes
@@ -275,16 +276,16 @@ class TestVerify:
         assert lines == sorted(lines)
         assert all(line.startswith("PASS ") for line in lines)
 
-    @pytest.mark.parametrize("max_m", ["13", "50"])
+    @pytest.mark.parametrize("max_m", [pytest.param(LGV_CAP + 1, id="cap+1"), 50])
     def test_lgv_refuses_runaway_enumeration(self, max_m, monkeypatch, capsys):
-        # The cases up to m = 13 take about 15 s; the cap refuses the run
-        # at once, before any case runs.
+        # The cases up to m = cap + 1 (15) take about 15 s; the cap refuses
+        # the run at once, before any case runs.
         monkeypatch.setattr(cli, "_run_cases", None)
-        code, out = run_cli("verify", "--suite", "lgv", "--max-m", max_m)
+        code, out = run_cli("verify", "--suite", "lgv", "--max-m", str(max_m))
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.strip() == (
-            f"error: verify --suite lgv takes --max-m 2..12 (got {max_m})")
+            f"error: verify --suite lgv takes --max-m 2..{LGV_CAP} (got {max_m})")
 
     def test_lgv_at_max_m_6_runs_every_case(self):
         # the default size: 60 cases

@@ -585,10 +585,12 @@ class TestAdjacentPairChain:
                         assert max(x for x, _ in path) < first_read, (m, k, i, path)
 
     @pytest.mark.parametrize("family", "PQGH")
+    @pytest.mark.usefixtures("cold_memos")
     def test_dropped_mask_test_fails_the_crosscheck(self, family, monkeypatch):
         # fault-matrix row: the adjacent pairs skip their mask test, so
         # brute_route goes wrong exactly where some adjacent pair of paths
-        # meets, every k >= 2 case of m <= 6 but (3, 2)
+        # meets, every k >= 2 case of m <= 6 but (3, 2); the memo of listed
+        # levels starts cold, so every level is listed under the fault
         cases = [(m, k) for m in range(2, 7) for k in range(1, m)]
         meeting = []
         for m, k in cases:
@@ -600,6 +602,38 @@ class TestAdjacentPairChain:
         monkeypatch.setattr(lgv, "enumerate_nonintersecting", all_families)
         wrong = [(m, k) for m, k in cases if brute_route(family, m, k) != det_route(family, m, k)]
         assert wrong == meeting == [(m, k) for m, k in cases if k >= 2 and (m, k) != (3, 2)]
+
+    @pytest.mark.usefixtures("cold_memos")
+    def test_pairs_and_levels_listed_once_per_process(self, monkeypatch):
+        # over the lgv suite's brute calls, each start/end pair's paths are
+        # listed once and each adjacent level's pairs once, although pair i
+        # serves levels i and i + 1 of every call that places it, and P and
+        # Q (G and H) place their paths alike
+        listed, levels = [], []
+        paths_between = lgv.paths_between
+        enumerate_levels = lgv.enumerate_nonintersecting
+
+        def counting_paths_between(a, b):
+            listed.append((a, b))
+            return paths_between(a, b)
+
+        def counting_enumerate(starts, ends):
+            levels.append(frozenset(zip(starts, ends)))
+            return enumerate_levels(starts, ends)
+
+        monkeypatch.setattr(lgv, "paths_between", counting_paths_between)
+        monkeypatch.setattr(lgv, "enumerate_nonintersecting", counting_enumerate)
+        pairs, adjacent = set(), set()
+        for family in "PQGH":
+            for m in range(2, 7):
+                for k in range(1, m):
+                    assert brute_route(family, m, k) == det_route(family, m, k), (family, m, k)
+                    starts, ends = family_config(family, m, k)
+                    pairs.update(zip(starts, ends))
+                    adjacent.update(frozenset(zip(starts[i - 1:i + 1], ends[i - 1:i + 1]))
+                                    for i in range(1, k))
+        assert len(listed) == len(set(listed)) and set(listed) == pairs
+        assert len(levels) == len(set(levels)) and set(levels) == adjacent
 
 
 def pair_keys(family, max_m):

@@ -26,7 +26,7 @@ host's speed varied by about a third between runs):
     table                     --max-m 41                 8.2-10.0 s  (42: 11.6 s)
     shape                     --max-m 42                 9.6-10.6 s  (43: 13.4 s)
     compute --method det      --m 54                     8.8-9.5 s   (55: 10.8-10.9 s)
-    compute --method invert   --m 40                     9.2-10.3 s  (41: 10.6-12.1 s)
+    compute --method invert   --m 42                     8.8-11.4 s  (43: 10.7-11.7 s)
 
 `compute` refuses a request that would test or list more than 1,000,000
 objects: a `--method lgv` case whose chain sum tests that many adjacent path
@@ -54,8 +54,8 @@ EXIT_USAGE = 2
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
 # would test 1,024,344 pairs and takes 0.9-1.2 s with a 41 MB peak RSS,
 # P(15,8) tests 653,624 in 0.45-0.62 s with a 33 MB peak; Q(19,7) lists
-# 973,752 paths in 8.3-8.5 s with a 17 MB peak (cold processes, one core of
-# a 2-vCPU host, Python 3.11).
+# 973,752 paths in 5.3-5.7 s with a 16 MB peak, tallying each by two
+# statistics (cold processes, one core of a 2-vCPU host, Python 3.11).
 _LGV_OBJECT_LIMIT = 1_000_000
 
 
@@ -265,7 +265,7 @@ _SIZES = {
     "table": {"max_m": (None, 1, 41)},
     "shape": {"max_m": (8, 1, 42)},
     "compute --method det": {"m": (None, 1, 54)},
-    "compute --method invert": {"m": (None, 1, 40)},
+    "compute --method invert": {"m": (None, 1, 42)},
 }
 _TABLE_DEFAULT = {"P": 5, "Q": 4, "G": 5, "H": 4}
 
@@ -316,8 +316,9 @@ def _path_count(family: str, m: int, k: int) -> int:
     """Lattice paths a Q/G/H `lgv.lgv_det_route(family, m, k)` lists: each
     start/end pair's paths once, C(east + north, north) of them.  Exact for
     one call in a fresh process (the k*k pairs of one case have distinct
-    displacements); an upper bound once the process has summed some
-    displacements, since the route lists only pairs its memo lacks."""
+    displacements); an upper bound once the process has tallied some
+    displacements, for this family or, for G and H, the other, since the
+    route lists only the displacements its memo lacks."""
     starts, ends = lgv.family_config(family, m, k)
     return sum(lgv.path_count(a, b) for a in starts for b in ends)
 

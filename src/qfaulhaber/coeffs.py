@@ -16,13 +16,15 @@ read through `_inverse_entry`, and no route reads.
 Each entry of the inverse pair, and the boundary sum, is cleared by the
 product of the claimed-inverse denominators its sum reads and proved at one
 point on ints (`kron.prove`).  The invert route evaluates each forward entry
-of the trailing block it needs at the integer sample points 2, 3, 4, ... by
-integer Horner (`LaurentPoly.__call__`), solves only the last row of that
-block's adjugate by fraction-free back substitution, which is each family
-polynomial's value up to sign (Cramer's rule), and interpolates over the
+of the trailing block it needs at the integer sample points 0, 1, -1, 2, -2,
+... by integer Horner (`LaurentPoly.__call__`), solves only the last row of
+that block's adjugate by fraction-free back substitution, which is each
+family polynomial's value up to sign (Cramer's rule), splits the values at
++-x into those of the polynomial's even and odd parts E and O at x^2 (as
+`kron.pack_pm` splits a polynomial), and interpolates E and O apart over the
 integers on the degree bound that the minors recurrence gives on
-forward-entry degrees: bound + 1 exact values fix the polynomial
-(interpolation completeness).
+forward-entry degrees: each passes through its own degree bound + 1 exact
+values, which fix it (interpolation completeness).
 """
 from __future__ import annotations
 
@@ -249,9 +251,10 @@ def _inverse_entry(family: str, k: int, m: int) -> tuple[LaurentPoly, LaurentPol
 
 
 def sample_points(count: int) -> list[int]:
-    """The integers 2, 3, ..., count + 1, at which the invert route evaluates
-    its block and interpolates."""
-    return list(range(2, count + 2))
+    """The first `count` of 0, 1, -1, 2, -2, ...: the integers at which the
+    invert route evaluates its block, each x > 0 next to -x, so that the
+    values split into even and odd parts (`_even_odd_values`)."""
+    return [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(count)]
 
 
 def _cleared_sums(r, rows: list[list], column: list[tuple]) -> tuple[list, list]:
@@ -389,41 +392,74 @@ def _invert_degree_bound(family: str, m: int, k: int) -> int:
     return best
 
 
+def _even_odd_values(values: list[int]) -> tuple[list[int], list[int]]:
+    """Split the values of an integer polynomial f = E(q^2) + q O(q^2) at the
+    `sample_points` 0, 1, -1, ..., h, -h: E at y = x^2 for x = 0..h, E(x^2) =
+    (f(x) + f(-x)) / 2, and O at y = x^2 for x = 1..h, O(x^2) = (f(x) -
+    f(-x)) / 2x, the two-point split of `kron.pack_pm`.  Every halving and
+    division is exact for such an f; raises ArithmeticError on a remainder."""
+    even, odd = [values[0]], []
+    for x, plus, minus in zip(range(1, len(values)), values[1::2], values[2::2]):
+        e, r = divmod(plus + minus, 2)
+        o, s = divmod(plus - minus, 2 * x)
+        if r or s:
+            raise ArithmeticError("the values are those of no integer polynomial")
+        even.append(e)
+        odd.append(o)
+    return even, odd
+
+
 def invert_route_row(
     family: str, m: int, ks: tuple[int, ...] | None = None
 ) -> dict[int, LaurentPoly]:
     """The family polynomials (m, k) for k in `ks` (default: every k < m),
     recovered from the inverse B of the forward matrix A by interpolation
-    over the integers.
+    over the integers.  Each k is checked as every route checks it, before
+    any work; an empty `ks` gives {}.
 
     By Cramer's rule, (-1)^k B[m][m-k] * A[m-k][m-k] ... A[m][m] is
     det A[m-k+1..m][m-k..m-1] = D(m, k); for k <= K = max(ks), B[m][m-k]
     is also an entry of the inverse of A's trailing block on m-K..m, the one
     part built.  Each block entry is evaluated at each integer sample point
-    by integer Horner, so the route runs on ints end to end; entry j of the
-    last row of the block's adjugate (`_adjugate_last_row`) is
-    B[m][j] * A[j][j] ... A[m][m], so (-1)^k times its entry for column
-    m-k is D(m, k) at the point, found with no division.  D(m, k) is
-    interpolated on its first bound_k + 1 points, and the route evaluates
-    at the largest of those counts over `ks` alone.  Neither the det route,
-    its minors recurrence nor `_inverse_factors` is read.
+    0, 1, -1, ..., h, -h by integer Horner, so the route runs on ints end to
+    end; entry j of the last row of the block's adjugate
+    (`_adjugate_last_row`) is B[m][j] * A[j][j] ... A[m][m], so (-1)^k times
+    its entry for column m-k is D(m, k) at the point, found with no
+    division.  Its values split into those of its even and odd parts E and
+    O, D(m, k) = E(q^2) + q O(q^2), at y = x^2 (`_even_odd_values`), and E
+    and O are interpolated apart, each on half as many points of smaller
+    values.  h = ceil(d / 2), d the largest degree bound over `ks`, so the
+    route evaluates at d + 1 points (d + 2 for odd d).  Neither the det
+    route, its minors recurrence nor `_inverse_factors` is read.
 
     The result is a proof: bound_k (`_invert_degree_bound`) bounds the
-    degree of D(m, k), so D(m, k) is the one polynomial of degree <= bound_k
-    through those exact values, and its integer coefficients make every
-    divided difference an exact quotient.
+    degree of D(m, k), so E has degree <= floor(bound_k / 2) and O degree
+    < ceil(bound_k / 2).  Each is the one polynomial of its degree bound
+    through its first bound + 1 exact values (y = 0..floor(bound_k / 2)^2
+    for E, y = 1..ceil(bound_k / 2)^2 for O), and its integer coefficients
+    make every divided difference an exact quotient.
     """
     if m < 1:
         raise BadIndexError("m must be at least 1")
     ks = range(0, m) if ks is None else ks
+    for k in ks:
+        _check_index(m, k)
+    if not ks:
+        return {}
     bounds = {k: _invert_degree_bound(family, m, k) for k in ks}
-    points = sample_points(max(bounds.values()) + 1)
+    half = (max(bounds.values()) + 1) // 2
+    points = sample_points(2 * half + 1)
+    squares = [x * x for x in range(half + 1)]
     fwd = _lower_triangle(forward_entry, family, range(m - max(ks), m + 1))
-    rows = [_adjugate_last_row([[e(q0) for e in row] for row in fwd]) for q0 in points]
-    # row[-1 - k] is the entry for column m - k: (-1)^k D(m, k)
-    return {k: interpolate_poly(points[: bounds[k] + 1],
-                                [(-1) ** k * row[-1 - k] for row in rows[: bounds[k] + 1]])
-            for k in ks}
+    rows = [_adjugate_last_row([[e(x) for e in row] for row in fwd]) for x in points]
+    polys = {}
+    for k, bound in bounds.items():
+        # row[-1 - k] is the entry for column m - k: (-1)^k D(m, k)
+        even, odd = _even_odd_values([(-1) ** k * row[-1 - k] for row in rows])
+        e = interpolate_poly(squares[:bound // 2 + 1], even[:bound // 2 + 1])
+        o = interpolate_poly(squares[1:(bound + 1) // 2 + 1], odd[:(bound + 1) // 2])
+        polys[k] = e.stretch(2) + LaurentPoly(o.stretch(2).coeffs, 2 * o.min_exp + 1)
+    return polys
 
 
 def invert_route(family: str, m: int, k: int) -> LaurentPoly:

@@ -35,18 +35,22 @@ weight depends only on the column's parity and on whether the step opens the
 path, so a pair sum a -> b depends only on the family, b - a and a.x mod 2:
 `_pair_sum` sums each such translate once per process, from (a.x mod 2, 0),
 and every (m, k) matrix reads its entries from that memo.  P's pair sums are
-a column DP.  For Q, G and H each pair's paths are streamed once and each
-path's statistics read once; like the brute route, the pair sum weighs each
-path as an int at q = X = 2^B (Q's weight is the brute route's; G and H sum
-an odd-column and an even-column weighting) and reads the sum back once.
+a column DP.  A Q, G or H path weight reads only the path's vertical steps
+in even columns and whether it opens with one, so each translate's paths are
+streamed once per process and counted by those two (`_pair_tally`, shared
+by G and H, whose translates are the same), with no `path_stats`; like the
+brute route, the pair sum weighs each class once as an int at q = X = 2^B
+(Q's weight is the brute route's; G and H sum an odd-column and an
+even-column weighting), times its path count, and reads the sum back once.
 B covers 4 times the pair's path count: a path weighs at most 4 at q = 1.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import combinations, pairwise, repeat
+from itertools import combinations, islice, pairwise, repeat
 from math import comb, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -383,34 +387,68 @@ def brute_route(family: str, m: int, k: int) -> LaurentPoly:
 # determinant route
 # ---------------------------------------------------------------------------
 
-def _pair_value(family: str, path: LatticePath, north: int, bits: int) -> int:
-    """lgv_det_route's Q, G or H weight of one path climbing `north` steps,
-    at q = X = 2^bits; odd = vertical steps in odd columns.
+@lru_cache(maxsize=None)
+def _pair_tally(dx: int, dy: int, x0: int) -> tuple[tuple[tuple[int, bool], int], ...]:
+    """The paths from (x0, 0) to (x0 + dx, dy), x0 in {0, 1}, counted by the
+    two things lgv_det_route's Q, G and H weights read of a path: pairs
+    ((even, opens), count), with even its vertical steps in even columns and
+    opens whether it opens with a vertical step.  Listed once per process,
+    as one stream of `paths_between`; G and H pair sums have the same
+    translates and share their tallies.
 
-    Q: the brute route's `_path_value`.  G: X^odd + X^even, one weighting
-    with q per odd-column vertical step and one with q per even-column one.
-    H: (X^(2 odd - [opens in an odd column]) + X^(2 even - opens_even))
-    (1+X)^opens, q^2 per vertical step in the weighting's column parity and
-    an opening step weighing q + q^2 in that parity and 1 + q in the other.
+    A monotone path visits every column from x0 to x0 + dx, so its vertical
+    steps in odd columns are its points in odd columns less the number of
+    odd columns, counted by one frozenset intersection per path.  The
+    listing is lexicographic in the north-step positions, so the paths that
+    open with a vertical step, those through (x0, 1), come first.
     """
-    s = path_stats(path)
+    a, b = LatticePoint(x0, 0), LatticePoint(x0 + dx, dy)
+    odd_columns = range(x0 | 1, b.x + 1, 2)
+    in_odd_columns = frozenset(
+        LatticePoint(x, y) for x in odd_columns for y in range(dy + 1)).intersection
+    listed = paths_between(a, b)
+    tally = []
+    for opens, paths in ((True, islice(listed, path_count(LatticePoint(x0, 1), b))),
+                         (False, listed)):
+        tally += [((dy - (points - len(odd_columns)), opens), count)
+                  for points, count in Counter(map(len, map(in_odd_columns, paths))).items()]
+    return tuple(tally)
+
+
+def _class_value(family: str, even: int, opens: bool, north: int, x0: int, bits: int) -> int:
+    """lgv_det_route's Q, G or H weight at q = X = 2^bits of each path from
+    (x0, 0), x0 in {0, 1}, that climbs `north` steps, `even` of them in even
+    columns (odd = north - even), and opens with a vertical step iff `opens`.
+
+    Q: the brute route's path weight, (1+X)^opens_even X^(2 even -
+    opens_even), with opens_even = opens in the even column x0 = 0, written
+    out here so that the two routes share no weight code.  G: X^odd
+    + X^even, one weighting with q per odd-column vertical step and one with
+    q per even-column one.  H: (X^(2 odd - opens_odd) + X^(2 even -
+    opens_even)) (1+X)^opens, q^2 per vertical step in the weighting's column
+    parity and an opening step weighing q + q^2 in that parity and 1 + q in
+    the other.
+    """
+    opens_even, opens_odd = opens and x0 == 0, opens and x0 == 1
     if family == "Q":
-        return _path_value("Q", s, bits)
-    odd = north - s.even
+        return ((1 << bits) + 1) ** opens_even << bits * (2 * even - opens_even)
+    odd = north - even
     if family == "G":
-        return (1 << bits * odd) + (1 << bits * s.even)
-    value = ((1 << bits * (2 * odd - (s.opens and not s.opens_even)))
-             + (1 << bits * (2 * s.even - s.opens_even)))
-    return value + (value << bits) if s.opens else value
+        return (1 << bits * odd) + (1 << bits * even)
+    value = (1 << bits * (2 * odd - opens_odd)) + (1 << bits * (2 * even - opens_even))
+    return value + (value << bits) if opens else value
 
 
 def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, family: str) -> LaurentPoly:
     """Single-pair sum a -> b of the Q, G or H path weights of lgv_det_route:
-    the pair's paths are streamed once, each weighed as an int at X = 2^B
-    (`_pair_value`), and the sum read back once.  A path weighs at most 4
-    at q = 1, which sizes the digits.  Zero when b is unreachable."""
+    each (even, opens) class of the translate's paths (`_pair_tally`) is
+    weighed once as an int at X = 2^B (`_class_value`) times its path count,
+    and the sum read back once.  A path weighs at most 4 at q = 1, which
+    sizes the digits.  Zero when b is unreachable."""
+    north, x0 = b.y - a.y, a.x % 2
     bits = digit_bits(path_count(a, b) << 2)
-    total = sum(_pair_value(family, path, b.y - a.y, bits) for path in paths_between(a, b))
+    total = sum(count * _class_value(family, even, opens, north, x0, bits)
+                for (even, opens), count in _pair_tally(b.x - a.x, north, x0))
     return read_back(total, 0, bits)
 
 
@@ -418,7 +456,10 @@ def _pair_sum_with_steps(a: LatticePoint, b: LatticePoint, family: str) -> Laure
 def _pair_sum(family: str, dx: int, dy: int, x0: int) -> LaurentPoly:
     """Single-pair sum of lgv_det_route from (x0, 0) to (x0 + dx, dy), with
     x0 in {0, 1}: the sum a -> b is _pair_sum(family, b.x - a.x, b.y - a.y,
-    a.x % 2), since moving a pair by (2s, t) changes no step weight."""
+    a.x % 2), since moving a pair by (2s, t) changes no step weight.  P's is
+    a column DP (`single_path_weight_sum`); Q's, G's and H's weigh the
+    translate's path classes (`_pair_sum_with_steps`), tallied once per
+    translate for every family (`_pair_tally`)."""
     a, b = LatticePoint(x0, 0), LatticePoint(x0 + dx, dy)
     if family == "P":
         weights = {x: _Q for x in range(0, x0 + dx + 1, 2)}

@@ -30,7 +30,6 @@ from qfaulhaber.coeffs import (
     _check_index,
     _index_range,
     forward_entry,
-    sample_points,
 )
 from qfaulhaber.laurent import LaurentPoly, ONE, Q, ZERO, q_int
 from qfaulhaber.lgv import _Q, LatticePoint, PathFamily, PathStats
@@ -253,7 +252,7 @@ def verify_detinv_consistency(family: str, m: int, k: int) -> bool:
     fwd = [[forward_entry(family, r, c) for c in idx] for r in idx]
     row = size - 1
     col = size - 1 - k
-    for q0 in sample_points(3):
+    for q0 in (2, 3, 4):  # no forward diagonal entry vanishes there
         a = [[term_sum(fwd[i][j], q0) for j in range(size)] for i in range(size)]
         if any(a[i][i] == 0 for i in range(size)):
             raise SingularSampleError(f"singular diagonal at q0={q0}")

@@ -172,6 +172,7 @@ class TestCompute:
         for m in range(2, 8):
             for k in range(1, m):
                 lgv._pair_sum.cache_clear()
+                lgv._pair_tally.cache_clear()
                 listed.clear()
                 lgv.lgv_det_route(family, m, k)
                 assert cli._path_count(family, m, k) == len(listed), (family, m, k)
@@ -565,6 +566,26 @@ class TestFaultMatrix:
         interpolate = coeffs.interpolate_poly
         monkeypatch.setattr(coeffs, "interpolate_poly",
                             lambda points, values: interpolate(points, values) + 1)
+        assert failing_suites() == {"lgv"}
+
+    @pytest.mark.parametrize("fault", ["odd part without 1/x", "f(-x) for f(x)"])
+    def test_even_odd_split_fault(self, fault, monkeypatch):
+        # the invert route's split of its values into even and odd parts
+        # goes wrong: O(x^2) read as (f(x) - f(-x)) / 2, without the 1/x, or
+        # each point x > 0 traded with -x, which negates O; only the lgv
+        # suite's agreement reads that route
+        if fault == "f(-x) for f(x)":
+            points = coeffs.sample_points
+            monkeypatch.setattr(coeffs, "sample_points",
+                                lambda count: [-x for x in points(count)])
+        else:
+            split = coeffs._even_odd_values
+
+            def faulty(values):
+                even, odd = split(values)
+                return even, [x * o for x, o in enumerate(odd, 1)]
+
+            monkeypatch.setattr(coeffs, "_even_odd_values", faulty)
         assert failing_suites() == {"lgv"}
 
     def test_h_spec_fault(self, monkeypatch):

@@ -367,10 +367,11 @@ class TestInversePairs:
 
 class TestSamplePoints:
     def test_distinct_and_regular(self):
-        # consecutive integers from 2: no forward diagonal entry vanishes
-        # there
-        pts = sample_points(40)
-        assert pts == list(range(2, 42))
+        # 0, then each x > 0 next to -x: the invert route splits the values
+        # at +-x into even and odd parts
+        pts = sample_points(41)
+        assert pts == [0] + [v for x in range(1, 21) for v in (x, -x)]
+        assert len(set(pts)) == len(pts)
         assert all(type(p) is int for p in pts)
 
     def test_prefix_stability(self):
@@ -462,6 +463,8 @@ class TestInvertRoute:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_each_k_interpolates_on_its_bound(self, family, monkeypatch):
+        # D(m, k) = E(q^2) + q O(q^2): E on floor(bound / 2) + 1 points y = x^2
+        # from 0, O on ceil(bound / 2) points y = x^2 from 1, one call each
         calls = []
 
         def spy(points, values):
@@ -470,10 +473,12 @@ class TestInvertRoute:
 
         monkeypatch.setattr(coeffs, "interpolate_poly", spy)
         invert_route_row(family, 8)
-        assert len(calls) == 8
-        for k, points in enumerate(calls):
-            assert len(points) == _invert_degree_bound(family, 8, k) + 1, (family, k)
-            assert points == sample_points(len(points))
+        assert len(calls) == 2 * 8
+        for k, (even, odd) in enumerate(zip(calls[0::2], calls[1::2])):
+            bound = _invert_degree_bound(family, 8, k)
+            assert even == [x * x for x in range(bound // 2 + 1)], (family, k)
+            assert odd == [x * x for x in range(1, (bound + 1) // 2 + 1)], (family, k)
+            assert len(even) + len(odd) == bound + 1, (family, k)
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_coefficient_bound_covers_polynomial(self, family):
@@ -568,18 +573,20 @@ class TestInvertRoute:
 
     @pytest.mark.parametrize("family", "PQGH")
     def test_vanishing_diagonal_needs_no_guard(self, family, monkeypatch, cold_memos):
-        # q - 2 on the forward diagonal is 0 at the first sample point: the
+        # q on the forward diagonal is 0 at the first sample point, 0: the
         # substitution divides by no value, so the route still equals the
         # det route under the same patch
         entry = coeffs.forward_entry
         monkeypatch.setattr(coeffs, "forward_entry", lambda family, i, j: (
-            LaurentPoly([-2, 1]) if i == j else entry(family, i, j)))
+            LaurentPoly([0, 1]) if i == j else entry(family, i, j)))
         for m in range(1, 7):
             row = invert_route_row(family, m)
             assert row == {k: det_route(family, m, k) for k in range(m)}, (family, m)
 
     def test_one_k_evaluates_at_its_own_bound(self, monkeypatch):
-        # Q(14, 1) has degree bound 24; the whole row would need 157 points
+        # Q(14, 1) has degree bound 24: 0 and +-1..+-12, 25 points; the whole
+        # row would need 157.  Q's bounds are even; an odd largest bound d,
+        # as P and G have, takes d + 2 points.
         counts = []
         points = coeffs.sample_points
         monkeypatch.setattr(coeffs, "sample_points",
@@ -588,7 +595,14 @@ class TestInvertRoute:
         assert counts == [25]
         assert invert_route_row("Q", 14, (1, 3)) == {
             k: det_route("Q", 14, k) for k in (1, 3)}
-        assert counts[1] == _invert_degree_bound("Q", 14, 3) + 1
+        bound = _invert_degree_bound("Q", 14, 3)
+        assert counts[1] == 2 * ((bound + 1) // 2) + 1 >= bound + 1
+        odd = [(m, k) for m in range(2, 9) for k in range(m)
+               if _invert_degree_bound("G", m, k) % 2]
+        assert odd
+        for m, k in odd:
+            assert invert_route("G", m, k) == det_route("G", m, k)
+            assert counts[-1] == _invert_degree_bound("G", m, k) + 2, (m, k)
 
     def test_one_k_evaluates_only_its_trailing_block(self, monkeypatch):
         # B[40][39] needs only the trailing block on rows 39..40: three
@@ -604,6 +618,24 @@ class TestInvertRoute:
         assert len(evaluated) == 3 * 77
         assert set(evaluated) == {forward_entry("Q", r, c)
                                   for r, c in ((39, 39), (40, 39), (40, 40))}
+
+    @pytest.mark.parametrize("ks", [(3,), (5,), (-1,), ()])
+    def test_row_checks_each_k_before_any_work(self, ks, monkeypatch):
+        # k outside 0 <= k < m is refused as det_route refuses it, and an
+        # empty ks asks for nothing; neither builds or evaluates an entry
+        def unread(*args):
+            raise AssertionError("the invert route did work for a refused or empty ks")
+
+        monkeypatch.setattr(coeffs, "forward_entry", unread)
+        monkeypatch.setattr(coeffs, "_invert_degree_bound", unread)
+        if not ks:
+            assert invert_route_row("P", 3, ks) == {}
+            return
+        with pytest.raises(BadIndexError):
+            invert_route_row("P", 3, ks)
+        monkeypatch.undo()
+        with pytest.raises(BadIndexError):
+            det_route("P", 3, ks[0])
 
     def test_single_entry(self):
         assert invert_route("G", 4, 2) == C(10, 24, 24, 10)

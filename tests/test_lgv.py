@@ -452,10 +452,13 @@ class TestPairSums:
     @pytest.mark.parametrize("family", "GH")
     @pytest.mark.usefixtures("cold_memos")
     def test_each_pair_listed_once_and_each_path_read_once(self, family, monkeypatch):
+        # G and H place their paths alike, so the second family of the two
+        # reads every translate's tally from the memo and lists nothing; no
+        # path's `path_stats` is read, the tally counts the points
         m, k = 7, 4
-        pairs, yielded, read = [], [], []
+        twin = {"G": "H", "H": "G"}[family]
+        pairs, yielded = [], []
         paths_between = lgv.paths_between
-        path_stats = lgv.path_stats
 
         def counting_paths_between(a, b):
             pairs.append((a, b))
@@ -463,12 +466,11 @@ class TestPairSums:
                 yielded.append(path)
                 yield path
 
-        def counting_path_stats(path):
-            read.append(path)
-            return path_stats(path)
+        def unread(path):
+            raise AssertionError("lgv_det_route read path_stats")
 
         monkeypatch.setattr(lgv, "paths_between", counting_paths_between)
-        monkeypatch.setattr(lgv, "path_stats", counting_path_stats)
+        monkeypatch.setattr(lgv, "path_stats", unread)
         assert lgv_det_route(family, m, k) == det_route(family, m, k)
         starts, ends = family_config(family, m, k)
         # each pair is summed as its translate from (a.x mod 2, 0)
@@ -477,23 +479,49 @@ class TestPairSums:
         ]
         assert len(pairs) == k * k
         assert sorted(pairs) == sorted(translates)
-        assert read == yielded and len(yielded) > k * k
+        assert len(yielded) == len(set(yielded)) > k * k
+        listed = len(yielded)
+        assert lgv_det_route(twin, m, k) == det_route(twin, m, k)
+        assert len(pairs) == k * k and len(yielded) == listed
         # a repeated call reads every pair sum from the memo
-        assert lgv_det_route(family, m, k) == det_route(family, m, k)
-        assert len(pairs) == k * k
+        for name in (family, twin):
+            assert lgv_det_route(name, m, k) == det_route(name, m, k)
+        assert len(pairs) == k * k and len(yielded) == listed
+
+    @pytest.mark.usefixtures("cold_memos")
+    def test_paths_listed_at_m_11(self, monkeypatch):
+        # the route-crosscheck row: every k of m = 11 lists Q's translates
+        # once (4,080 paths) and the G and H translates once for both
+        # families (2,045 paths); a route that listed per family again
+        # would list 2,045 more
+        listed = Counter()
+        paths_between = lgv.paths_between
+
+        def counting_paths_between(a, b):
+            for path in paths_between(a, b):
+                listed[family] += 1
+                yield path
+
+        monkeypatch.setattr(lgv, "paths_between", counting_paths_between)
+        for family in "PQGH":
+            for k in range(11):
+                assert lgv_det_route(family, 11, k) == det_route(family, 11, k), (family, k)
+        assert listed == {"Q": 4080, "G": 2045}
+        assert sum(listed.values()) == 6125
 
     @pytest.mark.parametrize("family", "PQGH")
     @pytest.mark.usefixtures("cold_memos")
     def test_step_weight_fault_fails_the_crosscheck(self, family, monkeypatch):
-        # fault-matrix row: one more unit in every path weight of the pair
-        # sums (Q, G, H), or in P's even-column step weight, changes every
-        # k >= 1 of lgv_det_route at m <= 4 but P(2, 1), whose one path has
-        # no vertical step for a step weight to act on
+        # fault-matrix row: one more unit in every class weight of the pair
+        # sums (Q, G, H), one per path of the class, or in P's even-column
+        # step weight, changes every k >= 1 of lgv_det_route at m <= 4 but
+        # P(2, 1), whose one path has no vertical step for a step weight to
+        # act on
         if family == "P":
             monkeypatch.setattr(lgv, "_Q", Q + ONE)
         else:
-            pair_value = lgv._pair_value
-            monkeypatch.setattr(lgv, "_pair_value", lambda *args: pair_value(*args) + 1)
+            class_value = lgv._class_value
+            monkeypatch.setattr(lgv, "_class_value", lambda *args: class_value(*args) + 1)
         unchanged = [(m, k) for m in range(2, 5) for k in range(1, m)
                      if lgv_det_route(family, m, k) == det_route(family, m, k)]
         assert unchanged == ([(2, 1)] if family == "P" else [])

@@ -54,7 +54,7 @@ EXIT_USAGE = 2
 # lattice paths one Q/G/H `compute --method lgv-det` case lists.  P(16,8)
 # would test 1,024,344 pairs and takes 0.9-1.2 s with a 41 MB peak RSS,
 # P(15,8) tests 653,624 in 0.45-0.62 s with a 33 MB peak; Q(19,7) lists
-# 973,752 paths in 5.3-5.7 s with a 16 MB peak, tallying each by two
+# 973,752 paths in 3.7-5.8 s with a 16 MB peak, tallying each by two
 # statistics (cold processes, one core of a 2-vCPU host, Python 3.11).
 _LGV_OBJECT_LIMIT = 1_000_000
 
